@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 
@@ -147,9 +148,6 @@ class Generator:
     @property
     def n_vertices(self) -> int:
         return len(self.charges)
-
-    def with_coeff(self, coeff: Coeff) -> "Generator":
-        return replace(self, coeff=coeff)
 
     def scaled(self, factor) -> "Generator":
         return replace(self, coeff=self.coeff * factor)
@@ -463,19 +461,16 @@ def _linearize(g: Generator, leg_ranks: dict | None = None,
     order.  Yields generators whose attached/scalar kernels are single
     real-basis terms with unit coefficient (coefficients folded into coeff).
     """
-    leg_ranks = leg_ranks or {}
-
-    def rank_of_leg(name):
-        return leg_ranks.get(name)
-
+    # without rank_reduce every rank is None and _rank_dropped drops nothing
+    leg_ranks = (leg_ranks or {}) if rank_reduce else {}
+    ranks = g.ranks if rank_reduce else (None,) * g.n_vertices
     outs = [(g.coeff, [], [])]
     for v, e, l, vf in g.attached:
         ee = (e if vf else e.transpose()).real_basis()
-        ra = g.ranks[v] if rank_reduce else None
-        rb = rank_of_leg(l) if rank_reduce else None
+        ra, rb = ranks[v], leg_ranks.get(l)
         new = []
         for b, h, c in ee.terms:
-            if rank_reduce and _rank_dropped(b, ra, rb):
+            if _rank_dropped(b, ra, rb):
                 continue
             for coeff, att, scal in outs:
                 new.append((coeff * c,
@@ -487,11 +482,10 @@ def _linearize(g: Generator, leg_ranks: dict | None = None,
             ee, pp, qq = e.real_basis(), p, q
         else:
             ee, pp, qq = e.transpose(), q, p
-        ra = rank_of_leg(pp) if rank_reduce else None
-        rb = rank_of_leg(qq) if rank_reduce else None
+        ra, rb = leg_ranks.get(pp), leg_ranks.get(qq)
         new = []
         for b, h, c in ee.terms:
-            if rank_reduce and _rank_dropped(b, ra, rb):
+            if _rank_dropped(b, ra, rb):
                 continue
             for coeff, att, scal in outs:
                 new.append((coeff * c,
@@ -505,17 +499,28 @@ def _linearize(g: Generator, leg_ranks: dict | None = None,
                       scalar_pairs=tuple(scal))
 
 
-def _vertex_classes(g: Generator, leg_ranks):
+def _vertex_classes(g) -> list[tuple]:
+    """Per-vertex (charge, smearing, dressing key, rank) of a Generator or
+    an ExpandedTerm: relabellings may only permute equal classes."""
     return [(g.charges[i], g.smearings[i], _expr_key(g.dressings[i]),
              g.ranks[i]) for i in range(g.n_vertices)]
+
+
+def _min_over_relabellings(classes: list[tuple], key_for) -> tuple:
+    """Smallest key_for(vkey, inv) over the vertex relabellings that put the
+    classes in sorted order; vkey is the sorted class tuple and inv maps old
+    vertex indices to new ones.  n = 0 has the single empty relabelling."""
+    target = sorted(classes, key=repr)
+    vkey = tuple(target)
+    return min(key_for(vkey, {old: new for new, old in enumerate(perm)})
+               for perm in itertools.permutations(range(len(classes)))
+               if [classes[i] for i in perm] == target)
 
 
 def _canonical_key(g: Generator, leg_ranks: dict | None = None,
                    rank_reduce: bool = False) -> tuple:
     """Canonical structural key, minimized over vertex relabelings."""
     leg_ranks = leg_ranks or {}
-    n = g.n_vertices
-    classes = _vertex_classes(g, leg_ranks)
 
     def rank_of_leg(name):
         return leg_ranks.get(name) if rank_reduce else None
@@ -523,45 +528,56 @@ def _canonical_key(g: Generator, leg_ranks: dict | None = None,
     def rank_of_vertex(i):
         return g.ranks[i] if rank_reduce else None
 
-    def key_for(perm):
-        vkey = tuple(classes[i] for i in perm)
-        inv = {old: new for new, old in enumerate(perm)}
+    # without rank_reduce every rank pair is (None, None): nothing is dropped
+    def key_for(vkey, inv):
         edges = []
         for (i, j), e in g.pair_exps:
             a, b = inv[i], inv[j]
             rp = (rank_of_vertex(i), rank_of_vertex(j))
             if a <= b:
-                edges.append((a, b, _expr_key(e, rp if rank_reduce else None)))
+                edges.append((a, b, _expr_key(e, rp)))
             else:
-                edges.append((b, a, _expr_key(
-                    e.transpose(), (rp[1], rp[0]) if rank_reduce else None)))
+                edges.append((b, a, _expr_key(e.transpose(), rp[::-1])))
         att = []
         for v, e, l, vf in g.attached:
             ee = e if vf else e.transpose()
             rp = (rank_of_vertex(v), rank_of_leg(l))
-            att.append((inv[v], l, _expr_key(ee, rp if rank_reduce else None)))
+            att.append((inv[v], l, _expr_key(ee, rp)))
         scal = []
         for e, p, q in g.scalar_pairs:
             rp = (rank_of_leg(p), rank_of_leg(q))
             if p <= q:
-                scal.append((p, q, _expr_key(e, rp if rank_reduce else None)))
+                scal.append((p, q, _expr_key(e, rp)))
             else:
-                scal.append((q, p, _expr_key(
-                    e.transpose(), (rp[1], rp[0]) if rank_reduce else None)))
+                scal.append((q, p, _expr_key(e.transpose(), rp[::-1])))
         return (vkey, tuple(sorted(edges)), tuple(sorted(att)),
                 tuple(sorted(scal)), tuple(sorted(g.free_legs)),
                 g.coeff.powers_key())
 
-    best = None
-    for perm in itertools.permutations(range(n)):
-        if [classes[i] for i in perm] != sorted(classes, key=repr):
-            continue
-        k = key_for(perm)
-        if best is None or k < best:
-            best = k
-    if best is None:  # n == 0
-        best = key_for(())
-    return best
+    return _min_over_relabellings(_vertex_classes(g), key_for)
+
+
+def _sum_by_key(items) -> dict:
+    """Running sums of exact coefficients over a stream of (key, CRat, rep).
+
+    Keeps the first representative seen for each key and the order in which
+    keys first appear; keys whose sum is exactly zero are dropped.
+    """
+    acc: dict[tuple, tuple[CRat, object]] = {}
+    for key, c, rep in items:
+        if key in acc:
+            total, first = acc[key]
+            acc[key] = (total + c, first)
+        else:
+            acc[key] = (c, rep)
+    return {k: (c, rep) for k, (c, rep) in acc.items() if not c.is_zero()}
+
+
+def _summed_terms(sums: dict) -> list:
+    """The representatives of collected sums, each carrying its summed
+    coefficient."""
+    return [replace(rep, coeff=replace(rep.coeff, crat=c))
+            for c, rep in sums.values()]
 
 
 def collect(gens, leg_ranks=None, rank_reduce=False) -> dict:
@@ -571,23 +587,10 @@ def collect(gens, leg_ranks=None, rank_reduce=False) -> dict:
     so combinations that agree only after kernel identities (for example
     Delta_F - omega = i Delta^A) collect exactly.
     """
-    acc: dict[tuple, tuple[CRat, Generator]] = {}
-    for g0 in _as_list(gens):
-        for g in _linearize(g0, leg_ranks, rank_reduce):
-            key = _canonical_key(g, leg_ranks, rank_reduce)
-            if key in acc:
-                c, rep = acc[key]
-                acc[key] = (c + g.coeff.crat, rep)
-            else:
-                acc[key] = (g.coeff.crat, g)
-    return {k: (c, rep) for k, (c, rep) in acc.items() if not c.is_zero()}
-
-
-def collected_list(gens, leg_ranks=None, rank_reduce=False) -> list[Generator]:
-    out = []
-    for c, rep in collect(gens, leg_ranks, rank_reduce).values():
-        out.append(rep.with_coeff(replace(rep.coeff, crat=c)))
-    return out
+    return _sum_by_key((_canonical_key(g, leg_ranks, rank_reduce),
+                        g.coeff.crat, g)
+                       for g0 in _as_list(gens)
+                       for g in _linearize(g0, leg_ranks, rank_reduce))
 
 
 def collected_raw_list(gens) -> list[Generator]:
@@ -596,16 +599,8 @@ def collected_raw_list(gens) -> list[Generator]:
     Used by the term builders: attached factors like (Q + hbar omega) f stay
     one entry for presentation and finite-hbar evaluation.
     """
-    acc: dict[tuple, tuple[CRat, Generator]] = {}
-    for g in _as_list(gens):
-        key = _canonical_key(g)
-        if key in acc:
-            c, rep = acc[key]
-            acc[key] = (c + g.coeff.crat, rep)
-        else:
-            acc[key] = (g.coeff.crat, g)
-    return [rep.with_coeff(replace(rep.coeff, crat=c))
-            for c, rep in acc.values() if not c.is_zero()]
+    return _summed_terms(_sum_by_key((_canonical_key(g), g.coeff.crat, g)
+                                     for g in _as_list(gens)))
 
 
 def multisets_equal(gs1, gs2, leg_ranks=None, rank_reduce=False) -> bool:
@@ -635,20 +630,9 @@ def qs_term(n: int, deform_q: bool = True, inverse: bool = False) -> list[Genera
     factors = [sg_vertex("g", dress) for _ in range(n)]
     gens = time_ordered(factors, kernel)
     i_pow = 3 if inverse else 1  # (-i) = i^3
-    pref = Coeff(CRat.i_power(i_pow * n) * Fraction(1, _factorial(n)),
+    pref = Coeff(CRat.i_power(i_pow * n) * Fraction(1, math.factorial(n)),
                  hbar_pow=-n, lam_pow=n)
     return collected_raw_list([g.scaled(pref) for g in gens])
-
-
-def inverse_qs_term(n: int, deform_q: bool = True) -> list[Generator]:
-    return qs_term(n, deform_q, inverse=True)
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def _leg_targets(legs, n, deform_q):
@@ -722,14 +706,11 @@ def bogoliubov_generators(n: int, legs: list[str], deform_q: bool = True,
             for pairs, att, free in _leg_targets(legs, n, deform_q):
                 coeff = base_coeff
                 attached = []
-                ok = True
                 for li, v_orig in att:
                     v = pos[v_orig]
                     kern = k_cross if v_orig in left_set else k_within_R
                     coeff = coeff * Coeff(CR_I * charges[v], a_pow=1)
                     attached.append((v, kern, legs[li], True))
-                if not ok:
-                    continue
                 scal = tuple((KE_Q, legs[p], legs[q]) for p, q in pairs)
                 out.append(Generator(
                     coeff=coeff, charges=charges, smearings=smear,
@@ -758,39 +739,6 @@ def bogoliubov_terms(n: int, m: int, legs: list[str] | None = None,
     return [term_graph_from_generator(g) for g in gens]
 
 
-@dataclass(frozen=True)
-class FormalSeries:
-    """Coupling-constant coefficients, order -> term graphs, contiguous
-    from 0 up to a stated truncation."""
-
-    orders: tuple[tuple["TermGraph", ...], ...]
-
-    def __post_init__(self):
-        if not self.orders:
-            raise ValueError("a series needs at least order 0")
-
-    @property
-    def truncation(self) -> int:
-        return len(self.orders) - 1
-
-    def order(self, n: int) -> tuple["TermGraph", ...]:
-        return self.orders[n]
-
-    @staticmethod
-    def qs(truncation: int, deform_q: bool = True,
-           inverse: bool = False) -> "FormalSeries":
-        return FormalSeries(tuple(
-            tuple(term_graph_from_generator(g)
-                  for g in qs_term(n, deform_q, inverse))
-            for n in range(truncation + 1)))
-
-    @staticmethod
-    def retarded(truncation: int, m: int, legs: list[str] | None = None,
-                 deform_q: bool = True) -> "FormalSeries":
-        return FormalSeries(tuple(tuple(bogoliubov_terms(n, m, legs, deform_q))
-                                  for n in range(truncation + 1)))
-
-
 def interacting_field_term_J(n: int, leg_name: str = "f",
                              deform_q: bool = True) -> list["TermGraph"]:
     """Terms of J_n: the observable leg contracted into the left block."""
@@ -810,8 +758,7 @@ def interacting_field_term_M(n: int, leg_name: str = "f",
 def _leg_side(g: Generator, leg_name: str) -> str | None:
     for v, e, l, _ in g.attached:
         if l == leg_name:
-            lo, _ = e.hbar_split()
-            hi = KernelExpr.of(*(t for t in e.terms if t[1] > 0))
+            _, hi = e.hbar_split()
             if any(b == "Omega" for b, _, _ in hi.terms):
                 return "left"
             if any(b in ("DeltaF", "DeltaAF") for b, _, _ in hi.terms):
@@ -902,14 +849,11 @@ class ExpandedTerm:
         return len(self.charges)
 
 
-def _expr_single_terms(expr: KernelExpr, real_basis: bool):
-    """Decompose into single (basis, hbar, coeff) factors, optionally rewritten."""
-    e = expr.real_basis() if real_basis else expr
-    return list(e.terms)
-
-
 def _expand_generator(g: Generator, k_max: int, real_basis: bool):
     """Yield (stratum, ExpandedTerm) for quantum hbar-order <= k_max."""
+    def _terms(expr: KernelExpr):
+        return (expr.real_basis() if real_basis else expr).terms
+
     quantum_pairs = []
     q_pairs = []
     for (i, j), e in g.pair_exps:
@@ -919,14 +863,14 @@ def _expand_generator(g: Generator, k_max: int, real_basis: bool):
                 raise ValueError("grade-0 pair kernels must be pure Q")
             q_pairs.append(((i, j), lo))
         if not hi.is_zero():
-            quantum_pairs.append(((i, j), _expr_single_terms(hi, real_basis)))
+            quantum_pairs.append(((i, j), _terms(hi)))
     att_options = []
     for v, e, l, vf in g.attached:
         lo, hi = e.hbar_split()
         opts = []
         for b, h, c in lo.terms:
             opts.append((0, (v, b, 0, l, vf), c))
-        for b, h, c in _expr_single_terms(hi, real_basis):
+        for b, h, c in _terms(hi):
             opts.append((h, (v, b, h, l, vf), c))
         att_options.append(opts)
     scal_options = []
@@ -935,7 +879,7 @@ def _expand_generator(g: Generator, k_max: int, real_basis: bool):
         opts = []
         for b, h, c in lo.terms:
             opts.append((0, (b, 0, p, q), c))
-        for b, h, c in _expr_single_terms(hi, real_basis):
+        for b, h, c in _terms(hi):
             opts.append((h, (b, h, p, q), c))
         scal_options.append(opts)
 
@@ -1010,12 +954,7 @@ def _null_support(term: ExpandedTerm) -> bool:
 
 
 def _expanded_key(t: ExpandedTerm) -> tuple:
-    n = t.n_vertices
-    classes = [(t.charges[i], t.smearings[i], _expr_key(t.dressings[i]),
-                t.ranks[i]) for i in range(n)]
-
-    def key_for(perm):
-        inv = {old: new for new, old in enumerate(perm)}
+    def key_for(vkey, inv):
         qp = []
         for (i, j), e in t.q_pairs:
             a, b = inv[i], inv[j]
@@ -1035,21 +974,10 @@ def _expanded_key(t: ExpandedTerm) -> tuple:
         scal = tuple(sorted((b, h, p, q) if p <= q
                             else (_SWAP.get(b, b), h, q, p)
                             for b, h, p, q in t.scalar_pairs))
-        return (tuple(classes[i] for i in perm), tuple(sorted(qp)),
-                tuple(sorted(ed)), att, scal, t.free_legs,
-                t.coeff.powers_key())
+        return (vkey, tuple(sorted(qp)), tuple(sorted(ed)), att, scal,
+                t.free_legs, t.coeff.powers_key())
 
-    best = None
-    target = sorted(classes, key=repr)
-    for perm in itertools.permutations(range(n)):
-        if [classes[i] for i in perm] != target:
-            continue
-        k = key_for(perm)
-        if best is None or k < best:
-            best = k
-    if best is None:
-        best = key_for(())
-    return best
+    return _min_over_relabellings(_vertex_classes(t), key_for)
 
 
 def expand_strata(gens, k_max: int, real_basis: bool = True) -> dict:
@@ -1059,29 +987,14 @@ def expand_strata(gens, k_max: int, real_basis: bool = True) -> dict:
     cancellation applied; pointwise-null edge products are dropped when
     working over the real basis.
     """
+    sums = _sum_by_key(((h, _expanded_key(term)), term.coeff.crat, term)
+                       for g in _as_list(gens)
+                       for h, term in _expand_generator(g, k_max, real_basis)
+                       if not (real_basis and _null_support(term)))
     strata: dict[int, dict] = {k: {} for k in range(k_max + 1)}
-    for g in _as_list(gens):
-        for h, term in _expand_generator(g, k_max, real_basis):
-            if real_basis and _null_support(term):
-                continue
-            key = _expanded_key(term)
-            bucket = strata[h]
-            if key in bucket:
-                c, rep = bucket[key]
-                bucket[key] = (c + term.coeff.crat, rep)
-            else:
-                bucket[key] = (term.coeff.crat, term)
-    for h in strata:
-        strata[h] = {k: (c, rep) for k, (c, rep) in strata[h].items()
-                     if not c.is_zero()}
+    for (h, key), entry in sums.items():
+        strata[h][key] = entry
     return strata
-
-
-def _stratum_terms(stratum: dict) -> list[ExpandedTerm]:
-    out = []
-    for c, rep in stratum.values():
-        out.append(replace(rep, coeff=replace(rep.coeff, crat=c)))
-    return out
 
 
 def classical_term(n: int, m: int, legs: list[str] | None = None,
@@ -1101,7 +1014,7 @@ def classical_term(n: int, m: int, legs: list[str] | None = None,
             _, rep = next(iter(strata[k].values()))
             raise NegativeGrade(
                 f"stratum hbar^{k - n} survives for R_{n},{m}: {rep}")
-    return _stratum_terms(strata[n])
+    return _summed_terms(strata[n])
 
 
 def classical_term_labeled(n: int, m: int, legs: list[str] | None = None,
@@ -1110,7 +1023,7 @@ def classical_term_labeled(n: int, m: int, legs: list[str] | None = None,
     legs = legs or [f"f{k + 1}" for k in range(max(m, 0))]
     gens = bogoliubov_generators(n, legs, deform_q)
     strata = expand_strata(gens, k_max=n, real_basis=False)
-    return _stratum_terms(strata[n])
+    return _summed_terms(strata[n])
 
 
 def aggregate_charge_sectors(terms) -> list[tuple[ExpandedTerm, int]]:

@@ -28,6 +28,13 @@ from . import kernels as ker
 from .errors import (DegenerateConfiguration, GridTooCoarse, InvalidExponent,
                      OutOfDomain, StochSGError)
 
+MIN_GRID_N = 256
+
+
+def valid_grid_n(grid_n: int) -> bool:
+    """Conditioning grids are powers of two, at least MIN_GRID_N."""
+    return grid_n >= MIN_GRID_N and not grid_n & (grid_n - 1)
+
 
 @dataclass(frozen=True)
 class BoundReport:
@@ -82,8 +89,8 @@ def conditioning_constants(p: ker.ModelParams, grid_n: int = 256,
     raises GridTooCoarse.  The log singularities of H0 and H cancel, so W
     extends continuously across the lightcone and the origin.
     """
-    if grid_n < 256 or grid_n & (grid_n - 1):
-        raise ValueError("grid_n must be a power of two >= 256")
+    if not valid_grid_n(grid_n):
+        raise ValueError(f"grid_n must be a power of two >= {MIN_GRID_N}")
     if kernel_pair is None:
         if p.m <= 0:
             raise ValueError("conditioning requires a massive model")
@@ -228,12 +235,6 @@ def tail_bound(n_from: int, p_hat: float, params: ker.ModelParams,
             return total
         prev_log = log_term
     raise StochSGError(f"tail bound did not stabilize below n = {max_n}")
-
-
-def bound_satisfaction_margin(report: BoundReport) -> float:
-    if report.computed_magnitude is None or report.bound_value == 0:
-        return math.nan
-    return report.computed_magnitude / report.bound_value
 
 
 # ---------------------------------------------------------------------------

@@ -120,50 +120,43 @@ def compute_q(config_path, out_dir, seed):
                f"max Q = {float(table.values.max())!r}")
 
 
-@main.command("coeff")
-@common_options
-def coeff(config_path, out_dir, seed):
-    """Expectation-value coefficients (classical strata) per order."""
+def _series_csv(config_path, out_dir, seed, kind: str, coefficient,
+                name: str) -> None:
+    """Per-order coefficients of the observables of one kind, then their
+    quantum coefficients at the configured hbars, written to ``name``.
+    ``coefficient`` is called as coefficient(n, ctx, *legs, budget, seed)."""
     cfg = _load(config_path, out_dir, seed)
     ctx = _context(cfg, out_dir)
     rows = []
     for obs in cfg.observables:
-        if obs.kind != "expectation":
+        if obs.kind != kind:
             continue
         for n in cfg.orders:
-            c = ser.expectation_coefficient(n, ctx, obs.legs[0],
-                                            cfg.quad.budget, cfg.quad.seed)
+            c = coefficient(n, ctx, *obs.legs, cfg.quad.budget, cfg.quad.seed)
             rows.append(c.csv_row())
         for h in cfg.quantum_hbars:
             c = ser.quantum_coefficient(max(cfg.orders), h, ctx,
                                         list(obs.legs), cfg.quad.budget,
                                         cfg.quad.seed, cfg.quad.p_hat)
             rows.append(c.csv_row())
-    write_csv(os.path.join(out_dir, "expectation.csv"), rows, SERIES_HEADER)
-    click.echo(f"wrote {len(rows)} rows to expectation.csv")
+    write_csv(os.path.join(out_dir, name), rows, SERIES_HEADER)
+    click.echo(f"wrote {len(rows)} rows to {name}")
+
+
+@main.command("coeff")
+@common_options
+def coeff(config_path, out_dir, seed):
+    """Expectation-value coefficients (classical strata) per order."""
+    _series_csv(config_path, out_dir, seed, "expectation",
+                ser.expectation_coefficient, "expectation.csv")
 
 
 @main.command("corr")
 @common_options
 def corr(config_path, out_dir, seed):
     """Correlation-function coefficients per order."""
-    cfg = _load(config_path, out_dir, seed)
-    ctx = _context(cfg, out_dir)
-    rows = []
-    for obs in cfg.observables:
-        if obs.kind != "correlation":
-            continue
-        for n in cfg.orders:
-            c = ser.correlation_coefficient(n, ctx, obs.legs[0], obs.legs[1],
-                                            cfg.quad.budget, cfg.quad.seed)
-            rows.append(c.csv_row())
-        for h in cfg.quantum_hbars:
-            c = ser.quantum_coefficient(max(cfg.orders), h, ctx,
-                                        list(obs.legs), cfg.quad.budget,
-                                        cfg.quad.seed, cfg.quad.p_hat)
-            rows.append(c.csv_row())
-    write_csv(os.path.join(out_dir, "correlation.csv"), rows, SERIES_HEADER)
-    click.echo(f"wrote {len(rows)} rows to correlation.csv")
+    _series_csv(config_path, out_dir, seed, "correlation",
+                ser.correlation_coefficient, "correlation.csv")
 
 
 @main.command("bounds")

@@ -9,6 +9,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
+from . import bounds as bnd
+from . import kernels as ker
+from . import quad as qd
+from . import spde_mc as mc
 from .errors import ConfigError
 from .kernels import ModelParams, SmearingFunction
 
@@ -94,8 +98,28 @@ class RunConfig:
     expand: ExpandConfig
     quantum_hbars: tuple[float, ...] = ()
 
-    def needs_alpha_check(self) -> bool:
-        return bool(self.quantum_hbars) or bool(self.bounds.orders)
+
+def _require(ok: bool, message: str):
+    if not ok:
+        raise ConfigError(message)
+
+
+def _check_ranges(qtable: QTableConfig, quad: QuadConfig, mcc: McConfig,
+                  boundsc: BoundsConfig):
+    """Reject values the numeric layers would refuse only mid-run."""
+    _require(min(qtable.n_t, qtable.n_x) >= ker.MIN_TABLE_NODES,
+             f"qtable.n_t and qtable.n_x must be >= {ker.MIN_TABLE_NODES}")
+    _require(qtable.interp in ker.INTERP_METHODS,
+             f"qtable.interp must be one of {ker.INTERP_METHODS}")
+    _require(quad.budget >= qd.MIN_BUDGET,
+             f"quad.budget must be >= {qd.MIN_BUDGET}")
+    _require(mcc.n_samples >= mc.MIN_REALIZATIONS,
+             f"mc.n_samples must be >= {mc.MIN_REALIZATIONS}")
+    _require(mcc.chunk >= 1, "mc.chunk must be >= 1")
+    _require(mcc.boundary in mc.BOUNDARIES,
+             f"mc.boundary must be one of {mc.BOUNDARIES}")
+    _require(bnd.valid_grid_n(boundsc.grid_n),
+             f"bounds.grid_n must be a power of two >= {bnd.MIN_GRID_N}")
 
 
 def _parse_smearing(name: str, spec, where: str) -> SmearingFunction:
@@ -169,6 +193,7 @@ def parse_config(doc: dict) -> RunConfig:
                            bool(ed.get("deformed", False)))
     if expandc.obs not in ("field", "corr"):
         raise ConfigError("expand.obs must be 'field' or 'corr'")
+    _check_ranges(qtable, quadc, mcc, boundsc)
 
     orders = tuple(int(n) for n in doc.get("orders", (0, 1)))
     observables = []

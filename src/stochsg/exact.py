@@ -93,9 +93,6 @@ class Coeff:
     def __neg__(self) -> "Coeff":
         return Coeff(-self.crat, self.a_pow, self.hbar_pow, self.lam_pow)
 
-    def shift_hbar(self, k: int) -> "Coeff":
-        return Coeff(self.crat, self.a_pow, self.hbar_pow + k, self.lam_pow)
-
     def is_zero(self) -> bool:
         return self.crat.is_zero()
 

@@ -14,7 +14,9 @@ in the propagator (Q in particular) do not depend on the flag.
 
 from __future__ import annotations
 
+import os
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
@@ -22,7 +24,7 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import j0 as _j0, k0 as _k0, y0 as _y0
 
-from .errors import EvalOnLightcone, OutOfDomain
+from .errors import ConfigError, EvalOnLightcone, OutOfDomain
 from .results import QuadResult
 
 LIGHTCONE_FLOOR = 1e-12
@@ -31,9 +33,6 @@ LIGHTCONE_FLOOR = 1e-12
 class SpacetimePoint(NamedTuple):
     t: float
     x: float
-
-    def __neg__(self) -> "SpacetimePoint":
-        return SpacetimePoint(-self.t, -self.x)
 
 
 def lorentzian_square(t, x):
@@ -240,9 +239,6 @@ class SmearingFunction:
         xmax = max(c.center.x + c.radius for c in self.components)
         return tmin, tmax, xmin, xmax
 
-    def max_time(self) -> float:
-        return self.support_box()[1]
-
     def inside_diamond(self, mu: float) -> bool:
         # a disk of radius r reaches r*sqrt(2) in the null coordinates
         root2 = np.sqrt(2.0)
@@ -397,6 +393,9 @@ def covariance_q(z: SpacetimePoint, zp: SpacetimePoint, p: ModelParams,
 # tabulated Q with interpolation
 # ---------------------------------------------------------------------------
 
+MIN_TABLE_NODES = 4
+INTERP_METHODS = ("linear", "cubic")
+_Q_CHUNK = 8192     # table entries per pool task
 _QTBL_MAGIC = b"QTBL"
 _QTBL_VERSION = 1
 _SIGN_CODE = {"paper": 0.0, "green": 1.0}
@@ -499,16 +498,41 @@ class QTable:
                       "linear" if interp_code == 0 else "cubic")
 
 
+def worker_count() -> int:
+    """Thread-pool width: the WORKERS environment variable (a positive
+    integer), else the number of cores."""
+    env = os.environ.get("WORKERS")
+    if not env:
+        return os.cpu_count() or 1
+    try:
+        n = int(env)
+    except ValueError:
+        n = 0  # reported below, with the non-positive values
+    if n < 1:
+        raise ConfigError(f"WORKERS must be a positive integer, got {env!r}")
+    return n
+
+
+def parallel_map(fn, items) -> list:
+    """[fn(x) for x in items] on a pool of worker_count() threads; results
+    keep the order of ``items``, so the output does not depend on WORKERS."""
+    items = list(items)
+    workers = min(worker_count(), len(items))
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]
+
+
 def build_q_table(p: ModelParams, n_t: int = 64, n_x: int = 128,
-                  budget: int = 256, interp_method: str = "cubic",
-                  chunk: int = 8192) -> QTable:
+                  budget: int = 256, interp_method: str = "cubic") -> QTable:
     """Tabulate Q(t, t', x - x') over D_mu x D_mu.
 
-    Chunks of entries are independent, so they run on a thread pool sized by
-    the WORKERS environment variable; the output is deterministic either way.
+    Chunks of entries are independent, so they run on the thread pool of
+    parallel_map; the output is deterministic either way.
     """
-    if n_t < 4 or n_x < 4:
-        raise ValueError("n_t and n_x must be >= 4")
+    if n_t < MIN_TABLE_NODES or n_x < MIN_TABLE_NODES:
+        raise ValueError(f"n_t and n_x must be >= {MIN_TABLE_NODES}")
     tgrid = np.linspace(-p.mu, p.mu, n_t)
     dgrid = np.linspace(-2 * p.mu, 2 * p.mu, n_x)
     n = max(6, int(round(budget ** 0.5)))
@@ -517,33 +541,13 @@ def build_q_table(p: ModelParams, n_t: int = 64, n_x: int = 128,
     vals = np.empty(t.shape)
 
     def fill(lo: int):
-        sl = slice(lo, lo + chunk)
+        sl = slice(lo, lo + _Q_CHUNK)
         vals[sl] = _q_values(t[sl], d[sl], tp[sl], np.zeros_like(d[sl]),
                              p, n, n)
 
-    starts = list(range(0, t.size, chunk))
-    workers = min(_worker_count(), len(starts))
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(fill, starts))
-    else:
-        for lo in starts:
-            fill(lo)
+    parallel_map(fill, range(0, t.size, _Q_CHUNK))
     values = vals.reshape(n_t, n_t, n_x)
     return QTable(tgrid, dgrid, values, p, interp_method)
-
-
-def _worker_count() -> int:
-    import os
-    env = os.environ.get("WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
-
-
-def q_interp(table: QTable, z: SpacetimePoint, zp: SpacetimePoint) -> float:
-    return float(table.interp(z.t, z.x, zp.t, zp.x))
 
 
 def gq_weight(z: SpacetimePoint, p: ModelParams, table: QTable,

@@ -12,6 +12,7 @@ hierarchy with source sign s = -1; see the sign note in spde_mc.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import algebra as alg
 from . import kernels as ker
 from . import quad as qd
-from .algebra import ExpandedTerm, Generator, KernelExpr
+from .algebra import ExpandedTerm, KernelExpr
 from .errors import ConfigError
 from .results import QuadResult
 
@@ -83,10 +84,6 @@ class EvalContext:
 
     # -- pointwise building blocks -----------------------------------------
 
-    def gq(self, t, x, smearing: str = "g"):
-        return ker.gq_weight_arrays(t, x, self.params, self.table,
-                                    self.smearings[smearing])
-
     def smeared_kernel(self, basis: str, leg_name: str, t, x,
                        vertex_first: bool = True, order: int | None = None):
         """(K f)(z) for a single basis kernel, with z in the first slot when
@@ -110,13 +107,9 @@ class EvalContext:
     def smeared_expr(self, expr: KernelExpr, leg_name: str, t, x,
                      vertex_first: bool = True):
         """(E f)(z) for a kernel expression, hbar powers included."""
-        hbar = self.params.hbar
-        total = 0.0 + 0.0j
-        for basis, h, c in expr.terms:
-            total = total + (c.as_complex() * hbar ** h
-                             * self.smeared_kernel(basis, leg_name, t, x,
-                                                   vertex_first))
-        return total
+        return _linear(_weighted(expr, self.params.hbar),
+                       lambda b: self.smeared_kernel(b, leg_name, t, x,
+                                                     vertex_first))
 
     def scalar_pair(self, basis: str, p_name: str, q_name: str) -> QuadResult:
         """<f_p, K f_q> by tensor Gauss-Legendre with a two-resolution error."""
@@ -135,17 +128,6 @@ class EvalContext:
         coarse = val(self.pair_nodes)
         err = abs(fine - coarse) + 1e-15 * abs(fine)
         return QuadResult(fine, err, (2 * self.pair_nodes) ** 2)
-
-def _scalar_factor(ctx: EvalContext, term: ExpandedTerm) -> tuple[complex, float]:
-    """Product of scalar pairings of a term, with a combined error factor."""
-    value = 1.0 + 0.0j
-    rel_err = 0.0
-    for b, h, p, q in term.scalar_pairs:
-        r = ctx.scalar_pair(b, p, q)
-        value *= complex(r.value)
-        rel_err += r.error / max(abs(complex(r.value)), 1e-300)
-    return value, rel_err
-
 
 def _q_dressing_weight(expr: KernelExpr) -> float:
     """Real Q coefficient of a dressing exponent (only Q dressings occur)."""
@@ -170,111 +152,116 @@ class _BatchCache:
         self.x = pts[:, :, 1]
         self._store: dict = {}
 
-    def diag(self, i: int):
-        key = ("diag", i)
+    def _memo(self, key: tuple, compute):
         if key not in self._store:
-            self._store[key] = self.ctx.table.interp(
-                self.t[:, i], self.x[:, i], self.t[:, i], self.x[:, i])
+            self._store[key] = compute()
         return self._store[key]
 
     def q_pair(self, i: int, j: int):
-        key = ("qpair", i, j)
-        if key not in self._store:
-            self._store[key] = self.ctx.table.interp(
-                self.t[:, i], self.x[:, i], self.t[:, j], self.x[:, j])
-        return self._store[key]
+        """Q(z_i, z_j); i == j gives the diagonal."""
+        return self._memo(("qpair", i, j), lambda: self.ctx.table.interp(
+            self.t[:, i], self.x[:, i], self.t[:, j], self.x[:, j]))
 
     def edge(self, basis: str, i: int, j: int):
-        key = ("edge", basis, i, j)
-        if key not in self._store:
-            self._store[key] = self.ctx.kernel(basis)(
-                self.t[:, i] - self.t[:, j], self.x[:, i] - self.x[:, j])
-        return self._store[key]
+        return self._memo(
+            ("edge", basis, i, j),
+            lambda: self.ctx.kernel(basis)(self.t[:, i] - self.t[:, j],
+                                           self.x[:, i] - self.x[:, j]))
 
     def smeared(self, basis: str, leg: str, v: int, vertex_first: bool):
-        key = ("smear", basis, leg, v, vertex_first)
-        if key not in self._store:
-            self._store[key] = self.ctx.smeared_kernel(
-                basis, leg, self.t[:, v], self.x[:, v], vertex_first)
-        return self._store[key]
+        return self._memo(
+            ("smear", basis, leg, v, vertex_first),
+            lambda: self.ctx.smeared_kernel(basis, leg, self.t[:, v],
+                                            self.x[:, v], vertex_first))
 
     def smearing(self, name: str, i: int):
-        key = ("w", name, i)
-        if key not in self._store:
-            self._store[key] = self.ctx.smearings[name](
-                self.t[:, i], self.x[:, i])
-        return self._store[key]
+        return self._memo(("w", name, i), lambda: self.ctx.smearings[name](
+            self.t[:, i], self.x[:, i]))
 
 
-def _term_integrand(ctx: EvalContext, term):
-    """Vectorized integrand of one classical (expanded) term, scalar pairs
-    and the exact coefficient included."""
+def _linear(parts, value):
+    """Sum of weight * value(x) over the (weight, x) parts; a weight of None
+    means the factor enters unweighted, so real factors stay real."""
+    total = None
+    for w, x in parts:
+        v = value(x) if w is None else w * value(x)
+        total = v if total is None else total + v
+    return total
+
+
+def _weighted(expr: KernelExpr, hbar: float):
+    """(weight, basis) parts of a kernel expression at finite hbar."""
+    return [(c.as_complex() * hbar ** h, b) for b, h, c in expr.terms]
+
+
+def _integrand(ctx: EvalContext, term):
+    """Integrand of one Generator or ExpandedTerm: (coeff, rel_err, fn).
+
+    The term is turned once into weighted factor lists: vertex weights,
+    exponentiated pairs, edge powers and attached smeared kernels for
+    ``fn(cache)``, and scalar pairs, whose product (relative error
+    ``rel_err``) is folded into the complex prefactor ``coeff``.  An
+    ExpandedTerm carries single unit-weight kernels (hbar powers and
+    coefficients are in its prefactor); a Generator carries the kernel
+    expressions of finite hbar, over the real basis except in its pair
+    exponents.
+    """
     p = ctx.params
     a = p.a
-    scalar, _ = _scalar_factor(ctx, term)
-    coeff = term.coeff.value(p.a, p.hbar, p.lam) * scalar
-    n = term.n_vertices
+    if isinstance(term, ExpandedTerm):
+        pair_parts = [(i, j, [(None, "Q")]) for (i, j), _ in term.q_pairs]
+        edges = term.edges
+        attached = [(v, l, vf, [(None, b)])
+                    for v, b, h, l, vf in term.attached]
+        scalars = [(pn, qn, [(None, b)]) for b, h, pn, qn in term.scalar_pairs]
+    else:
+        pair_parts = [(i, j, _weighted(e, p.hbar))
+                      for (i, j), e in term.pair_exps]
+        edges = ()
+        attached = [(v, l, vf, _weighted(e.real_basis(), p.hbar))
+                    for v, e, l, vf in term.attached]
+        scalars = [(pn, qn, _weighted(e.real_basis(), p.hbar))
+                   for e, pn, qn in term.scalar_pairs]
 
-    def fn(cache: _BatchCache):
-        out = np.full(cache.t.shape[0], coeff, dtype=complex)
-        for i in range(n):
-            w = cache.smearing(term.smearings[i], i)
-            if not term.dressings[i].is_zero():
-                dress = _q_dressing_weight(term.dressings[i])
-                w = w * np.exp(-0.5 * (term.charges[i] * a) ** 2 * dress
-                               * cache.diag(i))
-            out *= w
-        for (i, j), e in term.q_pairs:
-            cc = term.charges[i] * term.charges[j]
-            out *= np.exp(-cc * a ** 2 * cache.q_pair(i, j))
-        for i, j, b, h, pw in term.edges:
-            out *= cache.edge(b, i, j) ** pw
-        for v, b, h, l, vf in term.attached:
-            out *= cache.smeared(b, l, v, vf)
-        return out
-
-    return fn
-
-
-def _generator_integrand(ctx: EvalContext, gen: Generator):
-    """Vectorized integrand of one full generator monomial (finite hbar)."""
-    p = ctx.params
-    a = p.a
-    hbar = p.hbar
     scalar = 1.0 + 0.0j
-    for e, pn, qn in gen.scalar_pairs:
-        total = 0.0 + 0.0j
-        for b, h, c in e.real_basis().terms:
-            total += (c.as_complex() * hbar ** h
-                      * complex(ctx.scalar_pair(b, pn, qn).value))
-        scalar *= total
-    coeff = gen.coeff.value(p.a, p.hbar, p.lam) * scalar
-    n = gen.n_vertices
+    rel_err = 0.0
+    for pn, qn, parts in scalars:
+        pairs = [(w, ctx.scalar_pair(b, pn, qn)) for w, b in parts]
+        value = _linear(pairs, lambda r: complex(r.value))
+        err = sum(r.error if w is None else abs(w) * r.error
+                  for w, r in pairs)
+        scalar *= value
+        rel_err += err / max(abs(value), 1e-300)
+    coeff = term.coeff.value(p.a, p.hbar, p.lam) * scalar
+
+    vertices = []
+    for i in range(term.n_vertices):
+        dress = None
+        if not term.dressings[i].is_zero():
+            dress = (-0.5 * (term.charges[i] * a) ** 2
+                     * _q_dressing_weight(term.dressings[i]))
+        vertices.append((i, term.smearings[i], dress))
+    exp_pairs = [(-term.charges[i] * term.charges[j] * a ** 2, i, j, parts)
+                 for i, j, parts in pair_parts]
 
     def fn(cache: _BatchCache):
         out = np.full(cache.t.shape[0], coeff, dtype=complex)
-        for i in range(n):
-            w = cache.smearing(gen.smearings[i], i)
-            if not gen.dressings[i].is_zero():
-                dress = _q_dressing_weight(gen.dressings[i])
-                w = w * np.exp(-0.5 * (gen.charges[i] * a) ** 2 * dress
-                               * cache.diag(i))
-            out = out * w
-        for (i, j), e in gen.pair_exps:
-            ev = np.zeros(cache.t.shape[0], dtype=complex)
-            for b, h, c in e.terms:
-                base = cache.q_pair(i, j) if b == "Q" else cache.edge(b, i, j)
-                ev = ev + c.as_complex() * hbar ** h * base
-            cc = gen.charges[i] * gen.charges[j]
-            out = out * np.exp(-cc * a ** 2 * ev)
-        for v, e, l, vf in gen.attached:
-            sm = np.zeros(cache.t.shape[0], dtype=complex)
-            for b, h, c in e.real_basis().terms:
-                sm = sm + c.as_complex() * hbar ** h * cache.smeared(b, l, v, vf)
-            out = out * sm
+        for i, smearing, dress in vertices:
+            w = cache.smearing(smearing, i)
+            if dress is not None:
+                w = w * np.exp(dress * cache.q_pair(i, i))
+            out *= w
+        for scale, i, j, parts in exp_pairs:
+            out *= np.exp(scale * _linear(
+                parts, lambda b: cache.q_pair(i, j) if b == "Q"
+                else cache.edge(b, i, j)))
+        for i, j, b, h, pw in edges:
+            out *= cache.edge(b, i, j) ** pw
+        for v, l, vf, parts in attached:
+            out *= _linear(parts, lambda b: cache.smeared(b, l, v, vf))
         return out
 
-    return fn
+    return coeff, rel_err, fn
 
 
 def _sum_spec(ctx: EvalContext, integrands, n_vertices: int,
@@ -303,19 +290,12 @@ def evaluate_terms(ctx: EvalContext, terms, budget: int, seed: int,
     for term in terms:
         if term.free_legs:
             continue
+        coeff, rel_err, fn = _integrand(ctx, term)
         if term.n_vertices == 0:
-            if isinstance(term, ExpandedTerm):
-                scalar, rel = _scalar_factor(ctx, term)
-                coeff = term.coeff.value(ctx.params.a, ctx.params.hbar, ctx.params.lam)
-                const_val += coeff * scalar
-                const_err += abs(coeff * scalar) * rel
-            else:
-                cache0 = _BatchCache(ctx, np.zeros((1, 0, 2)))
-                const_val += _generator_integrand(ctx, term)(cache0)[0]
-            continue
-        mk = _term_integrand if isinstance(term, ExpandedTerm) \
-            else _generator_integrand
-        by_n.setdefault(term.n_vertices, []).append(mk(ctx, term))
+            const_val += coeff
+            const_err += abs(coeff) * rel_err
+        else:
+            by_n.setdefault(term.n_vertices, []).append(fn)
     total = QuadResult(const_val, const_err, 0, seed)
     for n, fns in sorted(by_n.items()):
         spec = _sum_spec(ctx, fns, n, singular)
@@ -346,7 +326,7 @@ def expectation_coefficient(n: int, ctx: EvalContext, leg: str,
         return SeriesCoefficient(0, f"expect:{leg}",
                                  QuadResult(0.0, 0.0, 0, seed), 1, 0.0)
     terms = alg.classical_term(n, 1, [leg])
-    pref = ctx.params.lam ** n / _fact(n)
+    pref = ctx.params.lam ** n / math.factorial(n)
     res = evaluate_terms(ctx, terms, budget, seed).scaled(pref)
     return SeriesCoefficient(n, f"expect:{leg}", res, len(terms), 0.0)
 
@@ -358,7 +338,7 @@ def correlation_coefficient(n: int, ctx: EvalContext, leg1: str, leg2: str,
     if n > max_order:
         raise ValueError(f"order {n} beyond the configured cap {max_order}")
     terms = alg.classical_term(n, 2, [leg1, leg2])
-    pref = ctx.params.lam ** n / _fact(n)
+    pref = ctx.params.lam ** n / math.factorial(n)
     res = evaluate_terms(ctx, terms, budget, seed).scaled(pref)
     return SeriesCoefficient(n, f"corr:{leg1}:{leg2}", res, len(terms), 0.0)
 
@@ -389,7 +369,7 @@ def quantum_coefficient(n: int, hbar: float, ctx: EvalContext,
         terms = alg.collected_raw_list(alg.bogoliubov_generators(n, legs, True))
         res = evaluate_terms(ctx_h, terms, budget, seed,
                              singular=n >= 2, p_hat=p_hat)
-    pref = ctx.params.lam ** n / _fact(n)
+    pref = ctx.params.lam ** n / math.factorial(n)
     return SeriesCoefficient(n, name, res.scaled(pref), len(terms), hbar)
 
 
@@ -491,10 +471,3 @@ def norm_lq_on_grid(fn, box, q: float, n: int = 96) -> float:
     T, X = np.meshgrid(tt, xx, indexing="ij")
     vals = np.abs(fn(T, X)) ** q
     return float(np.einsum("i,j,ij->", wt, wx, vals)) ** (1.0 / q)
-
-
-def _fact(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out

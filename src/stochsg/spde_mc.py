@@ -18,24 +18,17 @@ cone, which makes causality checks exact per sample.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import CflViolation
-from .kernels import ModelParams, SmearingFunction, chi_cutoff
+from .kernels import ModelParams, SmearingFunction, chi_cutoff, parallel_map
 from .results import McEstimate
 
 SOURCE_SIGN = -1.0
-
-
-def worker_count() -> int:
-    env = os.environ.get("WORKERS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+BOUNDARIES = ("absorbingPad", "periodic")
+MIN_REALIZATIONS = 100
 
 
 @dataclass(frozen=True)
@@ -46,12 +39,12 @@ class LatticeGrid:
     n_x: int
     t0: float
     x0: float
-    boundary: str = "absorbingPad"  # or "periodic"
+    boundary: str = "absorbingPad"  # one of BOUNDARIES
 
     def __post_init__(self):
         if self.dt > self.dx * (1 + 1e-12):
             raise CflViolation(f"dt = {self.dt} > dx = {self.dx}")
-        if self.boundary not in ("absorbingPad", "periodic"):
+        if self.boundary not in BOUNDARIES:
             raise ValueError(f"unknown boundary {self.boundary!r}")
 
     @property
@@ -210,8 +203,8 @@ def estimate_correlator(observables, grid: LatticeGrid, params: ModelParams,
     with the series coefficients.
     """
     observables = list(observables)
-    if n_samples < 100:
-        raise ValueError("need at least 100 realizations")
+    if n_samples < MIN_REALIZATIONS:
+        raise ValueError(f"need at least {MIN_REALIZATIONS} realizations")
     max_order = max((o.order for o in observables), default=0)
     for o in observables:
         if o.kind == "expect" and o.order > 2:
@@ -239,14 +232,8 @@ def estimate_correlator(observables, grid: LatticeGrid, params: ModelParams,
                 smeared[(name, order)] = _smear(fld, f_grids[name], cell)
         return {o.obs_id: _per_sample_values(o, smeared) for o in observables}
 
-    bounds = [(lo, min(lo + chunk, n_samples))
-              for lo in range(0, n_samples, chunk)]
-    workers = min(worker_count(), len(bounds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            parts = list(pool.map(lambda b: run_chunk(*b), bounds))
-    else:
-        parts = [run_chunk(*b) for b in bounds]
+    parts = parallel_map(lambda lo: run_chunk(lo, min(lo + chunk, n_samples)),
+                         range(0, n_samples, chunk))
 
     out = {}
     for o in observables:
@@ -256,20 +243,3 @@ def estimate_correlator(observables, grid: LatticeGrid, params: ModelParams,
         stderr = float(np.std(vals, ddof=1) / np.sqrt(len(vals))) * abs(lam_n)
         out[o.obs_id] = McEstimate(mean, stderr, len(vals), seed)
     return out
-
-
-def mc_csv_rows(estimates: dict[str, McEstimate], observables,
-                grid: LatticeGrid) -> list[dict]:
-    rows = []
-    for o in observables:
-        e = estimates[o.obs_id]
-        rows.append({
-            "observable": o.obs_id,
-            "order": o.order,
-            "mean": e.mean,
-            "stderr": e.stderr,
-            "n_samples": e.n_samples,
-            "seed": e.seed,
-            "grid": grid.csv_descriptor(),
-        })
-    return rows

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 from fractions import Fraction
@@ -198,7 +199,7 @@ class TestQSTerm:
             assert all(d == A.KE_Q for d in g.dressings)
 
     def test_inverse_uses_antifeynman(self):
-        terms = A.inverse_qs_term(2)
+        terms = A.qs_term(2, inverse=True)
         for g in terms:
             assert all(e == A.KE_Q_AF for _, e in g.pair_exps)
 
@@ -290,15 +291,6 @@ class TestGrading:
         for t in A.bogoliubov_terms(1, 1, ["f"], deform_q=False):
             if not t.payload.free_legs:
                 assert A.hbar_grade(t) == 0
-
-    def test_formal_series_container(self):
-        s = A.FormalSeries.qs(2)
-        assert s.truncation == 2
-        assert len(s.order(0)) == 1 and len(s.order(2)) == 3
-        r = A.FormalSeries.retarded(1, 1, ["f"])
-        assert r.truncation == 1 and r.order(1)
-        with pytest.raises(ValueError):
-            A.FormalSeries(())
 
     def test_hbar_grade_examples(self):
         # single Q edge -> grade 0; single hbar omega edge -> grade 1
@@ -411,3 +403,38 @@ class TestRender:
         for key in ("vertices", "edges", "coeff_num", "coeff_den",
                     "i_power", "hbar_degree"):
             assert key in d
+
+
+def _graph_lines_sha256(graphs) -> str:
+    lines = sorted(g.to_json() for g in graphs)
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+# sha256 of the sorted term-graph JSON lines, recorded from the engine
+# before its key and collection routines were merged
+PINNED_CLASSICAL = {
+    (0, 1): "e3aa291b7b53f558f2442476f9a3dba9788d0eb092d65b633e486be5b09f6d04",
+    (0, 2): "35a258cd1d1aeefa012c9194c6dd9ca69eadc09d27bb73a6d0a16ee103d27e71",
+    (1, 1): "d82b71eb07edce4868d8324031960e66157f17c8ec6b9dd20d052e88c6d19606",
+    (1, 2): "31f34f2538a44ac153397329033554653a6803c2c5be65ccb177b75e2ce84c8d",
+    (2, 1): "d38317bc443ef96a30f41137c0a85fd50301349adb1149a3effaf80300bd9529",
+    (2, 2): "882690212e4ee1a5dc3284c1c6098391de3129af04f86e3532b087a30721ba7e",
+}
+
+
+class TestPinnedOutput:
+    @pytest.mark.parametrize("n,m", sorted(PINNED_CLASSICAL))
+    def test_classical_term(self, n, m):
+        graphs = [A.term_graph_from_expanded(t) for t in A.classical_term(n, m)]
+        assert _graph_lines_sha256(graphs) == PINNED_CLASSICAL[(n, m)]
+
+    def test_qs_term(self):
+        graphs = [A.term_graph_from_generator(g) for g in A.qs_term(2)]
+        assert _graph_lines_sha256(graphs) == \
+            "5a8595fc8f15acb5de1bc9006a7c0a7aa5202f42786bfcfbafb37f83c9ba7fc1"
+
+    def test_collected_bogoliubov_generators(self):
+        gens = A.collected_raw_list(A.bogoliubov_generators(2, ["f1", "f2"]))
+        graphs = [A.term_graph_from_generator(g) for g in gens]
+        assert _graph_lines_sha256(graphs) == \
+            "6832442b5bdc2ce935b91a00247b8d9b9fa9b31afc87fa49b4ee1b1994161084"

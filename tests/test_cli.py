@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 
@@ -89,6 +90,38 @@ class TestConfig:
         assert res.exit_code == 1
 
 
+class TestConfigRanges:
+    @pytest.mark.parametrize("command,section,key,value", [
+        ("corr", "quad", "budget", 100),
+        ("bounds", "bounds", "grid_n", 300),
+        ("mc", "mc", "boundary", "reflect"),
+        ("mc", "mc", "chunk", 0),
+        ("mc", "mc", "n_samples", 50),
+        ("compute-q", "qtable", "n_t", 3),
+        ("compute-q", "qtable", "interp", "quintic"),
+    ])
+    def test_out_of_range_is_config_error(self, tmp_path, command, section,
+                                          key, value):
+        bad = json.loads(json.dumps(BASE_CONFIG))
+        bad.setdefault(section, {})[key] = value
+        with pytest.raises(ConfigError):
+            parse_config(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        res = _run([command, "--config", str(path), "--out", str(tmp_path)])
+        assert res.exit_code == 1
+
+    @pytest.mark.parametrize("command", ["compute-q", "mc"])
+    @pytest.mark.parametrize("workers", ["abc", "0"])
+    def test_bad_workers_is_config_error(self, workdir, monkeypatch, command,
+                                         workers):
+        tmp, cfg = workdir
+        monkeypatch.setenv("WORKERS", workers)
+        res = _run([command, "--config", cfg, "--out", str(tmp / "w")])
+        assert res.exit_code == 1
+        assert "WORKERS" in res.output
+
+
 class TestCommands:
     def test_no_command_shows_usage(self):
         res = _run([])
@@ -119,6 +152,23 @@ class TestCommands:
         corr_graphs = json.loads((tmp / "out" / "expand_order2_corr.json")
                                  .read_text())
         assert corr_graphs  # both legs quantum-contracted at order 2
+
+    @pytest.mark.parametrize("obs,sha256", [
+        ("field",
+         "36b93400ef859275744c5fca9b681f200eef390cb9a747224fb1bc794a196bd6"),
+        ("corr",
+         "055b6fb2b0c4290f30227bd497267f559693800fa0b057d09e77b6c82eeb30fe"),
+    ])
+    def test_expand_order2_pinned(self, workdir, obs, sha256):
+        # recorded from the engine before its key and collection routines
+        # were merged
+        tmp, cfg = workdir
+        out = tmp / "pin"
+        res = _run(["expand", "--config", cfg, "--out", str(out),
+                    "--order", "2", "--obs", obs])
+        assert res.exit_code == 0, res.output
+        text = (out / f"expand_order2_{obs}.json").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == sha256
 
     def test_determinism_byte_identical(self, workdir):
         tmp, cfg = workdir

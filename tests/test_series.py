@@ -110,6 +110,14 @@ class TestQuantum:
         db = abs(complex(qb.value.value) - complex(cl.value.value))
         assert 1.4 <= da / db <= 2.6
 
+    def test_order_zero_carries_scalar_pair_error(self, ctx):
+        # vertex-free generator terms are a Q pairing of the two legs, the
+        # same value and error as the classical order-0 coefficient
+        q = ser.quantum_coefficient(0, 0.1, ctx, ["f1", "f2"], 1024, 7)
+        c = ser.correlation_coefficient(0, ctx, "f1", "f2", 1024, 7)
+        assert complex(q.value.value) == complex(c.value.value)
+        assert q.value.error == c.value.error > 0.0
+
     def test_alpha_gate(self, ctx):
         with pytest.raises(ConfigError):
             ser.quantum_coefficient(1, 4.1 * np.pi, ctx, ["f1", "f2"],

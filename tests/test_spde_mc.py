@@ -176,14 +176,6 @@ class TestEstimator:
         err = np.hypot(e.stderr, pair.error) + 1e-3 * abs(pair.value)
         assert abs(e.mean - complex(pair.value).real) <= 3 * err
 
-    def test_csv_rows(self, params, smearings, mc_grid):
-        obs = [mc.ObservableSpec("c0", "corr", ("f1", "f2"), 0)]
-        est = mc.estimate_correlator(obs, mc_grid, params, smearings, 200, 12)
-        rows = mc.mc_csv_rows(est, obs, mc_grid)
-        assert rows[0]["observable"] == "c0"
-        assert set(rows[0]) == {"observable", "order", "mean", "stderr",
-                                "n_samples", "seed", "grid"}
-
     def test_sample_floor(self, params, smearings, mc_grid):
         with pytest.raises(ValueError):
             mc.estimate_correlator([mc.ObservableSpec("c", "corr",
