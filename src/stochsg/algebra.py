@@ -23,6 +23,7 @@ Argument swaps map DeltaR <-> DeltaA and fix Q, H, H0.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -219,93 +220,74 @@ def pointwise(*factors) -> list[Generator]:
     return out
 
 
-def _leg_assignments(a_legs, b_legs, nA, nB):
-    """All contraction assignments between the legs of two factors.
+def _leg_fates(targets, partners):
+    """Every way the free legs 0..m-1 can end, walked leg by leg.
 
-    Yields (a_att, b_att, pairs, a_free, b_free) where a_att is a list of
-    (a_leg_index, b_vertex), b_att of (b_leg_index, a_vertex), pairs of
-    (a_leg_index, b_leg_index).
+    Leg i stays free, attaches to each vertex in targets[i], or pairs with
+    each later leg in partners[i] that no earlier leg has taken, in that
+    order.  Yields (free, attached, paired): leg indices, (leg, vertex)
+    pairs and (leg, leg) pairs, each in leg order.
     """
-    def rec(ai, used_b_legs, a_att, pairs):
-        if ai == len(a_legs):
-            rem_b = [q for q in range(len(b_legs)) if q not in used_b_legs]
+    m = len(targets)
 
-            def rec_b(bi, b_att):
-                if bi == len(rem_b):
-                    yield (list(a_att), list(b_att), list(pairs),
-                           [], [q for q in rem_b
-                                if q not in {x[0] for x in b_att}])
-                    return
-                q = rem_b[bi]
-                yield from rec_b(bi + 1, b_att)          # stays free
-                for i in range(nA):                       # contract to A vertex
-                    yield from rec_b(bi + 1, b_att + [(q, i)])
-            for a_att_, b_att_, pairs_, _, b_free in rec_b(0, []):
-                a_free = [p for p in range(len(a_legs))
-                          if p not in {x[0] for x in a_att_}
-                          and p not in {x[0] for x in pairs_}]
-                yield a_att_, b_att_, pairs_, a_free, b_free
+    def rec(i, used, free, att, pairs):
+        if i == m:
+            yield free, att, pairs
             return
-        yield from rec(ai + 1, used_b_legs, a_att, pairs)   # leg stays
-        for j in range(nB):                                 # attach to B vertex
-            yield from rec(ai + 1, used_b_legs, a_att + [(ai, j)], pairs)
-        for q in range(len(b_legs)):                        # pair with B leg
-            if q not in used_b_legs:
-                yield from rec(ai + 1, used_b_legs | {q}, a_att,
-                               pairs + [(ai, q)])
+        if i in used:
+            yield from rec(i + 1, used, free, att, pairs)
+            return
+        yield from rec(i + 1, used, free + (i,), att, pairs)
+        for v in targets[i]:
+            yield from rec(i + 1, used, free, att + ((i, v),), pairs)
+        for q in partners[i]:
+            if q not in used:
+                yield from rec(i + 1, used | {q}, free, att,
+                               pairs + ((i, q),))
 
-    yield from rec(0, frozenset(), [], [])
+    yield from rec(0, frozenset(), (), (), ())
+
+
+def _contracted(g: Generator, targets, partners, attach,
+                pair_kernel: KernelExpr) -> list[Generator]:
+    """g with its free legs contracted in every way _leg_fates allows.
+
+    A leg attached to vertex v contributes i c_v a (K f)(x_v) with
+    (K, vertex_first) = attach(v); paired legs contribute <f, pair_kernel f'>.
+    """
+    legs = g.free_legs
+    out = []
+    for free, att, pairs in _leg_fates(targets, partners):
+        coeff = g.coeff
+        attached = list(g.attached)
+        for p, v in att:
+            kernel, vertex_first = attach(v)
+            coeff = coeff * Coeff(CR_I * g.charges[v], a_pow=1)
+            attached.append((v, kernel, legs[p], vertex_first))
+        out.append(replace(
+            g, coeff=coeff, attached=tuple(attached),
+            scalar_pairs=g.scalar_pairs + tuple(
+                (pair_kernel, legs[p], legs[q]) for p, q in pairs),
+            free_legs=tuple(legs[p] for p in free)))
+    return out
 
 
 def _star_two(A: Generator, B: Generator, K: KernelExpr) -> list[Generator]:
-    off = A.n_vertices
-    base_pairs = dict(A.pair_exps)
-    for (i, j), e in B.pair_exps:
-        base_pairs[(i + off, j + off)] = e
-    for i in range(A.n_vertices):
-        for j in range(B.n_vertices):
-            if A.charges[i] != 0 and B.charges[j] != 0:
-                _merge_pair_exps(base_pairs, (i, j + off), K)
-    out = []
-    for a_att, b_att, pairs, a_free, b_free in _leg_assignments(
-            A.free_legs, B.free_legs, A.n_vertices, B.n_vertices):
-        coeff = A.coeff * B.coeff
-        attached = list(A.attached) + [(v + off, e, l, vf)
-                                       for v, e, l, vf in B.attached]
-        scal = list(A.scalar_pairs) + list(B.scalar_pairs)
-        ok = True
-        for p, j in a_att:  # A-leg into B-vertex: i c_j a (K^T f_p)(x_j)
-            cj = B.charges[j]
-            if cj == 0:
-                ok = False
-                break
-            coeff = coeff * Coeff(CR_I * cj, a_pow=1)
-            attached.append((j + off, K, A.free_legs[p], False))
-        if not ok:
-            continue
-        for q, i in b_att:  # B-leg into A-vertex: i c_i a (K f_q)(x_i)
-            ci = A.charges[i]
-            if ci == 0:
-                ok = False
-                break
-            coeff = coeff * Coeff(CR_I * ci, a_pow=1)
-            attached.append((i, K, B.free_legs[q], True))
-        if not ok:
-            continue
-        for p, q in pairs:  # leg-leg: <f_p, K f_q>
-            scal.append((K, A.free_legs[p], B.free_legs[q]))
-        out.append(Generator(
-            coeff=coeff,
-            charges=A.charges + B.charges,
-            smearings=A.smearings + B.smearings,
-            dressings=A.dressings + B.dressings,
-            ranks=A.ranks + B.ranks,
-            pair_exps=tuple(sorted(base_pairs.items())),
-            attached=tuple(attached),
-            scalar_pairs=tuple(scal),
-            free_legs=tuple(A.free_legs[p] for p in a_free)
-            + tuple(B.free_legs[q] for q in b_free)))
-    return out
+    """A-legs attach to charged B vertices through K^T or pair with B-legs
+    through K; B-legs attach to charged A vertices through K."""
+    g = _pointwise_two(A, B)
+    off, n_a, m = A.n_vertices, len(A.free_legs), len(g.free_legs)
+    pairs = dict(g.pair_exps)
+    for i in range(off):
+        for j in range(off, g.n_vertices):
+            if g.charges[i] != 0 and g.charges[j] != 0:
+                _merge_pair_exps(pairs, (i, j), K)
+    g = replace(g, pair_exps=tuple(sorted(pairs.items())))
+    into_b = tuple(v for v in range(off, g.n_vertices) if g.charges[v] != 0)
+    into_a = tuple(v for v in range(off) if g.charges[v] != 0)
+    return _contracted(g, [into_b] * n_a + [into_a] * (m - n_a),
+                       [range(n_a, m)] * n_a + [()] * (m - n_a),
+                       lambda v: (K, v < off), K)
 
 
 def star_product(A, B, K: KernelExpr) -> list[Generator]:
@@ -352,36 +334,11 @@ def gamma_deform(A, K: KernelExpr) -> list[Generator]:
                           for d, c in zip(a.dressings, a.charges))
         base = replace(a, pair_exps=tuple(sorted(pairs.items())),
                        dressings=dressings)
-        out.extend(_gamma_legs(base, K_sym))
-    return out
-
-
-def _gamma_legs(a: Generator, K_sym: KernelExpr) -> list[Generator]:
-    legs = a.free_legs
-    out = []
-
-    def rec(idx, used, attached, scal, coeff):
-        if idx == len(legs):
-            freed = tuple(legs[p] for p in range(len(legs)) if p not in used)
-            out.append(replace(a, coeff=coeff, attached=a.attached + tuple(attached),
-                               scalar_pairs=a.scalar_pairs + tuple(scal),
-                               free_legs=freed))
-            return
-        if idx in used:
-            rec(idx + 1, used, attached, scal, coeff)
-            return
-        rec(idx + 1, used, attached, scal, coeff)            # untouched
-        for v in range(a.n_vertices):                        # leg-vertex
-            if a.charges[v] != 0:
-                rec(idx + 1, used | {idx},
-                    attached + [(v, K_sym, legs[idx], True)], scal,
-                    coeff * Coeff(CR_I * a.charges[v], a_pow=1))
-        for q in range(idx + 1, len(legs)):                  # leg-leg
-            if q not in used:
-                rec(idx + 1, used | {idx, q}, attached,
-                    scal + [(K_sym, legs[idx], legs[q])], coeff)
-
-    rec(0, frozenset(), [], [], a.coeff)
+        charged = tuple(v for v in range(a.n_vertices) if a.charges[v] != 0)
+        m = len(a.free_legs)
+        out.extend(_contracted(base, [charged] * m,
+                               [range(i + 1, m) for i in range(m)],
+                               lambda v: (K_sym, True), K_sym))
     return out
 
 
@@ -434,14 +391,10 @@ def leibniz_expand(A, B, fields: list[str], K: KernelExpr) -> list[Generator]:
 # canonical form and collection
 # ---------------------------------------------------------------------------
 
-def _expr_key(expr: KernelExpr, rank_pair=None) -> tuple:
-    e = expr.real_basis()
-    if rank_pair is not None:
-        ra, rb = rank_pair
-        if ra is not None and rb is not None and ra != rb:
-            drop = "DeltaR" if ra < rb else "DeltaA"
-            e = KernelExpr.of(*(t for t in e.terms if t[0] != drop))
-    return tuple((b, h, c.re, c.im) for b, h, c in e.terms)
+@functools.cache
+def _expr_key(expr: KernelExpr, rank_pair=(None, None)) -> tuple:
+    return tuple((b, h, c.re, c.im) for b, h, c in expr.real_basis().terms
+                 if not _rank_dropped(b, *rank_pair))
 
 
 def _rank_dropped(basis: str, ra, rb) -> bool:
@@ -451,6 +404,25 @@ def _rank_dropped(basis: str, ra, rb) -> bool:
     return basis == ("DeltaR" if ra < rb else "DeltaA")
 
 
+def _linear_choices(factors, coeff, h0: int, k_max: int):
+    """Expand a product of factors that are linear in their kernels.
+
+    Each factor is a list of options (h, entry, c): one basis term with
+    hbar power h and coefficient c.  Yields (entries, coefficient, hbar)
+    for every choice of one option per factor whose hbar total h0 + sum h
+    stays <= k_max, the first factor varying slowest.
+    """
+    def rec(idx, chosen, coeff, h_tot):
+        if idx == len(factors):
+            yield chosen, coeff, h_tot
+            return
+        for h, entry, c in factors[idx]:
+            if h_tot + h <= k_max:
+                yield from rec(idx + 1, chosen + [entry], coeff * c, h_tot + h)
+
+    yield from rec(0, [], coeff, h0)
+
+
 def _linearize(g: Generator, leg_ranks: dict | None = None,
                rank_reduce: bool = False):
     """Expand the linear kernel factors into single real-basis terms.
@@ -458,45 +430,32 @@ def _linearize(g: Generator, leg_ranks: dict | None = None,
     Attached factors and scalar pairs are linear in their kernel, so a
     generator with a multi-term kernel there is a sum of single-term
     generators.  All attached entries are normalized to vertex-first slot
-    order.  Yields generators whose attached/scalar kernels are single
-    real-basis terms with unit coefficient (coefficients folded into coeff).
+    order and scalar pairs to sorted leg order.  Yields generators whose
+    attached/scalar kernels are single real-basis terms with unit
+    coefficient (coefficients folded into coeff).
     """
     # without rank_reduce every rank is None and _rank_dropped drops nothing
     leg_ranks = (leg_ranks or {}) if rank_reduce else {}
     ranks = g.ranks if rank_reduce else (None,) * g.n_vertices
-    outs = [(g.coeff, [], [])]
-    for v, e, l, vf in g.attached:
-        ee = (e if vf else e.transpose()).real_basis()
-        ra, rb = ranks[v], leg_ranks.get(l)
-        new = []
-        for b, h, c in ee.terms:
-            if _rank_dropped(b, ra, rb):
-                continue
-            for coeff, att, scal in outs:
-                new.append((coeff * c,
-                            att + [(v, KernelExpr.of((b, h, 1)), l, True)],
-                            scal))
-        outs = new
+
+    def options(e: KernelExpr, ra, rb, entry):
+        return [(0, entry(KernelExpr.of((b, h, 1))), c)
+                for b, h, c in e.real_basis().terms
+                if not _rank_dropped(b, ra, rb)]
+
+    factors = [options(e if vf else e.transpose(), ranks[v], leg_ranks.get(l),
+                       lambda k: (v, k, l, True))
+               for v, e, l, vf in g.attached]
     for e, p, q in g.scalar_pairs:
-        if p <= q:
-            ee, pp, qq = e.real_basis(), p, q
-        else:
-            ee, pp, qq = e.transpose(), q, p
-        ra, rb = leg_ranks.get(pp), leg_ranks.get(qq)
-        new = []
-        for b, h, c in ee.terms:
-            if _rank_dropped(b, ra, rb):
-                continue
-            for coeff, att, scal in outs:
-                new.append((coeff * c,
-                            att,
-                            scal + [(KernelExpr.of((b, h, 1)), pp, qq)]))
-        outs = new
-    for coeff, att, scal in outs:
-        if coeff.is_zero():
-            continue
-        yield replace(g, coeff=coeff, attached=tuple(att),
-                      scalar_pairs=tuple(scal))
+        if p > q:
+            e, p, q = e.transpose(), q, p
+        factors.append(options(e, leg_ranks.get(p), leg_ranks.get(q),
+                               lambda k: (k, p, q)))
+    n_att = len(g.attached)
+    for chosen, coeff, _ in _linear_choices(factors, g.coeff, 0, 0):
+        if not coeff.is_zero():
+            yield replace(g, coeff=coeff, attached=tuple(chosen[:n_att]),
+                          scalar_pairs=tuple(chosen[n_att:]))
 
 
 def _vertex_classes(g) -> list[tuple]:
@@ -635,32 +594,10 @@ def qs_term(n: int, deform_q: bool = True, inverse: bool = False) -> list[Genera
     return collected_raw_list([g.scaled(pref) for g in gens])
 
 
-def _leg_targets(legs, n, deform_q):
-    """Enumerate leg fates: Wick pair (deformed only), vertex, or free."""
-    m = len(legs)
-
-    def rec(i, used, pairs, att, free):
-        if i == m:
-            yield list(pairs), list(att), list(free)
-            return
-        if i in used:
-            yield from rec(i + 1, used, pairs, att, free)
-            return
-        yield from rec(i + 1, used, pairs, att, free + [i])
-        for v in range(n):
-            yield from rec(i + 1, used, pairs, att + [(i, v)], free)
-        if deform_q:
-            for q in range(i + 1, m):
-                if q not in used:
-                    yield from rec(i + 1, used | {q}, pairs + [(i, q)], att, free)
-
-    yield from rec(0, frozenset(), [], [], [])
-
-
 def bogoliubov_generators(n: int, legs: list[str], deform_q: bool = True,
                           smearings: list[str] | None = None,
-                          ranks: list[int | None] | None = None,
-                          leg_ranks: dict | None = None) -> list[Generator]:
+                          ranks: list[int | None] | None = None
+                          ) -> list[Generator]:
     """All generator monomials of the (Q-deformed) retarded product R_{n,m}.
 
     Left (anti-time-ordered) blocks carry Q + hbar Delta_AF, right blocks
@@ -676,6 +613,8 @@ def bogoliubov_generators(n: int, legs: list[str], deform_q: bool = True,
     k_within_L = KE_Q_AF if deform_q else KE_AF_H
     k_cross = KE_Q_OMEGA if deform_q else KE_OMEGA_H
     dress = KE_Q if deform_q else KE_ZERO
+    partners = [range(i + 1, len(legs)) if deform_q else ()
+                for i in range(len(legs))]
     out = []
     for left in _all_subsets(range(n)):
         left_set = set(left)
@@ -699,25 +638,22 @@ def bogoliubov_generators(n: int, legs: list[str], deform_q: bool = True,
         base_coeff = Coeff(CRat.i_power(n) * Fraction((-1) ** n_left,
                                                       2 ** n),
                            hbar_pow=-n)
+        # legs attach to every vertex, in original order: left vertices
+        # (positions < n_left) through the cross kernel
+        targets = [tuple(pos[v] for v in range(n))] * len(legs)
         for charges_orig in itertools.product((1, -1), repeat=n):
-            charges = tuple(charges_orig[order[k]] for k in range(n))
-            smear = tuple(smearings[order[k]] for k in range(n))
-            rk = tuple(ranks[order[k]] for k in range(n))
-            for pairs, att, free in _leg_targets(legs, n, deform_q):
-                coeff = base_coeff
-                attached = []
-                for li, v_orig in att:
-                    v = pos[v_orig]
-                    kern = k_cross if v_orig in left_set else k_within_R
-                    coeff = coeff * Coeff(CR_I * charges[v], a_pow=1)
-                    attached.append((v, kern, legs[li], True))
-                scal = tuple((KE_Q, legs[p], legs[q]) for p, q in pairs)
-                out.append(Generator(
-                    coeff=coeff, charges=charges, smearings=smear,
-                    dressings=(dress,) * n, ranks=rk,
-                    pair_exps=tuple(sorted(pair_exps.items())),
-                    attached=tuple(attached), scalar_pairs=scal,
-                    free_legs=tuple(legs[i] for i in free)))
+            base = Generator(
+                coeff=base_coeff,
+                charges=tuple(charges_orig[order[k]] for k in range(n)),
+                smearings=tuple(smearings[order[k]] for k in range(n)),
+                dressings=(dress,) * n,
+                ranks=tuple(ranks[order[k]] for k in range(n)),
+                pair_exps=tuple(sorted(pair_exps.items())),
+                free_legs=tuple(legs))
+            out.extend(_contracted(
+                base, targets, partners,
+                lambda v: (k_cross if v < n_left else k_within_R, True),
+                KE_Q))
     return out
 
 
@@ -864,24 +800,17 @@ def _expand_generator(g: Generator, k_max: int, real_basis: bool):
             q_pairs.append(((i, j), lo))
         if not hi.is_zero():
             quantum_pairs.append(((i, j), _terms(hi)))
-    att_options = []
-    for v, e, l, vf in g.attached:
+
+    def options(e: KernelExpr, entry):
         lo, hi = e.hbar_split()
-        opts = []
-        for b, h, c in lo.terms:
-            opts.append((0, (v, b, 0, l, vf), c))
-        for b, h, c in _terms(hi):
-            opts.append((h, (v, b, h, l, vf), c))
-        att_options.append(opts)
-    scal_options = []
-    for e, p, q in g.scalar_pairs:
-        lo, hi = e.hbar_split()
-        opts = []
-        for b, h, c in lo.terms:
-            opts.append((0, (b, 0, p, q), c))
-        for b, h, c in _terms(hi):
-            opts.append((h, (b, h, p, q), c))
-        scal_options.append(opts)
+        return [(h, entry(b, h), c) for b, h, c in lo.terms + _terms(hi)]
+
+    # one choice list per linear factor: attached factors, then scalar pairs
+    linear = ([options(e, lambda b, h: (v, b, h, l, vf))
+               for v, e, l, vf in g.attached]
+              + [options(e, lambda b, h: (b, h, p, q))
+                 for e, p, q in g.scalar_pairs])
+    n_att = len(g.attached)
 
     base_coeff = g.coeff
 
@@ -911,36 +840,18 @@ def _expand_generator(g: Generator, k_max: int, real_basis: bool):
                 p += 1
         yield from per_term(0, edges, coeff, a_extra, h_extra)
 
-    def rec_att(idx, chosen, coeff, h_extra):
-        if idx == len(att_options):
-            yield chosen, coeff, h_extra
-            return
-        for h, entry, c in att_options[idx]:
-            if h_extra + h <= k_max:
-                yield from rec_att(idx + 1, chosen + [entry], coeff * c,
-                                   h_extra + h)
-
-    def rec_scal(idx, chosen, coeff, h_extra):
-        if idx == len(scal_options):
-            yield chosen, coeff, h_extra
-            return
-        for h, entry, c in scal_options[idx]:
-            if h_extra + h <= k_max:
-                yield from rec_scal(idx + 1, chosen + [entry], coeff * c,
-                                    h_extra + h)
-
     for edges, coeff1, a_extra, h_pairs in rec_pairs(0, [], base_coeff, 0, 0):
-        for att, coeff2, h_att in rec_att(0, [], coeff1, h_pairs):
-            for scal, coeff3, h_tot in rec_scal(0, [], coeff2, h_att):
-                coeff = Coeff(coeff3.crat, coeff3.a_pow + a_extra,
-                              coeff3.hbar_pow + h_tot, coeff3.lam_pow)
-                yield h_tot, ExpandedTerm(
-                    coeff=coeff, charges=g.charges, smearings=g.smearings,
-                    dressings=g.dressings, ranks=g.ranks,
-                    q_pairs=tuple(q_pairs), edges=tuple(sorted(edges)),
-                    attached=tuple(sorted(att)),
-                    scalar_pairs=tuple(sorted(scal)),
-                    free_legs=tuple(sorted(g.free_legs)))
+        for chosen, coeff3, h_tot in _linear_choices(linear, coeff1, h_pairs,
+                                                     k_max):
+            coeff = Coeff(coeff3.crat, coeff3.a_pow + a_extra,
+                          coeff3.hbar_pow + h_tot, coeff3.lam_pow)
+            yield h_tot, ExpandedTerm(
+                coeff=coeff, charges=g.charges, smearings=g.smearings,
+                dressings=g.dressings, ranks=g.ranks,
+                q_pairs=tuple(q_pairs), edges=tuple(sorted(edges)),
+                attached=tuple(sorted(chosen[:n_att])),
+                scalar_pairs=tuple(sorted(chosen[n_att:])),
+                free_legs=tuple(sorted(g.free_legs)))
 
 
 def _null_support(term: ExpandedTerm) -> bool:
@@ -1034,16 +945,10 @@ def aggregate_charge_sectors(terms) -> list[tuple[ExpandedTerm, int]]:
     second order for the field observable this collapses the expansion to
     four graphs.
     """
-    groups: dict[tuple, tuple[ExpandedTerm, int]] = {}
-    for t in terms:
-        masked = replace(t, charges=(0,) * t.n_vertices, coeff=COEFF_ONE)
-        key = _expanded_key(masked)
-        if key in groups:
-            rep, count = groups[key]
-            groups[key] = (rep, count + 1)
-        else:
-            groups[key] = (t, 1)
-    return [groups[k] for k in sorted(groups)]
+    sums = _sum_by_key((_expanded_key(replace(t, charges=(0,) * t.n_vertices,
+                                              coeff=COEFF_ONE)), CR_ONE, t)
+                       for t in terms)
+    return [(sums[k][1], int(sums[k][0].re)) for k in sorted(sums)]
 
 
 def hbar_floor(n: int, m: int, deform_q: bool = True) -> int:

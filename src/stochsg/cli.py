@@ -25,7 +25,7 @@ from . import kernels as ker
 from . import series as ser
 from . import spde_mc as mc
 from .config import RunConfig, load_config
-from .errors import ConfigError, StochSGError
+from .errors import ConfigError, QTableFormatError, StochSGError
 
 
 def _fmt(v) -> str:
@@ -52,13 +52,20 @@ def _load(config_path: str, out_dir: str, seed: int | None) -> RunConfig:
 
 
 def _qtable(cfg: RunConfig, out_dir: str) -> ker.QTable:
-    path = os.path.join(out_dir, cfg.qtable.path)
-    if os.path.exists(path):
+    """The table saved at qtable.path if it was built for the same params,
+    grid shape and interpolation; otherwise, or if the file is missing or
+    unreadable, a fresh table, saved there.  The file does not record the
+    build budget, so a changed qtable.budget alone does not rebuild."""
+    q = cfg.qtable
+    path = os.path.join(out_dir, q.path)
+    try:
         table = ker.QTable.load(path)
-        if table.params == cfg.params:
+        if (table.params == cfg.params and table.interp_method == q.interp
+                and table.values.shape == (q.n_t, q.n_t, q.n_x)):
             return table
-    table = ker.build_q_table(cfg.params, cfg.qtable.n_t, cfg.qtable.n_x,
-                              cfg.qtable.budget, cfg.qtable.interp)
+    except (OSError, QTableFormatError):
+        pass
+    table = ker.build_q_table(cfg.params, q.n_t, q.n_x, q.budget, q.interp)
     table.save(path)
     return table
 
@@ -283,6 +290,8 @@ def expand(config_path, out_dir, seed, order, obs):
     """
     cfg = _load(config_path, out_dir, seed)
     n = order if order is not None else cfg.expand.order
+    if n < 0:
+        raise ConfigError(f"expansion order {n} must be >= 0")
     kind = obs if obs is not None else cfg.expand.obs
     m = 1 if kind == "field" else 2
     legs = [f"f{k + 1}" for k in range(m)]

@@ -1,38 +1,71 @@
 """Run configuration: a single JSON document, schema-validated.
 
 Unknown fields are errors, so typos fail loudly instead of silently using
-defaults.  Field names are the snake_case of the model-parameter fields.
+defaults.  Each section's field names and value types are those of its
+dataclass; a value of another type is an error, except that an integer
+may stand for a real.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import types
+import typing
+from dataclasses import dataclass
 
 from . import bounds as bnd
 from . import kernels as ker
 from . import quad as qd
 from . import spde_mc as mc
 from .errors import ConfigError
-from .kernels import ModelParams, SmearingFunction
+from .kernels import BumpComponent, ModelParams, SmearingFunction
 
-_PARAM_KEYS = {"m", "a", "hbar", "lam", "mu", "mu_ref", "t_switch",
-               "sign_convention", "chi_width"}
-_QTABLE_KEYS = {"n_t", "n_x", "budget", "interp", "path"}
-_QUAD_KEYS = {"budget", "seed", "p_hat", "leg_nodes", "pair_nodes"}
-_MC_KEYS = {"dt", "pad", "n_samples", "seed", "boundary", "chunk"}
-_BOUNDS_KEYS = {"orders", "p_hat", "grid_n"}
 _OBS_KEYS = {"id", "kind", "legs"}
-_EXPAND_KEYS = {"order", "obs", "deformed"}
-_TOP_KEYS = {"params", "smearings", "interaction", "qtable", "quad", "mc",
-             "bounds", "orders", "observables", "expand", "quantum_hbars"}
-_BUMP_KEYS = {"center", "radius", "amplitude"}
 
 
-def _check_keys(d: dict, allowed: set, where: str):
-    unknown = set(d) - allowed
+def _check_keys(d, allowed, where: str):
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object")
+    unknown = set(d) - set(allowed)
     if unknown:
         raise ConfigError(f"unknown field(s) {sorted(unknown)} in {where}")
+
+
+def _typed(value, tp, where: str):
+    """value checked against the field type tp.  Integers widen to float
+    for float fields, lists become tuples, and None passes only where tp
+    admits it; anything else is a ConfigError."""
+    if isinstance(tp, types.UnionType):
+        if value is None and type(None) in tp.__args__:
+            return None
+        tp = next(t for t in tp.__args__ if t is not type(None))
+    variadic = typing.get_origin(tp) is tuple       # tuple[T, ...]
+    if variadic or issubclass(tp, tuple):           # or a NamedTuple
+        if not isinstance(value, (list, tuple)):
+            raise ConfigError(f"{where} must be a list, got {value!r}")
+        if variadic:
+            item = typing.get_args(tp)[0]
+            return tuple(_typed(v, item, f"{where}[{k}]")
+                         for k, v in enumerate(value))
+        hints = typing.get_type_hints(tp)
+        if len(value) != len(hints):
+            raise ConfigError(f"{where} must have {len(hints)} entries")
+        return tp(*(_typed(v, t, f"{where}[{k}]")
+                    for k, (v, t) in enumerate(zip(value, hints.values()))))
+    if tp is float and type(value) is int:
+        return float(value)
+    if type(value) is not tp:    # bool is not an int here
+        raise ConfigError(f"{where} must be of type {tp.__name__}, "
+                          f"got {value!r}")
+    return value
+
+
+def _fields_of(cls, d, where: str) -> dict:
+    """The entries of object d as typed keyword arguments of dataclass cls;
+    its allowed keys are the field names."""
+    hints = typing.get_type_hints(cls)
+    _check_keys(d, hints, where)
+    return {k: _typed(v, hints[k], f"{where}.{k}") for k, v in d.items()}
 
 
 @dataclass
@@ -105,8 +138,11 @@ def _require(ok: bool, message: str):
 
 
 def _check_ranges(qtable: QTableConfig, quad: QuadConfig, mcc: McConfig,
-                  boundsc: BoundsConfig):
+                  boundsc: BoundsConfig, expandc: ExpandConfig,
+                  orders: tuple[int, ...]):
     """Reject values the numeric layers would refuse only mid-run."""
+    _require(min((*orders, *boundsc.orders, expandc.order)) >= 0,
+             "orders, bounds.orders and expand.order must be >= 0")
     _require(min(qtable.n_t, qtable.n_x) >= ker.MIN_TABLE_NODES,
              f"qtable.n_t and qtable.n_x must be >= {ker.MIN_TABLE_NODES}")
     _require(qtable.interp in ker.INTERP_METHODS,
@@ -123,18 +159,14 @@ def _check_ranges(qtable: QTableConfig, quad: QuadConfig, mcc: McConfig,
 
 
 def _parse_smearing(name: str, spec, where: str) -> SmearingFunction:
-    from .kernels import BumpComponent, SpacetimePoint
     if not isinstance(spec, list) or not spec:
         raise ConfigError(f"{where}: a smearing is a nonempty list of bumps")
     comps = []
     for k, b in enumerate(spec):
-        _check_keys(b, _BUMP_KEYS, f"{where}[{k}]")
         try:
-            t0, x0 = b["center"]
-            comps.append(BumpComponent(SpacetimePoint(float(t0), float(x0)),
-                                       float(b["radius"]),
-                                       float(b.get("amplitude", 1.0))))
-        except (KeyError, TypeError, ValueError) as exc:
+            comps.append(BumpComponent(**_fields_of(BumpComponent, b,
+                                                    f"{where}[{k}]")))
+        except TypeError as exc:
             raise ConfigError(f"{where}[{k}]: {exc}") from exc
     return SmearingFunction(tuple(comps), name)
 
@@ -149,21 +181,22 @@ def load_config(path: str) -> RunConfig:
 
 
 def parse_config(doc: dict) -> RunConfig:
-    if not isinstance(doc, dict):
-        raise ConfigError("top-level config must be an object")
-    _check_keys(doc, _TOP_KEYS, "config")
-    pd = dict(doc.get("params", {}))
-    _check_keys(pd, _PARAM_KEYS, "params")
-    try:
-        params = ModelParams(**pd)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"params: {exc}") from exc
+    top = typing.get_type_hints(RunConfig)
+    _check_keys(doc, top, "config")
 
+    def sub(key, cls):
+        try:
+            return cls(**_fields_of(cls, doc.get(key, {}), key))
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+
+    params = sub("params", ModelParams)
     smearings = {}
-    for name, spec in dict(doc.get("smearings", {})).items():
+    for name, spec in _typed(doc.get("smearings", {}), dict,
+                             "smearings").items():
         smearings[name] = _parse_smearing(name, spec, f"smearings.{name}")
 
-    interaction = doc.get("interaction", "g")
+    interaction = _typed(doc.get("interaction", "g"), str, "interaction")
     if interaction not in smearings:
         raise ConfigError(f"interaction smearing {interaction!r} not defined")
     if not smearings[interaction].is_nonnegative():
@@ -171,50 +204,38 @@ def parse_config(doc: dict) -> RunConfig:
     if not smearings[interaction].inside_diamond(params.mu):
         raise ConfigError("the interaction support must fit inside D_mu")
 
-    def sub(key, keys, cls):
-        d = dict(doc.get(key, {}))
-        _check_keys(d, keys, key)
-        try:
-            return cls(**d)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"{key}: {exc}") from exc
-
-    qtable = sub("qtable", _QTABLE_KEYS, QTableConfig)
-    quadc = sub("quad", _QUAD_KEYS, QuadConfig)
-    mcc = sub("mc", _MC_KEYS, McConfig)
-    bd = dict(doc.get("bounds", {}))
-    _check_keys(bd, _BOUNDS_KEYS, "bounds")
-    boundsc = BoundsConfig(tuple(bd.get("orders", (0, 1, 2))),
-                           float(bd.get("p_hat", 1.5)),
-                           int(bd.get("grid_n", 256)))
-    ed = dict(doc.get("expand", {}))
-    _check_keys(ed, _EXPAND_KEYS, "expand")
-    expandc = ExpandConfig(int(ed.get("order", 2)), ed.get("obs", "field"),
-                           bool(ed.get("deformed", False)))
+    qtable = sub("qtable", QTableConfig)
+    quadc = sub("quad", QuadConfig)
+    mcc = sub("mc", McConfig)
+    boundsc = sub("bounds", BoundsConfig)
+    expandc = sub("expand", ExpandConfig)
     if expandc.obs not in ("field", "corr"):
         raise ConfigError("expand.obs must be 'field' or 'corr'")
-    _check_ranges(qtable, quadc, mcc, boundsc)
+    orders = _typed(doc.get("orders", [0, 1]), top["orders"], "orders")
+    _check_ranges(qtable, quadc, mcc, boundsc, expandc, orders)
 
-    orders = tuple(int(n) for n in doc.get("orders", (0, 1)))
     observables = []
-    for k, ob in enumerate(doc.get("observables", [])):
-        _check_keys(ob, _OBS_KEYS, f"observables[{k}]")
+    for k, ob in enumerate(_typed(doc.get("observables", []),
+                                  tuple[dict, ...], "observables")):
+        where = f"observables[{k}]"
+        _check_keys(ob, _OBS_KEYS, where)
         kind = ob.get("kind")
-        legs = tuple(ob.get("legs", ()))
+        legs = _typed(ob.get("legs", []), tuple[str, ...], f"{where}.legs")
         if kind not in ("expectation", "correlation"):
-            raise ConfigError(f"observables[{k}]: unknown kind {kind!r}")
+            raise ConfigError(f"{where}: unknown kind {kind!r}")
         if (kind == "expectation") != (len(legs) == 1):
-            raise ConfigError(f"observables[{k}]: expectation needs 1 leg, "
+            raise ConfigError(f"{where}: expectation needs 1 leg, "
                               "correlation needs 2")
         for leg in legs:
             if leg not in smearings:
-                raise ConfigError(f"observables[{k}]: undefined smearing "
-                                  f"{leg!r}")
+                raise ConfigError(f"{where}: undefined smearing {leg!r}")
         default_id = (f"expect:{legs[0]}" if kind == "expectation"
                       else f"corr:{legs[0]}:{legs[1]}")
-        observables.append(ObsConfig(ob.get("id", default_id), kind, legs))
+        observables.append(ObsConfig(
+            _typed(ob.get("id", default_id), str, f"{where}.id"), kind, legs))
 
-    hbars = tuple(float(h) for h in doc.get("quantum_hbars", ()))
+    hbars = _typed(doc.get("quantum_hbars", []), top["quantum_hbars"],
+                   "quantum_hbars")
     cfg = RunConfig(params, smearings, interaction, qtable, quadc, mcc,
                     boundsc, orders, tuple(observables), expandc, hbars)
     for h in hbars:

@@ -45,5 +45,9 @@ class CflViolation(StochSGError):
     """Lattice step sizes violate the CFL stability condition."""
 
 
+class QTableFormatError(StochSGError):
+    """A Q-table file that is not a complete QTBL table of this version."""
+
+
 class ConfigError(StochSGError):
     """Invalid or inconsistent run configuration."""

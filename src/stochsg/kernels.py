@@ -24,7 +24,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import j0 as _j0, k0 as _k0, y0 as _y0
 
-from .errors import ConfigError, EvalOnLightcone, OutOfDomain
+from .errors import (ConfigError, EvalOnLightcone, OutOfDomain,
+                     QTableFormatError)
 from .results import QuadResult
 
 LIGHTCONE_FLOOR = 1e-12
@@ -398,6 +399,7 @@ INTERP_METHODS = ("linear", "cubic")
 _Q_CHUNK = 8192     # table entries per pool task
 _QTBL_MAGIC = b"QTBL"
 _QTBL_VERSION = 1
+_QTBL_HEAD = 20 + 72    # "<4sIIII" header, then nine float64 parameters
 _SIGN_CODE = {"paper": 0.0, "green": 1.0}
 
 
@@ -476,24 +478,34 @@ class QTable:
 
     @staticmethod
     def load(path: str) -> "QTable":
+        """Read a table written by save; a file that is not one complete
+        QTBL table of this version raises QTableFormatError."""
         with open(path, "rb") as fh:
-            magic, version, n_t, n_x, interp_code = struct.unpack(
-                "<4sIIII", fh.read(20))
-            if magic != _QTBL_MAGIC:
-                raise ValueError("not a QTBL file")
-            if version != _QTBL_VERSION:
-                raise ValueError(f"unsupported QTBL version {version}")
-            m, a, hbar, lam, mu, mu_ref, t_switch, sign, chi_width = \
-                struct.unpack("<9d", fh.read(72))
-            tgrid = np.frombuffer(fh.read(8 * n_t), dtype="<f8").copy()
-            dgrid = np.frombuffer(fh.read(8 * n_x), dtype="<f8").copy()
-            vals = np.frombuffer(fh.read(8 * n_t * n_t * n_x), dtype="<f8")
-            vals = vals.reshape(n_t, n_t, n_x).copy()
-        params = ModelParams(
-            m=m, a=a, hbar=hbar, lam=lam, mu=mu, mu_ref=mu_ref,
-            t_switch=t_switch,
-            sign_convention="paper" if sign == 0.0 else "green",
-            chi_width=chi_width)
+            data = fh.read()
+        if len(data) < _QTBL_HEAD or data[:4] != _QTBL_MAGIC:
+            raise QTableFormatError(f"{path}: not a QTBL file")
+        _, version, n_t, n_x, interp_code = struct.unpack_from("<4sIIII", data)
+        if version != _QTBL_VERSION:
+            raise QTableFormatError(
+                f"{path}: unsupported QTBL version {version}")
+        size = _QTBL_HEAD + 8 * (n_t + n_x + n_t * n_t * n_x)
+        if len(data) != size:
+            raise QTableFormatError(f"{path}: {len(data)} bytes, but a "
+                                    f"{n_t}x{n_t}x{n_x} table takes {size}")
+        m, a, hbar, lam, mu, mu_ref, t_switch, sign, chi_width = \
+            struct.unpack_from("<9d", data, 20)
+        body = np.frombuffer(data, dtype="<f8", offset=_QTBL_HEAD)
+        tgrid = body[:n_t].copy()
+        dgrid = body[n_t:n_t + n_x].copy()
+        vals = body[n_t + n_x:].reshape(n_t, n_t, n_x).copy()
+        try:
+            params = ModelParams(
+                m=m, a=a, hbar=hbar, lam=lam, mu=mu, mu_ref=mu_ref,
+                t_switch=t_switch,
+                sign_convention="paper" if sign == 0.0 else "green",
+                chi_width=chi_width)
+        except ValueError as exc:
+            raise QTableFormatError(f"{path}: {exc}") from exc
         return QTable(tgrid, dgrid, vals, params,
                       "linear" if interp_code == 0 else "cubic")
 

@@ -25,6 +25,7 @@ from .errors import ConfigError
 from .results import QuadResult
 
 ALGEBRA_CONVENTION = "paper"
+MAX_ORDER = 3   # highest classical order a coefficient pipeline evaluates
 
 
 @dataclass(frozen=True)
@@ -311,17 +312,16 @@ def evaluate_terms(ctx: EvalContext, terms, budget: int, seed: int,
 # ---------------------------------------------------------------------------
 
 def expectation_coefficient(n: int, ctx: EvalContext, leg: str,
-                            budget: int, seed: int,
-                            max_order: int = 3) -> SeriesCoefficient:
+                            budget: int, seed: int) -> SeriesCoefficient:
     """lambda^n coefficient of E[psi(f)]: Gamma_Q r_{n,1} at phi = 0.
 
     Every order is consistent with zero by the phi -> -phi symmetry; the
     numeric value with its error quantifies that.  Orders beyond
-    ``max_order`` are gated (cost grows with the 2n-dimensional quadrature),
-    not forbidden: pass a larger cap to go higher.
+    ``MAX_ORDER`` are refused: the cost grows with the 2n-dimensional
+    quadrature.
     """
-    if n > max_order:
-        raise ValueError(f"order {n} beyond the configured cap {max_order}")
+    if not 0 <= n <= MAX_ORDER:
+        raise ConfigError(f"series order {n} outside [0, {MAX_ORDER}]")
     if n == 0:
         return SeriesCoefficient(0, f"expect:{leg}",
                                  QuadResult(0.0, 0.0, 0, seed), 1, 0.0)
@@ -332,11 +332,10 @@ def expectation_coefficient(n: int, ctx: EvalContext, leg: str,
 
 
 def correlation_coefficient(n: int, ctx: EvalContext, leg1: str, leg2: str,
-                            budget: int, seed: int,
-                            max_order: int = 3) -> SeriesCoefficient:
+                            budget: int, seed: int) -> SeriesCoefficient:
     """lambda^n coefficient of E[psi(f1) psi(f2)] (classical strata)."""
-    if n > max_order:
-        raise ValueError(f"order {n} beyond the configured cap {max_order}")
+    if not 0 <= n <= MAX_ORDER:
+        raise ConfigError(f"series order {n} outside [0, {MAX_ORDER}]")
     terms = alg.classical_term(n, 2, [leg1, leg2])
     pref = ctx.params.lam ** n / math.factorial(n)
     res = evaluate_terms(ctx, terms, budget, seed).scaled(pref)

@@ -22,13 +22,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CflViolation
+from .errors import CflViolation, ConfigError
 from .kernels import ModelParams, SmearingFunction, chi_cutoff, parallel_map
 from .results import McEstimate
 
 SOURCE_SIGN = -1.0
 BOUNDARIES = ("absorbingPad", "periodic")
 MIN_REALIZATIONS = 100
+MAX_ORDER = 2   # the hierarchy is solved through Psi_2
 
 
 @dataclass(frozen=True)
@@ -185,10 +186,8 @@ def _per_sample_values(obs: ObservableSpec, smeared: dict) -> np.ndarray:
         return s[(f1, 0)] * s[(f2, 0)]
     if obs.order == 1:
         return s[(f1, 0)] * s[(f2, 1)] + s[(f1, 1)] * s[(f2, 0)]
-    if obs.order == 2:
-        return (s[(f1, 0)] * s[(f2, 2)] + s[(f1, 2)] * s[(f2, 0)]
-                + s[(f1, 1)] * s[(f2, 1)])
-    raise ValueError(f"order {obs.order} beyond the simulated hierarchy")
+    return (s[(f1, 0)] * s[(f2, 2)] + s[(f1, 2)] * s[(f2, 0)]
+            + s[(f1, 1)] * s[(f2, 1)])
 
 
 def estimate_correlator(observables, grid: LatticeGrid, params: ModelParams,
@@ -206,24 +205,21 @@ def estimate_correlator(observables, grid: LatticeGrid, params: ModelParams,
     if n_samples < MIN_REALIZATIONS:
         raise ValueError(f"need at least {MIN_REALIZATIONS} realizations")
     max_order = max((o.order for o in observables), default=0)
-    for o in observables:
-        if o.kind == "expect" and o.order > 2:
-            raise ValueError("hierarchy computed through order 2")
+    if max_order > MAX_ORDER:
+        raise ConfigError(f"MC order {max_order} beyond the simulated "
+                          f"hierarchy (<= {MAX_ORDER})")
     leg_names = sorted({l for o in observables for l in o.legs})
     f_grids = {name: grid.sample(smearings[name]) for name in leg_names}
     g_grid = grid.sample(smearings[interaction])
     cell = grid.dt * grid.dx
-    need_hier = max_order >= 1 or any(o.kind == "expect" and o.order >= 1
-                                      for o in observables)
 
     def run_chunk(lo: int, hi: int):
         noise = np.stack([sample_noise(grid, params, seed, r)
                           for r in range(lo, hi)])
         psi0 = solve_linear(noise, grid, params.m)
         fields = {0: psi0}
-        if need_hier:
-            hier = solve_hierarchy(psi0, grid, params, g_grid,
-                                   max_order=max(max_order, 1))
+        if max_order >= 1:
+            hier = solve_hierarchy(psi0, grid, params, g_grid, max_order)
             for k, f in enumerate(hier, start=1):
                 fields[k] = f
         smeared = {}

@@ -422,7 +422,31 @@ PINNED_CLASSICAL = {
 }
 
 
+# sha256 of the term-graph JSON lines in output order (unsorted, so a
+# change in the order of enumeration shows), recorded from the engine
+# before its three leg-contraction enumerators were merged
+PINNED_ORDER = {
+    "star_product": (
+        lambda: A.star_product(A.sg_vertex(),
+                               A.pointwise(A.leg("f1"), A.leg("f2")),
+                               A.KE_Q_F),
+        "eabf1a747f4c83355140c86f6a44aff9de82f13773477178f3488e18d85706c7"),
+    "wick_expand": (
+        lambda: A.wick_expand(4, ["f1", "f2", "f3", "f4"]),
+        "c363385be615f516bf5584bee30f94d38b18b41d3d9da43834cf5b2643597473"),
+    "bogoliubov_generators": (
+        lambda: A.bogoliubov_generators(2, ["f1", "f2"]),
+        "0b9a918b1a2a3af3bdbecbabd47ca8ae7fcda3e4c710c887733a241a4d38c81a"),
+}
+
+
 class TestPinnedOutput:
+    @pytest.mark.parametrize("name", sorted(PINNED_ORDER))
+    def test_enumeration_order(self, name):
+        build, sha256 = PINNED_ORDER[name]
+        lines = [A.term_graph_from_generator(g).to_json() for g in build()]
+        assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == sha256
+
     @pytest.mark.parametrize("n,m", sorted(PINNED_CLASSICAL))
     def test_classical_term(self, n, m):
         graphs = [A.term_graph_from_expanded(t) for t in A.classical_term(n, m)]

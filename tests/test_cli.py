@@ -90,6 +90,13 @@ class TestConfig:
         assert res.exit_code == 1
 
 
+def _mutated(section, key, value) -> dict:
+    """BASE_CONFIG with one field set; section None is the top level."""
+    bad = json.loads(json.dumps(BASE_CONFIG))
+    (bad if section is None else bad.setdefault(section, {}))[key] = value
+    return bad
+
+
 class TestConfigRanges:
     @pytest.mark.parametrize("command,section,key,value", [
         ("corr", "quad", "budget", 100),
@@ -99,17 +106,48 @@ class TestConfigRanges:
         ("mc", "mc", "n_samples", 50),
         ("compute-q", "qtable", "n_t", 3),
         ("compute-q", "qtable", "interp", "quintic"),
+        # wrong types
+        ("corr", "quad", "budget", "abc"),
+        ("compute-q", "qtable", "n_t", "12"),
+        ("mc", "mc", "chunk", "8"),
+        ("bounds", "bounds", "grid_n", "x"),
+        ("bounds", "bounds", "p_hat", None),
+        ("bounds", "bounds", "orders", 3),
+        ("expand", "expand", "order", "two"),
+        ("coeff", None, "orders", ["x"]),
+        ("corr", None, "quantum_hbars", ["a"]),
+        ("corr", None, "quad", [1]),
+        ("expand", "expand", "deformed", "no"),
+        ("mc", "mc", "dt", "0.02"),
+        ("corr", "quad", "seed", 1.5),
+        # negative orders
+        ("coeff", None, "orders", [-1]),
+        ("bounds", "bounds", "orders", [-1]),
+        ("expand", "expand", "order", -1),
     ])
     def test_out_of_range_is_config_error(self, tmp_path, command, section,
                                           key, value):
-        bad = json.loads(json.dumps(BASE_CONFIG))
-        bad.setdefault(section, {})[key] = value
+        bad = _mutated(section, key, value)
         with pytest.raises(ConfigError):
             parse_config(bad)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         res = _run([command, "--config", str(path), "--out", str(tmp_path)])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("command,orders", [
+        (["coeff"], [4]),
+        (["corr"], [4]),
+        (["mc"], [3]),
+        (["expand", "--order", "-1"], [0, 1]),
+    ])
+    def test_stage_order_cap_is_config_error(self, tmp_path, command, orders):
+        # each stage has its own cap, so parse_config accepts these
+        path = tmp_path / "cap.json"
+        path.write_text(json.dumps(_mutated(None, "orders", orders)))
+        res = _run(command + ["--config", str(path), "--out", str(tmp_path)])
+        assert res.exit_code == 1
+        assert "order" in res.output
 
     @pytest.mark.parametrize("command", ["compute-q", "mc"])
     @pytest.mark.parametrize("workers", ["abc", "0"])
@@ -227,3 +265,35 @@ class TestCommands:
         stamp = os.path.getmtime(os.path.join(out, "qtable.bin"))
         assert _run(["corr", "--config", cfg, "--out", out]).exit_code == 0
         assert os.path.getmtime(os.path.join(out, "qtable.bin")) == stamp
+
+    @pytest.mark.parametrize("keep", [10, 500, -1])
+    def test_truncated_qtable_is_rebuilt(self, workdir, keep):
+        tmp, cfg = workdir
+        out = tmp / "trunc"
+        assert _run(["compute-q", "--config", cfg, "--out", str(out)]) \
+            .exit_code == 0
+        path = out / "qtable.bin"
+        whole = path.read_bytes()
+        path.write_bytes(whole[:keep])
+        res = _run(["coeff", "--config", cfg, "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert path.read_bytes() == whole
+
+    @pytest.mark.parametrize("key,value,shape", [
+        ("n_t", 10, "(10, 10, 24)"),
+        ("n_x", 20, "(12, 12, 20)"),
+        ("interp", "linear", "(12, 12, 24)"),
+    ])
+    def test_qtable_rebuilt_when_grid_changes(self, workdir, key, value,
+                                              shape):
+        tmp, cfg = workdir
+        out = tmp / "grid"
+        assert _run(["compute-q", "--config", cfg, "--out", str(out)]) \
+            .exit_code == 0
+        before = (out / "qtable.bin").read_bytes()
+        changed = tmp / "changed.json"
+        changed.write_text(json.dumps(_mutated("qtable", key, value)))
+        res = _run(["compute-q", "--config", str(changed), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert f"qtable {shape}" in res.output
+        assert (out / "qtable.bin").read_bytes() != before

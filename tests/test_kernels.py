@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stochsg import kernels as ker
-from stochsg.errors import EvalOnLightcone, OutOfDomain
+from stochsg.errors import EvalOnLightcone, OutOfDomain, QTableFormatError
 from stochsg.kernels import ModelParams, SmearingFunction, SpacetimePoint
 
 
@@ -282,6 +282,20 @@ class TestQTable:
         qtable.save(path)
         with open(path, "rb") as fh:
             assert fh.read(4) == b"QTBL"
+
+    @pytest.mark.parametrize("damage", [
+        *(lambda d, k=k: d[:k] for k in (0, 3, 19, 20, 91, 92, 500, -8, -1)),
+        lambda d: d + b"\0",
+        lambda d: b"QTBX" + d[4:],
+        lambda d: d[:4] + (2).to_bytes(4, "little") + d[8:],
+    ], ids=["cut0", "cut3", "cut19", "cut20", "cut91", "cut92", "cut500",
+            "cut-8", "cut-1", "trailing", "magic", "version"])
+    def test_damaged_file_is_typed_error(self, qtable, tmp_path, damage):
+        path = tmp_path / "q.bin"
+        qtable.save(str(path))
+        path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(QTableFormatError):
+            ker.QTable.load(str(path))
 
     def test_linear_method(self, params):
         t = ker.build_q_table(params, n_t=6, n_x=8, budget=36,

@@ -3,7 +3,8 @@ import pytest
 
 from stochsg import kernels as ker
 from stochsg.errors import InvalidExponent
-from stochsg.quad import IntegrandSpec, SingularPair, integrate, smeared_pairing
+from stochsg.quad import (IntegrandSpec, SingularPair, _lattice_points,
+                          _run_lattice, integrate, smeared_pairing)
 
 
 def diamond_fn(f):
@@ -160,6 +161,22 @@ class TestSingular:
                              singular_pairs=(SingularPair(0, 1, 0.8),))
         with pytest.raises(InvalidExponent):
             integrate(spec, 2048, 1, p_hat=1.5)
+
+    @pytest.mark.parametrize("n_points", [1024, 4096])
+    @pytest.mark.parametrize("dim", [2, 4, 6])
+    def test_half_lattice_is_embedded(self, n_points, dim):
+        shift = np.random.default_rng(dim).random(dim)
+        assert np.array_equal(_lattice_points(n_points, dim, shift)[::2],
+                              _lattice_points(n_points // 2, dim, shift))
+
+    def test_doubling_check_reuses_points(self):
+        # the half-lattice means of the doubling check equal a separate
+        # run at half the point count
+        spec, _ = SINGULAR_BANK[0]
+        shifts = np.random.default_rng(3).random((8, 2 * spec.n_vertices))
+        _, halves = _run_lattice(spec, 4096, shifts, 1.5)
+        means, _ = _run_lattice(spec, 2048, shifts, 1.5)
+        assert np.allclose(halves, means, rtol=1e-12, atol=0.0)
 
 
 class TestSmearedPairing:
