@@ -27,7 +27,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import CancellationFailure, NegativeGrade, SingularCoincidence
@@ -404,13 +404,13 @@ def _rank_dropped(basis: str, ra, rb) -> bool:
     return basis == ("DeltaR" if ra < rb else "DeltaA")
 
 
-def _linear_choices(factors, coeff, h0: int, k_max: int):
+def _linear_choices(factors, coeff, k_max: int):
     """Expand a product of factors that are linear in their kernels.
 
-    Each factor is a list of options (h, entry, c): one basis term with
-    hbar power h and coefficient c.  Yields (entries, coefficient, hbar)
-    for every choice of one option per factor whose hbar total h0 + sum h
-    stays <= k_max, the first factor varying slowest.
+    Each factor is a list of options (h, entry, c): one term with hbar
+    power h and coefficient c.  Yields (entries, coefficient, hbar) for
+    every choice of one option per factor whose hbar total stays <= k_max,
+    the first factor varying slowest.
     """
     def rec(idx, chosen, coeff, h_tot):
         if idx == len(factors):
@@ -420,7 +420,7 @@ def _linear_choices(factors, coeff, h0: int, k_max: int):
             if h_tot + h <= k_max:
                 yield from rec(idx + 1, chosen + [entry], coeff * c, h_tot + h)
 
-    yield from rec(0, [], coeff, h0)
+    yield from rec(0, [], coeff, 0)
 
 
 def _linearize(g: Generator, leg_ranks: dict | None = None,
@@ -452,7 +452,7 @@ def _linearize(g: Generator, leg_ranks: dict | None = None,
         factors.append(options(e, leg_ranks.get(p), leg_ranks.get(q),
                                lambda k: (k, p, q)))
     n_att = len(g.attached)
-    for chosen, coeff, _ in _linear_choices(factors, g.coeff, 0, 0):
+    for chosen, coeff, _ in _linear_choices(factors, g.coeff, 0):
         if not coeff.is_zero():
             yield replace(g, coeff=coeff, attached=tuple(chosen[:n_att]),
                           scalar_pairs=tuple(chosen[n_att:]))
@@ -574,7 +574,7 @@ def multisets_equal(gs1, gs2, leg_ranks=None, rank_reduce=False) -> bool:
 # Q-deformed S-matrix and Bogoliubov terms
 # ---------------------------------------------------------------------------
 
-def qs_term(n: int, deform_q: bool = True, inverse: bool = False) -> list[Generator]:
+def qs_term(n: int, inverse: bool = False) -> list[Generator]:
     """lambda^n coefficient of Gamma_Q(S) (or of its star-inverse).
 
     Prefactor (+-i/hbar)^n lambda^n / n! is tracked exactly; the kernels are
@@ -583,10 +583,7 @@ def qs_term(n: int, deform_q: bool = True, inverse: bool = False) -> list[Genera
     if n < 0:
         raise ValueError("n >= 0")
     kernel = KE_Q_AF if inverse else KE_Q_F
-    if not deform_q:
-        kernel = KE_AF_H if inverse else KE_F_H
-    dress = KE_Q if deform_q else KE_ZERO
-    factors = [sg_vertex("g", dress) for _ in range(n)]
+    factors = [sg_vertex("g", KE_Q) for _ in range(n)]
     gens = time_ordered(factors, kernel)
     i_pow = 3 if inverse else 1  # (-i) = i^3
     pref = Coeff(CRat.i_power(i_pow * n) * Fraction(1, math.factorial(n)),
@@ -617,24 +614,14 @@ def bogoliubov_generators(n: int, legs: list[str], deform_q: bool = True,
                 for i in range(len(legs))]
     out = []
     for left in _all_subsets(range(n)):
-        left_set = set(left)
-        order = sorted(left) + sorted(set(range(n)) - left_set)
+        order = sorted(left) + sorted(set(range(n)) - left)
         pos = {orig: k for k, orig in enumerate(order)}
         n_left = len(left)
-        pair_exps = {}
-        for a_orig in range(n):
-            for b_orig in range(a_orig + 1, n):
-                i, j = pos[a_orig], pos[b_orig]
-                if i > j:
-                    i, j = j, i
-                in_l = a_orig in left_set
-                in_l2 = b_orig in left_set
-                if in_l and in_l2:
-                    pair_exps[(i, j)] = k_within_L
-                elif not in_l and not in_l2:
-                    pair_exps[(i, j)] = k_within_R
-                else:
-                    pair_exps[(i, j)] = k_cross  # left vertex has lower pos
+        # positions below n_left hold the left block, so a cross pair has
+        # its left vertex first
+        pair_exps = tuple(((i, j), k_within_L if j < n_left
+                           else k_cross if i < n_left else k_within_R)
+                          for i in range(n) for j in range(i + 1, n))
         base_coeff = Coeff(CRat.i_power(n) * Fraction((-1) ** n_left,
                                                       2 ** n),
                            hbar_pow=-n)
@@ -648,8 +635,7 @@ def bogoliubov_generators(n: int, legs: list[str], deform_q: bool = True,
                 smearings=tuple(smearings[order[k]] for k in range(n)),
                 dressings=(dress,) * n,
                 ranks=tuple(ranks[order[k]] for k in range(n)),
-                pair_exps=tuple(sorted(pair_exps.items())),
-                free_legs=tuple(legs))
+                pair_exps=pair_exps, free_legs=tuple(legs))
             out.extend(_contracted(
                 base, targets, partners,
                 lambda v: (k_cross if v < n_left else k_within_R, True),
@@ -664,31 +650,31 @@ def _all_subsets(it):
 
 
 def bogoliubov_terms(n: int, m: int, legs: list[str] | None = None,
-                     deform_q: bool = True) -> list["TermGraph"]:
-    """R_{n,m} applied to a product of m external legs, as term graphs."""
+                     deform_q: bool = True) -> list[Generator]:
+    """R_{n,m} applied to a product of m external legs, collected."""
     if m < 1:
         raise ValueError("m >= 1")
     legs = legs or [f"f{k + 1}" for k in range(m)]
     if len(legs) != m:
         raise ValueError("need one leg smearing per external factor")
-    gens = collected_raw_list(bogoliubov_generators(n, legs, deform_q))
-    return [term_graph_from_generator(g) for g in gens]
+    return collected_raw_list(bogoliubov_generators(n, legs, deform_q))
 
 
-def interacting_field_term_J(n: int, leg_name: str = "f",
-                             deform_q: bool = True) -> list["TermGraph"]:
+def interacting_field_term_J(n: int, leg_name: str = "f") -> list[Generator]:
     """Terms of J_n: the observable leg contracted into the left block."""
-    gens = [g for g in bogoliubov_generators(n, [leg_name], deform_q)
-            if _leg_side(g, leg_name) == "left"]
-    return [term_graph_from_generator(g) for g in collected_raw_list(gens)]
+    return _field_terms(n, leg_name, "left")
 
 
-def interacting_field_term_M(n: int, leg_name: str = "f",
-                             deform_q: bool = True) -> list["TermGraph"]:
+def interacting_field_term_M(n: int, leg_name: str = "f") -> list[Generator]:
     """Terms of M_n: the observable leg contracted into the right block."""
-    gens = [g for g in bogoliubov_generators(n, [leg_name], deform_q)
-            if _leg_side(g, leg_name) == "right"]
-    return [term_graph_from_generator(g) for g in collected_raw_list(gens)]
+    return _field_terms(n, leg_name, "right")
+
+
+def _field_terms(n: int, leg_name: str, side: str) -> list[Generator]:
+    """Collected terms of R_{n,1} whose leg attaches to the given block."""
+    return collected_raw_list(
+        [g for g in bogoliubov_generators(n, [leg_name])
+         if _leg_side(g, leg_name) == side])
 
 
 def _leg_side(g: Generator, leg_name: str) -> str | None:
@@ -706,8 +692,7 @@ def _leg_side(g: Generator, leg_name: str) -> str | None:
 # uncontracted-vertex cancellation certificate
 # ---------------------------------------------------------------------------
 
-def uncontracted_cancellation(n: int, m: int, deform_q: bool = True,
-                              max_n: int = 4) -> dict:
+def uncontracted_cancellation(n: int, m: int, deform_q: bool = True) -> dict:
     """Exact-zero certificate for the marked-vertex subsum of R_{n,m}.
 
     Builds R_{n,m} with one distinguished interaction vertex, restricts to
@@ -715,8 +700,8 @@ def uncontracted_cancellation(n: int, m: int, deform_q: bool = True,
     kernels stripped, no legs attached), removes it, and verifies that every
     residual canonical class sums to zero exactly.
     """
-    if not 1 <= n <= max_n:
-        raise ValueError(f"n must be in [1, {max_n}] (raise max_n to go higher)")
+    if not 1 <= n <= 4:
+        raise ValueError(f"n must be in [1, 4], got {n}")
     legs = [f"f{k + 1}" for k in range(m)]
     smearings = ["g*"] + ["g"] * (n - 1)   # vertex 0 is marked
     residual = []
@@ -786,72 +771,52 @@ class ExpandedTerm:
 
 
 def _expand_generator(g: Generator, k_max: int, real_basis: bool):
-    """Yield (stratum, ExpandedTerm) for quantum hbar-order <= k_max."""
+    """Yield (stratum, ExpandedTerm) for quantum hbar-order <= k_max.
+
+    One choice list per factor: each quantum term (b, h, c) of each pair
+    kernel offers the Taylor powers p of e^{-c_i c_j a^2 c K}, at hbar cost
+    h p with coefficient (-c_i c_j c)^p / p! a^(2p) (the edge (i, j, b, h,
+    p) is kept for p > 0); then each attached factor and scalar pair offers
+    its basis terms.
+    """
     def _terms(expr: KernelExpr):
         return (expr.real_basis() if real_basis else expr).terms
 
-    quantum_pairs = []
-    q_pairs = []
+    def options(e: KernelExpr, entry):
+        lo, hi = e.hbar_split()
+        return [(h, entry(b, h), c) for b, h, c in lo.terms + _terms(hi)]
+
+    q_pairs, factors = [], []
     for (i, j), e in g.pair_exps:
         lo, hi = e.hbar_split()
         if not lo.is_zero():
             if any(b != "Q" for b, _, _ in lo.terms):
                 raise ValueError("grade-0 pair kernels must be pure Q")
             q_pairs.append(((i, j), lo))
-        if not hi.is_zero():
-            quantum_pairs.append(((i, j), _terms(hi)))
+        for b, h, c in _terms(hi):
+            w = CRat.of(-g.charges[i] * g.charges[j]) * c
+            factors.append([(0, None, COEFF_ONE)] + [
+                (h * p, (i, j, b, h, p),
+                 Coeff(math.prod([w] * p, start=CR_ONE)
+                       * Fraction(1, math.factorial(p)), a_pow=2 * p))
+                for p in range(1, k_max // h + 1)])
+    n_edges = len(factors)
+    factors += [options(e, lambda b, h: (v, b, h, l, vf))
+                for v, e, l, vf in g.attached]
+    n_att = len(factors)
+    factors += [options(e, lambda b, h: (b, h, p, q))
+                for e, p, q in g.scalar_pairs]
 
-    def options(e: KernelExpr, entry):
-        lo, hi = e.hbar_split()
-        return [(h, entry(b, h), c) for b, h, c in lo.terms + _terms(hi)]
-
-    # one choice list per linear factor: attached factors, then scalar pairs
-    linear = ([options(e, lambda b, h: (v, b, h, l, vf))
-               for v, e, l, vf in g.attached]
-              + [options(e, lambda b, h: (b, h, p, q))
-                 for e, p, q in g.scalar_pairs])
-    n_att = len(g.attached)
-
-    base_coeff = g.coeff
-
-    def rec_pairs(idx, edges, coeff, a_extra, h_extra):
-        if idx == len(quantum_pairs):
-            yield edges, coeff, a_extra, h_extra
-            return
-        (i, j), terms = quantum_pairs[idx]
-        cc = g.charges[i] * g.charges[j]
-
-        def per_term(ti, edges2, coeff2, a2, h2):
-            if ti == len(terms):
-                yield from rec_pairs(idx + 1, edges2, coeff2, a2, h2)
-                return
-            b, h, c = terms[ti]
-            p = 0
-            cur = coeff2
-            while h2 + p * h <= k_max:
-                if p == 0:
-                    yield from per_term(ti + 1, edges2, coeff2, a2, h2)
-                else:
-                    cur = cur * (CRat.of(-cc) * c) * Fraction(1, p)
-                    yield from per_term(ti + 1, edges2 + [(i, j, b, h, p)],
-                                        cur, a2 + 2 * p, h2 + p * h)
-                if h == 0:
-                    break
-                p += 1
-        yield from per_term(0, edges, coeff, a_extra, h_extra)
-
-    for edges, coeff1, a_extra, h_pairs in rec_pairs(0, [], base_coeff, 0, 0):
-        for chosen, coeff3, h_tot in _linear_choices(linear, coeff1, h_pairs,
-                                                     k_max):
-            coeff = Coeff(coeff3.crat, coeff3.a_pow + a_extra,
-                          coeff3.hbar_pow + h_tot, coeff3.lam_pow)
-            yield h_tot, ExpandedTerm(
-                coeff=coeff, charges=g.charges, smearings=g.smearings,
-                dressings=g.dressings, ranks=g.ranks,
-                q_pairs=tuple(q_pairs), edges=tuple(sorted(edges)),
-                attached=tuple(sorted(chosen[:n_att])),
-                scalar_pairs=tuple(sorted(chosen[n_att:])),
-                free_legs=tuple(sorted(g.free_legs)))
+    for chosen, coeff, h_tot in _linear_choices(factors, g.coeff, k_max):
+        yield h_tot, ExpandedTerm(
+            coeff=replace(coeff, hbar_pow=coeff.hbar_pow + h_tot),
+            charges=g.charges, smearings=g.smearings,
+            dressings=g.dressings, ranks=g.ranks,
+            q_pairs=tuple(q_pairs),
+            edges=tuple(sorted(e for e in chosen[:n_edges] if e)),
+            attached=tuple(sorted(chosen[n_edges:n_att])),
+            scalar_pairs=tuple(sorted(chosen[n_att:])),
+            free_legs=tuple(sorted(g.free_legs)))
 
 
 def _null_support(term: ExpandedTerm) -> bool:
@@ -951,9 +916,9 @@ def aggregate_charge_sectors(terms) -> list[tuple[ExpandedTerm, int]]:
     return [(sums[k][1], int(sums[k][0].re)) for k in sorted(sums)]
 
 
-def hbar_floor(n: int, m: int, deform_q: bool = True) -> int:
+def hbar_floor(n: int, m: int) -> int:
     """Minimal hbar grade of R_{n,m}; asserts it is exactly 0."""
-    terms = classical_term(n, m, deform_q=deform_q)
+    terms = classical_term(n, m)
     if not terms:
         raise NegativeGrade(f"hbar^0 stratum of R_{n},{m} is empty")
     return 0
@@ -967,10 +932,6 @@ def hbar_grade(t) -> int:
     """
     if isinstance(t, ExpandedTerm):
         return t.coeff.hbar_pow
-    if isinstance(t, TermGraph):
-        if isinstance(t.payload, (Generator, ExpandedTerm)):
-            return hbar_grade(t.payload)
-        return t.hbar_degree
     g = t
     grade = g.coeff.hbar_pow
     # exponential pair kernels contribute 0 (the constant term of e^x);
@@ -1062,7 +1023,6 @@ class TermGraph:
     hbar_degree: int
     lam_power: int
     multiplicity: int = 1
-    payload: object = field(default=None, compare=False, repr=False)
 
     def to_json_dict(self) -> dict:
         return {
@@ -1082,24 +1042,24 @@ class TermGraph:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _coeff_view(coeff: Coeff) -> tuple[int, int, int]:
-    frac, ipow = coeff.crat.as_fraction_ipow()
-    return frac.numerator, frac.denominator, ipow
+def _term_graph(t, edges: list[dict], multiplicity: int = 1) -> TermGraph:
+    """The view of a Generator or an ExpandedTerm with these edges."""
+    frac, ipow = t.coeff.crat.as_fraction_ipow()
+    vertices = tuple(
+        {"charge": t.charges[i], "smearing": t.smearings[i],
+         "dressed": not t.dressings[i].is_zero()}
+        for i in range(t.n_vertices))
+    return TermGraph(vertices, tuple(t.free_legs), tuple(edges),
+                     frac.numerator, frac.denominator, ipow, t.coeff.a_pow,
+                     t.coeff.hbar_pow, t.coeff.lam_pow, multiplicity)
 
 
-def _kernel_name(expr_or_basis) -> str:
-    if isinstance(expr_or_basis, str):
-        return expr_or_basis
-    names = sorted({b for b, _, _ in expr_or_basis.terms})
+def _kernel_name(expr: KernelExpr) -> str:
+    names = sorted({b for b, _, _ in expr.terms})
     return "+".join(names) if names else "0"
 
 
 def term_graph_from_generator(g: Generator) -> TermGraph:
-    num, den, ipow = _coeff_view(g.coeff)
-    vertices = tuple(
-        {"charge": g.charges[i], "smearing": g.smearings[i],
-         "dressed": not g.dressings[i].is_zero()}
-        for i in range(g.n_vertices))
     edges = []
     for (i, j), e in g.pair_exps:
         edges.append({"a": i, "b": j, "kernel": _kernel_name(e),
@@ -1110,17 +1070,10 @@ def term_graph_from_generator(g: Generator) -> TermGraph:
     for e, p, q in g.scalar_pairs:
         edges.append({"a": f"leg:{p}", "b": f"leg:{q}",
                       "kernel": _kernel_name(e), "kind": "scalar"})
-    return TermGraph(vertices, tuple(g.free_legs), tuple(edges),
-                     num, den, ipow, g.coeff.a_pow, g.coeff.hbar_pow,
-                     g.coeff.lam_pow, payload=g)
+    return _term_graph(g, edges)
 
 
 def term_graph_from_expanded(t: ExpandedTerm, multiplicity: int = 1) -> TermGraph:
-    num, den, ipow = _coeff_view(t.coeff)
-    vertices = tuple(
-        {"charge": t.charges[i], "smearing": t.smearings[i],
-         "dressed": not t.dressings[i].is_zero()}
-        for i in range(t.n_vertices))
     edges = []
     for (i, j), e in t.q_pairs:
         edges.append({"a": i, "b": j, "kernel": "Q", "kind": "exponential"})
@@ -1133,9 +1086,7 @@ def term_graph_from_expanded(t: ExpandedTerm, multiplicity: int = 1) -> TermGrap
     for b, h, p, q in t.scalar_pairs:
         edges.append({"a": f"leg:{p}", "b": f"leg:{q}", "kernel": b,
                       "kind": "scalar", "hbar": h})
-    return TermGraph(vertices, tuple(t.free_legs), tuple(edges),
-                     num, den, ipow, t.coeff.a_pow, t.coeff.hbar_pow,
-                     t.coeff.lam_pow, multiplicity, payload=t)
+    return _term_graph(t, edges, multiplicity)
 
 
 def graph_render(t: TermGraph) -> str:

@@ -29,6 +29,9 @@ from .errors import (DegenerateConfiguration, GridTooCoarse, InvalidExponent,
                      OutOfDomain, StochSGError)
 
 MIN_GRID_N = 256
+MIN_P_HAT = 1.0
+_TAIL_REL_FLOOR = 1e-16   # tail_bound stops below this share of its sum
+_TAIL_MAX_N = 400
 
 
 def valid_grid_n(grid_n: int) -> bool:
@@ -137,7 +140,7 @@ def c_tilde_constant(mu: float, alpha: float, p_hat: float) -> float:
 def _check_p(alpha: float, p_hat: float):
     if alpha >= 1.0:
         raise InvalidExponent(f"alpha = {alpha} >= 1")
-    if p_hat < 1.0 or p_hat >= 1.0 / alpha:
+    if p_hat < MIN_P_HAT or p_hat >= 1.0 / alpha:
         raise InvalidExponent(
             f"p = {p_hat} outside [1, 1/alpha) = [1, {1.0 / alpha})")
 
@@ -205,10 +208,9 @@ def field_term_bound(n: int, which: str, p_hat: float,
 
 
 def tail_bound(n_from: int, p_hat: float, params: ker.ModelParams,
-               c_q: float, k_conditioning: float, g_norm_q: float,
-               rel_floor: float = 1e-16, max_n: int = 400) -> float:
+               c_q: float, k_conditioning: float, g_norm_q: float) -> float:
     """Sum of qs_term_bound values for n > n_from, stopped once a term
-    drops below rel_floor times the partial sum.
+    drops below _TAIL_REL_FLOOR times the partial sum.
 
     The C_Q^(n^2) factor eventually dominates the (n!)^(1-1/p) decay, so the
     bound series is only numerically summable when the per-order rate is
@@ -220,7 +222,7 @@ def tail_bound(n_from: int, p_hat: float, params: ker.ModelParams,
     c_tilde = c_tilde_constant(params.mu, alpha, p_hat)
     total = 0.0
     prev_log = math.inf
-    for n in range(n_from + 1, max_n + 1):
+    for n in range(n_from + 1, _TAIL_MAX_N + 1):
         log_term = _log_qs_bound(n, p_hat, params, c_q, k_conditioning,
                                  g_norm_q, c_tilde)
         if log_term > 700.0 or (log_term > prev_log
@@ -231,10 +233,10 @@ def tail_bound(n_from: int, p_hat: float, params: ker.ModelParams,
                 "floor: the C_Q^(n^2) growth dominates at these parameters")
         term = math.exp(log_term)
         total += term
-        if total > 0 and term < rel_floor * total:
+        if total > 0 and term < _TAIL_REL_FLOOR * total:
             return total
         prev_log = log_term
-    raise StochSGError(f"tail bound did not stabilize below n = {max_n}")
+    raise StochSGError(f"tail bound did not stabilize below n = {_TAIL_MAX_N}")
 
 
 # ---------------------------------------------------------------------------

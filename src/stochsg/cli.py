@@ -72,7 +72,8 @@ def _qtable(cfg: RunConfig, out_dir: str) -> ker.QTable:
 
 def _context(cfg: RunConfig, out_dir: str) -> ser.EvalContext:
     return ser.EvalContext(cfg.params, _qtable(cfg, out_dir), cfg.smearings,
-                           cfg.quad.leg_nodes, cfg.quad.pair_nodes)
+                           cfg.quad.leg_nodes, cfg.quad.pair_nodes,
+                           cfg.interaction)
 
 
 def common_options(fn):
@@ -127,25 +128,22 @@ def compute_q(config_path, out_dir, seed):
                f"max Q = {float(table.values.max())!r}")
 
 
-def _series_csv(config_path, out_dir, seed, kind: str, coefficient,
-                name: str) -> None:
-    """Per-order coefficients of the observables of one kind, then their
-    quantum coefficients at the configured hbars, written to ``name``.
-    ``coefficient`` is called as coefficient(n, ctx, *legs, budget, seed)."""
+def _series_csv(config_path, out_dir, seed, kind: str, name: str) -> None:
+    """Per-order classical coefficients of the observables of one kind,
+    then the coefficient of the highest order at each configured quantum
+    hbar, written to ``name``."""
     cfg = _load(config_path, out_dir, seed)
     ctx = _context(cfg, out_dir)
+    points = ([(n, 0.0) for n in cfg.orders]
+              + [(max(cfg.orders), h) for h in cfg.quantum_hbars])
     rows = []
     for obs in cfg.observables:
         if obs.kind != kind:
             continue
-        for n in cfg.orders:
-            c = coefficient(n, ctx, *obs.legs, cfg.quad.budget, cfg.quad.seed)
-            rows.append(c.csv_row())
-        for h in cfg.quantum_hbars:
-            c = ser.quantum_coefficient(max(cfg.orders), h, ctx,
-                                        list(obs.legs), cfg.quad.budget,
-                                        cfg.quad.seed, cfg.quad.p_hat)
-            rows.append(c.csv_row())
+        for n, h in points:
+            rows.append(ser.quantum_coefficient(
+                n, h, ctx, list(obs.legs), cfg.quad.budget, cfg.quad.seed,
+                cfg.quad.p_hat).csv_row())
     write_csv(os.path.join(out_dir, name), rows, SERIES_HEADER)
     click.echo(f"wrote {len(rows)} rows to {name}")
 
@@ -154,16 +152,14 @@ def _series_csv(config_path, out_dir, seed, kind: str, coefficient,
 @common_options
 def coeff(config_path, out_dir, seed):
     """Expectation-value coefficients (classical strata) per order."""
-    _series_csv(config_path, out_dir, seed, "expectation",
-                ser.expectation_coefficient, "expectation.csv")
+    _series_csv(config_path, out_dir, seed, "expectation", "expectation.csv")
 
 
 @main.command("corr")
 @common_options
 def corr(config_path, out_dir, seed):
     """Correlation-function coefficients per order."""
-    _series_csv(config_path, out_dir, seed, "correlation",
-                ser.correlation_coefficient, "correlation.csv")
+    _series_csv(config_path, out_dir, seed, "correlation", "correlation.csv")
 
 
 @main.command("bounds")

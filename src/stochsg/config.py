@@ -139,16 +139,26 @@ def _require(ok: bool, message: str):
 
 def _check_ranges(qtable: QTableConfig, quad: QuadConfig, mcc: McConfig,
                   boundsc: BoundsConfig, expandc: ExpandConfig,
-                  orders: tuple[int, ...]):
+                  orders: tuple[int, ...], hbars: tuple[float, ...]):
     """Reject values the numeric layers would refuse only mid-run."""
     _require(min((*orders, *boundsc.orders, expandc.order)) >= 0,
              "orders, bounds.orders and expand.order must be >= 0")
+    _require(min(hbars, default=0.0) >= 0, "quantum_hbars must be >= 0")
+    _require(bool(orders) or not hbars,
+             "quantum_hbars needs at least one entry in orders")
+    _require(qtable.budget >= ker.MIN_Q_BUDGET,
+             f"qtable.budget must be >= {ker.MIN_Q_BUDGET}")
     _require(min(qtable.n_t, qtable.n_x) >= ker.MIN_TABLE_NODES,
              f"qtable.n_t and qtable.n_x must be >= {ker.MIN_TABLE_NODES}")
     _require(qtable.interp in ker.INTERP_METHODS,
              f"qtable.interp must be one of {ker.INTERP_METHODS}")
     _require(quad.budget >= qd.MIN_BUDGET,
              f"quad.budget must be >= {qd.MIN_BUDGET}")
+    _require(min(quad.leg_nodes, quad.pair_nodes) >= ker.MIN_SMEARING_NODES,
+             "quad.leg_nodes and quad.pair_nodes must be >= "
+             f"{ker.MIN_SMEARING_NODES}")
+    _require(mcc.dt > 0, "mc.dt must be > 0")
+    _require(mcc.pad >= 0, "mc.pad must be >= 0")
     _require(mcc.n_samples >= mc.MIN_REALIZATIONS,
              f"mc.n_samples must be >= {mc.MIN_REALIZATIONS}")
     _require(mcc.chunk >= 1, "mc.chunk must be >= 1")
@@ -156,6 +166,8 @@ def _check_ranges(qtable: QTableConfig, quad: QuadConfig, mcc: McConfig,
              f"mc.boundary must be one of {mc.BOUNDARIES}")
     _require(bnd.valid_grid_n(boundsc.grid_n),
              f"bounds.grid_n must be a power of two >= {bnd.MIN_GRID_N}")
+    _require(boundsc.p_hat >= bnd.MIN_P_HAT,
+             f"bounds.p_hat must be >= {bnd.MIN_P_HAT}")
 
 
 def _parse_smearing(name: str, spec, where: str) -> SmearingFunction:
@@ -166,7 +178,7 @@ def _parse_smearing(name: str, spec, where: str) -> SmearingFunction:
         try:
             comps.append(BumpComponent(**_fields_of(BumpComponent, b,
                                                     f"{where}[{k}]")))
-        except TypeError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(f"{where}[{k}]: {exc}") from exc
     return SmearingFunction(tuple(comps), name)
 
@@ -212,7 +224,9 @@ def parse_config(doc: dict) -> RunConfig:
     if expandc.obs not in ("field", "corr"):
         raise ConfigError("expand.obs must be 'field' or 'corr'")
     orders = _typed(doc.get("orders", [0, 1]), top["orders"], "orders")
-    _check_ranges(qtable, quadc, mcc, boundsc, expandc, orders)
+    hbars = _typed(doc.get("quantum_hbars", []), top["quantum_hbars"],
+                   "quantum_hbars")
+    _check_ranges(qtable, quadc, mcc, boundsc, expandc, orders, hbars)
 
     observables = []
     for k, ob in enumerate(_typed(doc.get("observables", []),
@@ -234,8 +248,6 @@ def parse_config(doc: dict) -> RunConfig:
         observables.append(ObsConfig(
             _typed(ob.get("id", default_id), str, f"{where}.id"), kind, legs))
 
-    hbars = _typed(doc.get("quantum_hbars", []), top["quantum_hbars"],
-                   "quantum_hbars")
     cfg = RunConfig(params, smearings, interaction, qtable, quadc, mcc,
                     boundsc, orders, tuple(observables), expandc, hbars)
     for h in hbars:

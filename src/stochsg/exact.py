@@ -81,6 +81,8 @@ class Coeff:
     lam_pow: int = 0
 
     def __mul__(self, other) -> "Coeff":
+        if other is COEFF_ONE:
+            return self
         if isinstance(other, Coeff):
             return Coeff(self.crat * other.crat,
                          self.a_pow + other.a_pow,

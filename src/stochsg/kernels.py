@@ -199,6 +199,10 @@ class BumpComponent:
     radius: float
     amplitude: float = 1.0
 
+    def __post_init__(self):
+        if not self.radius > 0:
+            raise ValueError(f"bump radius {self.radius} must be > 0")
+
 
 def _bump_profile(r2):
     """exp(1 - 1/(1 - r2)) for r2 < 1, zero outside; peak value 1."""
@@ -208,6 +212,11 @@ def _bump_profile(r2):
     with np.errstate(over="ignore"):
         val = np.exp(1.0 - 1.0 / (1.0 - safe))
     return np.where(inside, val, 0.0)
+
+
+def _component_value(c: BumpComponent, t, x):
+    r2 = ((t - c.center.t) ** 2 + (x - c.center.x) ** 2) / c.radius ** 2
+    return c.amplitude * _bump_profile(r2)
 
 
 @dataclass(frozen=True)
@@ -228,8 +237,7 @@ class SmearingFunction:
         x = np.asarray(x, dtype=float)
         total = np.zeros(np.broadcast(t, x).shape)
         for c in self.components:
-            r2 = ((t - c.center.t) ** 2 + (x - c.center.x) ** 2) / c.radius ** 2
-            total = total + c.amplitude * _bump_profile(r2)
+            total = total + _component_value(c, t, x)
         return total
 
     def support_box(self) -> tuple[float, float, float, float]:
@@ -266,8 +274,7 @@ class SmearingFunction:
             xx = c.center.x + c.radius * gl_x
             T, X = np.meshgrid(tt, xx, indexing="ij")
             W = np.outer(gl_w, gl_w) * c.radius ** 2
-            r2 = ((T - c.center.t) ** 2 + (X - c.center.x) ** 2) / c.radius ** 2
-            vals = c.amplitude * _bump_profile(r2)
+            vals = _component_value(c, T, X)
             keep = vals != 0.0
             pts.append(np.stack([T[keep], X[keep]], axis=-1))
             wts.append((W * vals)[keep])
@@ -278,16 +285,31 @@ class SmearingFunction:
         return float(np.sum(w))
 
     def norm_lq(self, q: float, n: int = 48) -> float:
-        """L^q norm over the plane (the support is compact)."""
+        """L^q norm over the plane (the support is compact).
+
+        Component k integrates its share |a_k phi_k| / sum_j |a_j phi_j| of
+        |f|^q over its own box, so overlapping bumps count once; q = inf
+        gives the largest |f| at those nodes and at the bump centers.
+        """
         gl_x, gl_w = np.polynomial.legendre.leggauss(n)
         total = 0.0
         for c in self.components:
             tt = c.center.t + c.radius * gl_x
             xx = c.center.x + c.radius * gl_x
             T, X = np.meshgrid(tt, xx, indexing="ij")
+            f = np.abs(self(T, X))
+            if q == np.inf:
+                total = max(total, float(f.max()),
+                            abs(float(self(c.center.t, c.center.x))))
+                continue
+            mine = np.abs(_component_value(c, T, X))
+            every = sum(np.abs(_component_value(d, T, X))
+                        for d in self.components)
+            share = np.divide(mine, every, out=np.zeros_like(mine),
+                              where=every > 0)
             W = np.outer(gl_w, gl_w) * c.radius ** 2
-            total += float(np.sum(W * np.abs(self(T, X)) ** q))
-        return total ** (1.0 / q)
+            total += float(np.sum(W * share * f ** q))
+        return total if q == np.inf else total ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------
@@ -374,8 +396,8 @@ def covariance_q(z: SpacetimePoint, zp: SpacetimePoint, p: ModelParams,
     The result does not depend on the sign convention (the integrand is
     quadratic in Delta^R).  An empty integration region gives exactly 0.
     """
-    if budget < 1:
-        raise ValueError("budget must be >= 1")
+    if budget < MIN_Q_BUDGET:
+        raise ValueError(f"budget must be >= {MIN_Q_BUDGET}")
     ustar = min(z.t - z.x, zp.t - zp.x)
     vstar = min(z.t + z.x, zp.t + zp.x)
     if 0.5 * (ustar + vstar) <= p.t_switch:
@@ -395,6 +417,8 @@ def covariance_q(z: SpacetimePoint, zp: SpacetimePoint, p: ModelParams,
 # ---------------------------------------------------------------------------
 
 MIN_TABLE_NODES = 4
+MIN_Q_BUDGET = 1
+MIN_SMEARING_NODES = 1  # Gauss-Legendre nodes per axis of weighted_nodes
 INTERP_METHODS = ("linear", "cubic")
 _Q_CHUNK = 8192     # table entries per pool task
 _QTBL_MAGIC = b"QTBL"
@@ -562,15 +586,15 @@ def build_q_table(p: ModelParams, n_t: int = 64, n_x: int = 128,
     return QTable(tgrid, dgrid, values, p, interp_method)
 
 
+def gq_weight_arrays(t, x, p: ModelParams, table: QTable, g: SmearingFunction):
+    """Dressed cutoff g_Q(z) = g(z) exp(-(a^2/2) Q(z, z)) at z = (t, x)."""
+    return g(t, x) * np.exp(-0.5 * p.a ** 2 * table.diag(t, x))
+
+
 def gq_weight(z: SpacetimePoint, p: ModelParams, table: QTable,
               g: SmearingFunction) -> float:
-    """Dressed cutoff g_Q(z) = g(z) exp(-(a^2/2) Q(z, z))."""
-    qzz = float(table.diag(z.t, z.x))
-    return float(g(z.t, z.x)) * float(np.exp(-0.5 * p.a ** 2 * qzz))
-
-
-def gq_weight_arrays(t, x, p: ModelParams, table: QTable, g: SmearingFunction):
-    return g(t, x) * np.exp(-0.5 * p.a ** 2 * table.diag(t, x))
+    """g_Q at the single point z."""
+    return float(gq_weight_arrays(z.t, z.x, p, table, g))
 
 
 # ---------------------------------------------------------------------------
@@ -578,8 +602,7 @@ def gq_weight_arrays(t, x, p: ModelParams, table: QTable, g: SmearingFunction):
 # ---------------------------------------------------------------------------
 
 def difference_kernel(symbol: str, p: ModelParams,
-                      convention: str | None = None,
-                      floor: float = LIGHTCONE_FLOOR) -> Callable:
+                      convention: str | None = None) -> Callable:
     """Vectorized evaluator K(dt, dx) for a translation-invariant kernel.
 
     ``convention`` overrides the params' retarded sign (the symbolic layer
@@ -589,9 +612,9 @@ def difference_kernel(symbol: str, p: ModelParams,
         -1.0 if convention == "paper" else 1.0)
     pp = p if convention is None else p.with_(sign_convention=convention)
     if symbol == "H":
-        return lambda dt, dx: hadamard(dt, dx, pp, floor, check=False)
+        return lambda dt, dx: hadamard(dt, dx, pp, check=False)
     if symbol == "H0":
-        return lambda dt, dx: hadamard_massless(dt, dx, pp.mu_ref, floor, check=False)
+        return lambda dt, dx: hadamard_massless(dt, dx, pp.mu_ref, check=False)
     if symbol == "DeltaR":
         return lambda dt, dx: retarded_massive(dt, dx, pp.m, sign)
     if symbol == "DeltaA":
@@ -599,9 +622,9 @@ def difference_kernel(symbol: str, p: ModelParams,
     if symbol == "Delta":
         return lambda dt, dx: pauli_jordan(dt, dx, pp.m, sign)
     if symbol == "Omega":
-        return lambda dt, dx: wightman(dt, dx, pp, floor, check=False)
+        return lambda dt, dx: wightman(dt, dx, pp, check=False)
     if symbol == "DeltaF":
-        return lambda dt, dx: feynman(dt, dx, pp, floor, check=False)
+        return lambda dt, dx: feynman(dt, dx, pp, check=False)
     if symbol == "DeltaAF":
-        return lambda dt, dx: antifeynman(dt, dx, pp, floor, check=False)
+        return lambda dt, dx: antifeynman(dt, dx, pp, check=False)
     raise KeyError(f"unknown kernel symbol {symbol!r}")

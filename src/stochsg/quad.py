@@ -21,6 +21,7 @@ from .results import QuadResult
 N_SHIFTS = 8
 _KOROBOV_A = 1664525  # odd, so coprime with power-of-two lattice sizes
 MIN_BUDGET = 1 << 10
+_POWER_FLOOR = 1e-10  # smallest |d| the power map samples, over its half
 
 
 @dataclass(frozen=True)
@@ -48,7 +49,6 @@ class IntegrandSpec:
     mu: float = 1.0
     singular_pairs: tuple[SingularPair, ...] = ()
     boxes: tuple[tuple[float, float, float, float], ...] | None = None
-    name: str = ""
 
 
 def _lattice_points(n_points: int, dim: int, shift: np.ndarray) -> np.ndarray:
@@ -62,18 +62,17 @@ def _lattice_points(n_points: int, dim: int, shift: np.ndarray) -> np.ndarray:
     return (pts + shift) % 1.0
 
 
-def _power_map(r: np.ndarray, beta: float, half: float,
-               floor_frac: float = 1e-10):
+def _power_map(r: np.ndarray, beta: float, half: float):
     """Inverse-CDF sample of density c |d|^{-beta} on [-half, half].
 
-    |d| is floored at floor_frac * half so the difference survives the
+    |d| is floored at _POWER_FLOOR * half so the difference survives the
     floating-point addition to the base coordinate; the density is evaluated
-    at the clamped point, leaving a bias of order (floor_frac)^(1-alpha).
+    at the clamped point, leaving a bias of order _POWER_FLOOR^(1-alpha).
     """
     xi = 2.0 * r - 1.0
     sgn = np.where(xi >= 0.0, 1.0, -1.0)
     mag = half * np.abs(xi) ** (1.0 / (1.0 - beta))
-    mag = np.maximum(mag, floor_frac * half)
+    mag = np.maximum(mag, _POWER_FLOOR * half)
     dens = (1.0 - beta) / (2.0 * half ** (1.0 - beta)) * mag ** (-beta)
     return sgn * mag, 1.0 / dens
 
@@ -206,6 +205,5 @@ def smeared_pairing(kernel: Callable, f, fp, budget: int, seed: int) -> QuadResu
             return out.real
         return out
 
-    spec = IntegrandSpec(2, fn, boxes=(box_f, box_fp),
-                         name=f"<{getattr(f, 'name', 'f')},K {getattr(fp, 'name', 'fp')}>")
+    spec = IntegrandSpec(2, fn, boxes=(box_f, box_fp))
     return integrate(spec, budget, seed)

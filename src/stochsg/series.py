@@ -51,14 +51,20 @@ class SeriesCoefficient:
 
 
 class EvalContext:
-    """Binds kernel symbols, the Q table and smearings for evaluation."""
+    """Binds kernel symbols, the Q table and smearings for evaluation.
+
+    Every vertex weight is the smearing named ``interaction``, whatever the
+    vertex's symbolic label; legs are looked up in ``smearings`` by name.
+    """
 
     def __init__(self, params: ker.ModelParams, table: ker.QTable,
                  smearings: dict[str, ker.SmearingFunction],
-                 leg_nodes: int = 24, pair_nodes: int = 24):
+                 leg_nodes: int = 24, pair_nodes: int = 24,
+                 interaction: str = "g"):
         self.params = params
         self.table = table
         self.smearings = smearings
+        self.interaction = interaction
         self.leg_nodes = leg_nodes
         self.pair_nodes = pair_nodes
         self._kernel_cache: dict[str, object] = {}
@@ -86,10 +92,10 @@ class EvalContext:
     # -- pointwise building blocks -----------------------------------------
 
     def smeared_kernel(self, basis: str, leg_name: str, t, x,
-                       vertex_first: bool = True, order: int | None = None):
+                       vertex_first: bool = True):
         """(K f)(z) for a single basis kernel, with z in the first slot when
         vertex_first (else the transposed pairing)."""
-        pts, w = self.nodes(leg_name, order)
+        pts, w = self.nodes(leg_name)
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         if basis == "Q":
@@ -175,9 +181,10 @@ class _BatchCache:
             lambda: self.ctx.smeared_kernel(basis, leg, self.t[:, v],
                                             self.x[:, v], vertex_first))
 
-    def smearing(self, name: str, i: int):
-        return self._memo(("w", name, i), lambda: self.ctx.smearings[name](
-            self.t[:, i], self.x[:, i]))
+    def vertex_weight(self, i: int):
+        """The interaction smearing at vertex i."""
+        g = self.ctx.smearings[self.ctx.interaction]
+        return self._memo(("w", i), lambda: g(self.t[:, i], self.x[:, i]))
 
 
 def _linear(parts, value):
@@ -241,14 +248,14 @@ def _integrand(ctx: EvalContext, term):
         if not term.dressings[i].is_zero():
             dress = (-0.5 * (term.charges[i] * a) ** 2
                      * _q_dressing_weight(term.dressings[i]))
-        vertices.append((i, term.smearings[i], dress))
+        vertices.append((i, dress))
     exp_pairs = [(-term.charges[i] * term.charges[j] * a ** 2, i, j, parts)
                  for i, j, parts in pair_parts]
 
     def fn(cache: _BatchCache):
         out = np.full(cache.t.shape[0], coeff, dtype=complex)
-        for i, smearing, dress in vertices:
-            w = cache.smearing(smearing, i)
+        for i, dress in vertices:
+            w = cache.vertex_weight(i)
             if dress is not None:
                 w = w * np.exp(dress * cache.q_pair(i, i))
             out *= w
@@ -311,65 +318,58 @@ def evaluate_terms(ctx: EvalContext, terms, budget: int, seed: int,
 # public coefficient pipelines
 # ---------------------------------------------------------------------------
 
-def expectation_coefficient(n: int, ctx: EvalContext, leg: str,
-                            budget: int, seed: int) -> SeriesCoefficient:
-    """lambda^n coefficient of E[psi(f)]: Gamma_Q r_{n,1} at phi = 0.
+def _coefficient(n: int, hbar: float, ctx: EvalContext, legs: list[str],
+                 budget: int, seed: int,
+                 p_hat: float = 1.5) -> SeriesCoefficient:
+    """lambda^n coefficient of Gamma_Q R_{n,m} at phi = 0, m = len(legs):
+    its hbar^0 stratum at hbar = 0, all hbar strata at finite hbar.
 
-    Every order is consistent with zero by the phi -> -phi symmetry; the
-    numeric value with its error quantifies that.  Orders beyond
-    ``MAX_ORDER`` are refused: the cost grows with the 2n-dimensional
-    quadrature.
+    Orders beyond ``MAX_ORDER`` are refused: the cost grows with the
+    2n-dimensional quadrature.
     """
     if not 0 <= n <= MAX_ORDER:
         raise ConfigError(f"series order {n} outside [0, {MAX_ORDER}]")
-    if n == 0:
-        return SeriesCoefficient(0, f"expect:{leg}",
-                                 QuadResult(0.0, 0.0, 0, seed), 1, 0.0)
-    terms = alg.classical_term(n, 1, [leg])
+    name = ("expect:" if len(legs) == 1 else "corr:") + ":".join(legs)
+    if hbar == 0.0:
+        terms = alg.classical_term(n, len(legs), legs)
+        res = evaluate_terms(ctx, terms, budget, seed)
+    else:
+        ctx_h = EvalContext(ctx.params.with_(hbar=hbar), ctx.table,
+                            ctx.smearings, ctx.leg_nodes, ctx.pair_nodes,
+                            ctx.interaction)
+        if ctx_h.params.alpha >= 1.0:
+            raise ConfigError(
+                f"alpha = {ctx_h.params.alpha} >= 1: outside the finite "
+                "ultraviolet regime")
+        terms = alg.collected_raw_list(alg.bogoliubov_generators(n, legs))
+        res = evaluate_terms(ctx_h, terms, budget, seed,
+                             singular=n >= 2, p_hat=p_hat)
     pref = ctx.params.lam ** n / math.factorial(n)
-    res = evaluate_terms(ctx, terms, budget, seed).scaled(pref)
-    return SeriesCoefficient(n, f"expect:{leg}", res, len(terms), 0.0)
+    return SeriesCoefficient(n, name, res.scaled(pref), len(terms), hbar)
+
+
+def expectation_coefficient(n: int, ctx: EvalContext, leg: str,
+                            budget: int, seed: int) -> SeriesCoefficient:
+    """lambda^n coefficient of E[psi(f)] (classical strata).
+
+    Every order is consistent with zero by the phi -> -phi symmetry; the
+    numeric value with its error quantifies that.
+    """
+    return _coefficient(n, 0.0, ctx, [leg], budget, seed)
 
 
 def correlation_coefficient(n: int, ctx: EvalContext, leg1: str, leg2: str,
                             budget: int, seed: int) -> SeriesCoefficient:
     """lambda^n coefficient of E[psi(f1) psi(f2)] (classical strata)."""
-    if not 0 <= n <= MAX_ORDER:
-        raise ConfigError(f"series order {n} outside [0, {MAX_ORDER}]")
-    terms = alg.classical_term(n, 2, [leg1, leg2])
-    pref = ctx.params.lam ** n / math.factorial(n)
-    res = evaluate_terms(ctx, terms, budget, seed).scaled(pref)
-    return SeriesCoefficient(n, f"corr:{leg1}:{leg2}", res, len(terms), 0.0)
+    return _coefficient(n, 0.0, ctx, [leg1, leg2], budget, seed)
 
 
 def quantum_coefficient(n: int, hbar: float, ctx: EvalContext,
                         legs: list[str], budget: int, seed: int,
                         p_hat: float = 1.5) -> SeriesCoefficient:
-    """lambda^n coefficient of Gamma_Q R_{n,m} at phi = 0, all hbar strata.
-
-    hbar = 0 falls back exactly to the classical pipeline.
-    """
-    obs = ":".join(legs)
-    kind = "expect" if len(legs) == 1 else "corr"
-    name = f"{kind}:{obs}"
-    if n == 0 and len(legs) == 1:
-        return SeriesCoefficient(0, name, QuadResult(0.0, 0.0, 0, seed), 1, hbar)
-    params_h = ctx.params.with_(hbar=hbar) if hbar > 0 else ctx.params
-    ctx_h = EvalContext(params_h, ctx.table, ctx.smearings,
-                        ctx.leg_nodes, ctx.pair_nodes)
-    if hbar == 0.0:
-        terms = alg.classical_term(n, len(legs), legs)
-        res = evaluate_terms(ctx_h, terms, budget, seed)
-    else:
-        if params_h.alpha >= 1.0:
-            raise ConfigError(
-                f"alpha = {params_h.alpha} >= 1: outside the finite "
-                "ultraviolet regime")
-        terms = alg.collected_raw_list(alg.bogoliubov_generators(n, legs, True))
-        res = evaluate_terms(ctx_h, terms, budget, seed,
-                             singular=n >= 2, p_hat=p_hat)
-    pref = ctx.params.lam ** n / math.factorial(n)
-    return SeriesCoefficient(n, name, res.scaled(pref), len(terms), hbar)
+    """lambda^n coefficient of Gamma_Q R_{n,m} at phi = 0, all hbar strata;
+    hbar = 0 is the classical coefficient."""
+    return _coefficient(n, hbar, ctx, legs, budget, seed, p_hat)
 
 
 def order1_correction_oracle(ctx: EvalContext, leg1: str, leg2: str,
@@ -396,25 +396,20 @@ def order1_correction_oracle(ctx: EvalContext, leg1: str, leg2: str,
         vals = ret(pts[None, :, 0] - t[..., None], pts[None, :, 1] - x[..., None])
         return np.sum(w * vals, axis=-1)
 
-    def smeared_q(leg_name, t, x):
-        pts, w = ctx.nodes(leg_name)
-        vals = ctx.table.interp(t[..., None], x[..., None],
-                                pts[None, :, 0], pts[None, :, 1])
-        return np.sum(w * vals, axis=-1)
-
     def fn(pts):
         t, x = pts[:, 0, 0], pts[:, 0, 1]
-        gq = g(t, x) * np.exp(-0.5 * p.a ** 2 * ctx.table.diag(t, x))
+        gq = ker.gq_weight_arrays(t, x, p, ctx.table, g)
         live = gq != 0.0
         out = np.zeros(t.shape)
         if np.any(live):
             tt, xx = t[live], x[live]
-            term = (smeared_q(leg1, tt, xx) * smeared_adv(leg2, tt, xx)
-                    + smeared_q(leg2, tt, xx) * smeared_adv(leg1, tt, xx))
+            q1, q2 = (ctx.smeared_kernel("Q", l, tt, xx) for l in (leg1, leg2))
+            term = (q1 * smeared_adv(leg2, tt, xx)
+                    + q2 * smeared_adv(leg1, tt, xx))
             out[live] = s * p.a ** 2 * gq[live] * term
         return out
 
-    spec = qd.IntegrandSpec(1, fn, mu=p.mu, name="order1-oracle")
+    spec = qd.IntegrandSpec(1, fn, mu=p.mu)
     return qd.integrate(spec, budget, seed).scaled(p.lam)
 
 
@@ -426,8 +421,8 @@ def modified_test_function(ctx: EvalContext, leg_name: str,
     p = ctx.params
 
     def fn(t, x):
-        gq = g(t, x) * np.exp(-0.5 * p.a ** 2 * ctx.table.diag(t, x))
-        return gq * ctx.smeared_expr(expr, leg_name, t, x, True)
+        return (ker.gq_weight_arrays(t, x, p, ctx.table, g)
+                * ctx.smeared_expr(expr, leg_name, t, x, True))
 
     return fn
 
@@ -447,12 +442,11 @@ def field_term_magnitude(ctx: EvalContext, n: int, which: str, leg: str,
                          budget: int, seed: int) -> QuadResult:
     """|(i lambda/hbar)^n J_n| (resp. M_n) evaluated at phi = 0."""
     if which == "J":
-        graphs = alg.interacting_field_term_J(n, leg)
+        gens = alg.interacting_field_term_J(n, leg)
     elif which == "M":
-        graphs = alg.interacting_field_term_M(n, leg)
+        gens = alg.interacting_field_term_M(n, leg)
     else:
         raise ValueError("which must be 'J' or 'M'")
-    gens = [t.payload for t in graphs]
     res = evaluate_terms(ctx, gens, budget, seed, singular=n >= 2)
     val = complex(res.value) * ctx.params.lam ** n
     return QuadResult(abs(val), res.error * ctx.params.lam ** n,

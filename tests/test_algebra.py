@@ -208,7 +208,7 @@ class TestBogoliubov:
     def test_r01_is_free_leg(self):
         graphs = A.bogoliubov_terms(0, 1, ["f"])
         assert len(graphs) == 1
-        g = graphs[0].payload
+        g = graphs[0]
         assert g.free_legs == ("f",) and g.n_vertices == 0
 
     def test_weight_identity(self):
@@ -222,10 +222,10 @@ class TestBogoliubov:
         M = A.interacting_field_term_M(1, "f")
         assert len(J) == 2 and len(M) == 2  # one per charge sector
         for t in J:
-            (v, e, l, vf), = t.payload.attached
+            (v, e, l, vf), = t.attached
             assert e == A.KE_Q_OMEGA
         for t in M:
-            (v, e, l, vf), = t.payload.attached
+            (v, e, l, vf), = t.attached
             assert e == A.KE_Q_F
 
     def test_j_weight_vanishes_at_zero_order(self):
@@ -289,7 +289,7 @@ class TestGrading:
     def test_hbar_grade_through_term_graphs(self):
         # undeformed R_{1,1}: prefactor hbar^-1, leg attachment hbar^1
         for t in A.bogoliubov_terms(1, 1, ["f"], deform_q=False):
-            if not t.payload.free_legs:
+            if not t.free_legs:
                 assert A.hbar_grade(t) == 0
 
     def test_hbar_grade_examples(self):

@@ -1,3 +1,4 @@
+import csv
 import hashlib
 import json
 import os
@@ -124,6 +125,19 @@ class TestConfigRanges:
         ("coeff", None, "orders", [-1]),
         ("bounds", "bounds", "orders", [-1]),
         ("expand", "expand", "order", -1),
+        # values the numeric layers refused mid-run or took silently
+        ("compute-q", "qtable", "budget", -1),
+        ("corr", "quad", "leg_nodes", 0),
+        ("corr", "quad", "pair_nodes", 0),
+        ("mc", "mc", "dt", 0.0),
+        ("mc", "mc", "dt", -0.02),
+        ("mc", "mc", "pad", -0.1),
+        ("bounds", "bounds", "p_hat", 0.5),
+        ("corr", "smearings", "f1",
+         [{"center": [0.35, -0.25], "radius": 0.0, "amplitude": 1.0}]),
+        ("corr", "smearings", "f1",
+         [{"center": [0.35, -0.25], "radius": -0.18, "amplitude": 1.0}]),
+        ("corr", None, "quantum_hbars", [-0.1]),
     ])
     def test_out_of_range_is_config_error(self, tmp_path, command, section,
                                           key, value):
@@ -134,6 +148,12 @@ class TestConfigRanges:
         path.write_text(json.dumps(bad))
         res = _run([command, "--config", str(path), "--out", str(tmp_path)])
         assert res.exit_code == 1
+
+    def test_quantum_hbars_need_an_order(self, tmp_path):
+        bad = _mutated(None, "orders", [])
+        bad["quantum_hbars"] = [0.1]
+        with pytest.raises(ConfigError):
+            parse_config(bad)
 
     @pytest.mark.parametrize("command,orders", [
         (["coeff"], [4]),
@@ -207,6 +227,59 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         text = (out / f"expand_order2_{obs}.json").read_bytes()
         assert hashlib.sha256(text).hexdigest() == sha256
+
+    # sha256 of each output on BASE_CONFIG with quantum_hbars [0.1],
+    # recorded before the coefficient pipelines were folded into one routine
+    PINNED_OUTPUTS = {
+        "expectation.csv":
+        "3c381b767d7854126f3a4a81b82bd008cdba6feeb843fcd5c9607a1239763308",
+        "correlation.csv":
+        "b86a9f9396040b6b92bbe2deba25d8ed7197e466ec06ca50e49c64f361998472",
+        "mc.csv":
+        "a73bd4cd1bf2247ef2ed4191dd7d524c2287c6647716d0a461715dea46e3fdb2",
+        "bounds.csv":
+        "c696e0cd8f0e03bb15f5f7596ea0d60e5060cc03e27f9a7ad801abd153a4c11f",
+        "bounds.json":
+        "329065d2fe84f353bbdb48340c4a1678413617503e7dcccecf6e6d534e2e9e71",
+        "compare.csv":
+        "ac164e4cc3cc16857876ebcd89dc8f12b438bad1bfdaaf4c8cd7e0b21b9cc738",
+    }
+
+    def test_outputs_pinned(self, tmp_path):
+        cfg = tmp_path / "quantum.json"
+        cfg.write_text(json.dumps(_mutated(None, "quantum_hbars", [0.1])))
+        out = tmp_path / "out"
+        for cmd in ("compute-q", "coeff", "corr", "mc", "bounds", "compare"):
+            res = _run([cmd, "--config", str(cfg), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.PINNED_OUTPUTS}
+        assert digests == self.PINNED_OUTPUTS
+
+    @pytest.mark.parametrize("leg2", ["f2", "g"])
+    def test_interaction_is_bound_by_name(self, workdir, leg2):
+        # the interaction renamed "w"; with leg2 "g" a leg takes its old name
+        tmp, cfg = workdir
+        renamed = json.loads(json.dumps(BASE_CONFIG))
+        sm = renamed["smearings"]
+        sm["w"], sm[leg2] = sm.pop("g"), sm.pop("f2")
+        renamed["interaction"] = "w"
+        renamed["observables"][0]["legs"] = ["f1", leg2]
+        path = tmp / "renamed.json"
+        path.write_text(json.dumps(renamed))
+        columns = ("order", "value_re", "value_im", "error", "hbar")
+        tables = []
+        for config, out in ((cfg, tmp / "orig"), (str(path), tmp / "ren")):
+            for cmd in ("coeff", "corr", "bounds"):
+                res = _run([cmd, "--config", config, "--out", str(out)])
+                assert res.exit_code == 0, res.output
+            rows = []
+            for name in ("expectation.csv", "correlation.csv"):
+                with open(out / name, newline="") as fh:
+                    rows += [[r[c] for c in columns]
+                             for r in csv.DictReader(fh)]
+            tables.append((rows, (out / "bounds.csv").read_bytes()))
+        assert tables[0] == tables[1]
 
     def test_determinism_byte_identical(self, workdir):
         tmp, cfg = workdir

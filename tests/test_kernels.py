@@ -359,6 +359,16 @@ class TestSmearing:
         assert f.norm_lq(1.0) == pytest.approx(f.integral(), rel=1e-9)
         assert f.norm_lq(2.0) > 0
 
+    def test_norm_of_coincident_bumps(self):
+        f = SmearingFunction.bump(0.1, -0.2, 0.4)
+        twice = SmearingFunction(f.components * 2)
+        assert twice.norm_lq(3.0) / f.norm_lq(3.0) == pytest.approx(2.0,
+                                                                    rel=1e-9)
+
+    def test_sup_norm(self):
+        f = SmearingFunction.bump(0.0, 0.0, 0.5, amplitude=2.0)
+        assert f.norm_lq(float("inf")) == 2.0
+
     def test_inside_diamond(self):
         assert SmearingFunction.bump(0.0, 0.0, 0.5).inside_diamond(1.0)
         assert not SmearingFunction.bump(0.5, 0.0, 0.5).inside_diamond(1.0)
