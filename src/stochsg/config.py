@@ -251,10 +251,25 @@ def parse_config(doc: dict) -> RunConfig:
     cfg = RunConfig(params, smearings, interaction, qtable, quadc, mcc,
                     boundsc, orders, tuple(observables), expandc, hbars)
     for h in hbars:
-        test = params.with_(hbar=h) if h > 0 else params
-        if h > 0 and test.alpha >= 1.0:
+        alpha = params.with_(hbar=h).alpha
+        if h > 0 and alpha >= 1.0:
             raise ConfigError(f"quantum hbar = {h} gives alpha = "
-                              f"{test.alpha} >= 1")
-    if boundsc.orders and params.hbar > 0 and params.alpha >= 1.0:
-        raise ConfigError(f"bounds requested with alpha = {params.alpha} >= 1")
+                              f"{alpha} >= 1")
+        # orders >= 2 integrate the |z^2|^(-alpha) pair with exponent
+        # alpha * p_hat, which the quadrature needs below 1
+        if max(orders) >= 2 and _outside_p_range(alpha, quadc.p_hat):
+            raise ConfigError(f"quad.p_hat = {quadc.p_hat} >= 1/alpha = "
+                              f"{1.0 / alpha} at quantum hbar = {h}")
+    if boundsc.orders and params.hbar > 0:
+        if params.alpha >= 1.0:
+            raise ConfigError(
+                f"bounds requested with alpha = {params.alpha} >= 1")
+        if _outside_p_range(params.alpha, boundsc.p_hat):
+            raise ConfigError(f"bounds.p_hat = {boundsc.p_hat} >= 1/alpha = "
+                              f"{1.0 / params.alpha}")
     return cfg
+
+
+def _outside_p_range(alpha: float, p_hat: float) -> bool:
+    """p_hat >= 1/alpha, in both of the forms the numeric layers test."""
+    return alpha > 0 and (p_hat >= 1.0 / alpha or alpha * p_hat >= 1.0)

@@ -427,6 +427,24 @@ _QTBL_HEAD = 20 + 72    # "<4sIIII" header, then nine float64 parameters
 _SIGN_CODE = {"paper": 0.0, "green": 1.0}
 
 
+def _spline_coeffs(values: np.ndarray, order: int) -> np.ndarray:
+    """Prefiltered tensor B-spline coefficients of gridded values."""
+    if order == 1:
+        return values
+    return ndimage.spline_filter(values, order=order, mode="mirror")
+
+
+def _spline_read(coeffs: np.ndarray, coords, order: int) -> np.ndarray:
+    """The spline with prefiltered ``coeffs`` at fractional grid
+    coordinates, one array per axis, each clipped to the grid."""
+    coords = np.stack([np.clip(c, 0, n - 1)
+                       for c, n in zip(coords, coeffs.shape)])
+    shape = coords.shape[1:]
+    out = ndimage.map_coordinates(coeffs, coords.reshape(len(coords), -1),
+                                  order=order, mode="mirror", prefilter=False)
+    return out.reshape(shape)
+
+
 @dataclass
 class QTable:
     """Q tabulated on (t, t', x - x') over D_mu x D_mu.
@@ -445,16 +463,12 @@ class QTable:
     _coeffs: np.ndarray | None = field(default=None, repr=False)
 
     @property
-    def _order(self) -> int:
+    def spline_order(self) -> int:
         return 1 if self.interp_method == "linear" else 3
 
     def _spline_coeffs(self) -> np.ndarray:
         if self._coeffs is None:
-            if self._order == 1:
-                self._coeffs = self.values
-            else:
-                self._coeffs = ndimage.spline_filter(
-                    self.values, order=3, mode="mirror")
+            self._coeffs = _spline_coeffs(self.values, self.spline_order)
         return self._coeffs
 
     def interp(self, t, x, tp, xp):
@@ -472,15 +486,8 @@ class QTable:
                 or np.any(jt < -eps) or np.any(jt > len(tg) - 1 + eps)
                 or np.any(kd < -eps) or np.any(kd > len(dg) - 1 + eps)):
             raise OutOfDomain("Q table query outside the tabulated box")
-        coords = np.stack([np.clip(it, 0, len(tg) - 1),
-                           np.clip(jt, 0, len(tg) - 1),
-                           np.clip(kd, 0, len(dg) - 1)])
-        shape = coords.shape[1:]
-        out = ndimage.map_coordinates(self._spline_coeffs(),
-                                      coords.reshape(3, -1),
-                                      order=self._order, mode="mirror",
-                                      prefilter=False)
-        return out.reshape(shape)
+        return _spline_read(self._spline_coeffs(), (it, jt, kd),
+                            self.spline_order)
 
     def diag(self, t, x):
         return self.interp(t, x, t, x)
@@ -532,6 +539,69 @@ class QTable:
             raise QTableFormatError(f"{path}: {exc}") from exc
         return QTable(tgrid, dgrid, vals, params,
                       "linear" if interp_code == 0 else "cubic")
+
+
+FIELD_NODES = 65    # grid nodes per axis of a tabulated field (odd)
+FIELD_PAD = 3       # grid cells between the tabulated box and each edge
+FIELD_REACH = 2     # grid cells around the nearest node that bound() covers
+
+
+@dataclass(frozen=True, eq=False)
+class FieldTable:
+    """A function of z = (t, x) on a uniform grid, read back by a tensor
+    B-spline of the given order; queries are clipped to the grid.
+
+    Its error comes from two resolutions: the spline through every node
+    (fine) and the one through every other node (coarse).  ``delta`` is the
+    largest |fine - coarse| over the live grid nodes.  ``bound(t, x)`` is
+    the local version: the largest |fine - coarse| over the nodes within
+    FIELD_REACH cells of the node nearest z, which covers the coarse cell
+    around z.
+    """
+
+    origin: tuple[float, float]
+    step: tuple[float, float]
+    coeffs: np.ndarray
+    order: int
+    delta: float
+    local: np.ndarray = field(repr=False)
+
+    def _coords(self, t, x):
+        return ((np.asarray(t) - self.origin[0]) / self.step[0],
+                (np.asarray(x) - self.origin[1]) / self.step[1])
+
+    def __call__(self, t, x):
+        return _spline_read(self.coeffs, self._coords(t, x), self.order)
+
+    def bound(self, t, x):
+        return _spline_read(self.local, self._coords(t, x), 0)
+
+
+def tabulate_field(fn, box: tuple[float, float, float, float], live,
+                   order: int, batch: int) -> FieldTable:
+    """Tabulate fn(t, x) over box = (tmin, tmax, xmin, xmax), padded by
+    FIELD_PAD cells per side, so that the first-order accurate edge cells of
+    the mirror-boundary spline lie outside the box.  fn is evaluated on at
+    most ``batch`` nodes at a time; ``live(t, x) > 0`` marks the nodes that
+    enter ``delta``."""
+    cells = FIELD_NODES - 1 - 2 * FIELD_PAD
+    k = np.arange(-FIELD_PAD, FIELD_NODES - FIELD_PAD)
+    st = (box[1] - box[0]) / cells
+    sx = (box[3] - box[2]) / cells
+    T, X = np.meshgrid(box[0] + st * k, box[2] + sx * k, indexing="ij")
+    t, x = T.ravel(), X.ravel()
+    vals = np.concatenate([fn(t[lo:lo + batch], x[lo:lo + batch])
+                           for lo in range(0, t.size, batch)]).reshape(T.shape)
+    half = np.arange(FIELD_NODES) / 2.0
+    I, J = np.meshgrid(half, half, indexing="ij")
+    coarse = _spline_read(_spline_coeffs(vals[::2, ::2], order), (I, J), order)
+    diff = np.abs(vals - coarse)
+    return FieldTable(
+        (box[0] - FIELD_PAD * st, box[2] - FIELD_PAD * sx), (st, sx),
+        _spline_coeffs(vals, order), order,
+        float(np.max(diff[live(T, X) > 0], initial=0.0)),
+        ndimage.maximum_filter(diff, size=2 * FIELD_REACH + 1,
+                               mode="nearest"))
 
 
 def worker_count() -> int:

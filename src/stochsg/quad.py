@@ -38,9 +38,11 @@ class IntegrandSpec:
     """Integrand over n 2D vertices.
 
     ``fn`` receives points of shape (N, n, 2) in (t, x) coordinates and
-    returns values of shape (N,).  With ``boxes`` unset each vertex ranges
-    over the diamond D_mu (sampled in null coordinates, Jacobian 1/2 per
-    vertex); otherwise vertex k ranges uniformly over boxes[k] =
+    returns values of shape (N,), or a pair (values, envelope) whose
+    envelope bounds the error of each value; the integral of the envelope
+    is then added to the reported error.  With ``boxes`` unset each vertex
+    ranges over the diamond D_mu (sampled in null coordinates, Jacobian 1/2
+    per vertex); otherwise vertex k ranges uniformly over boxes[k] =
     (tmin, tmax, xmin, xmax).
     """
 
@@ -129,14 +131,21 @@ def _map_points(r: np.ndarray, spec: IntegrandSpec, p_hat: float):
 
 
 def _run_lattice(spec: IntegrandSpec, n_points: int, shifts: np.ndarray,
-                 p_hat: float) -> tuple[np.ndarray, np.ndarray]:
+                 p_hat: float, envelopes: list | None = None
+                 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-shift means over the n_points lattice and over its even-indexed
-    points, which form the embedded n_points/2 lattice exactly."""
+    points, which form the embedded n_points/2 lattice exactly.  The
+    per-shift means of an integrand's envelope go to ``envelopes``."""
     means, halves = [], []
     for s in range(shifts.shape[0]):
         r = _lattice_points(n_points, 2 * spec.n_vertices, shifts[s])
         pts, w = _map_points(r, spec, p_hat)
-        vals = np.asarray(spec.fn(pts)) * w
+        out = spec.fn(pts)
+        if isinstance(out, tuple):
+            out, env = out
+            if envelopes is not None:
+                envelopes.append(float(np.sum(env * w)) / n_points)
+        vals = np.asarray(out) * w
         means.append(np.sum(vals) / n_points)
         halves.append(np.sum(vals[::2]) / (n_points // 2))
     return np.asarray(means), np.asarray(halves)
@@ -168,7 +177,8 @@ def integrate(spec: IntegrandSpec, budget: int, seed: int,
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     shifts = rng.random((N_SHIFTS, 2 * spec.n_vertices))
 
-    means, halves = _run_lattice(spec, n_points, shifts, p_hat)
+    envelopes: list[float] = []
+    means, halves = _run_lattice(spec, n_points, shifts, p_hat, envelopes)
     value = complex(np.mean(means))
     err = _replicate_error(means)
     if np.isrealobj(means) or abs(value.imag) == 0.0:
@@ -179,7 +189,8 @@ def integrate(spec: IntegrandSpec, budget: int, seed: int,
         if err > 4.0 * err_half and err > 1e-12 * (abs(value) + 1e-300):
             raise SingularityBudgetExceeded(
                 f"error grew from {err_half:g} to {err:g} under doubling")
-    return QuadResult(value, err, n_points * N_SHIFTS, seed)
+    return QuadResult(value, err + sum(envelopes) / N_SHIFTS,
+                      n_points * N_SHIFTS, seed)
 
 
 def smeared_pairing(kernel: Callable, f, fp, budget: int, seed: int) -> QuadResult:

@@ -55,6 +55,9 @@ class EvalContext:
 
     Every vertex weight is the smearing named ``interaction``, whatever the
     vertex's symbolic label; legs are looked up in ``smearings`` by name.
+    Since every vertex carries that weight, a Q-smeared leg field at a
+    vertex is read from a table over the interaction's support
+    (``field_table``).
     """
 
     def __init__(self, params: ker.ModelParams, table: ker.QTable,
@@ -69,6 +72,19 @@ class EvalContext:
         self.pair_nodes = pair_nodes
         self._kernel_cache: dict[str, object] = {}
         self._node_cache: dict[tuple[str, int], tuple] = {}
+        self._field_tables: dict[str, ker.FieldTable] = {}
+        self._pairs: dict[tuple[str, str, str], QuadResult] = {}
+
+    def with_hbar(self, hbar: float) -> "EvalContext":
+        """This context at another hbar.  It shares the leg nodes, the field
+        tables and the scalar-pair memo, none of which depends on hbar."""
+        ctx = EvalContext(self.params.with_(hbar=hbar), self.table,
+                          self.smearings, self.leg_nodes, self.pair_nodes,
+                          self.interaction)
+        ctx._node_cache = self._node_cache
+        ctx._field_tables = self._field_tables
+        ctx._pairs = self._pairs
+        return ctx
 
     def kernel(self, basis: str):
         if basis == "Q":
@@ -111,6 +127,19 @@ class EvalContext:
                           pts[None, :, 1] - x[..., None])
         return np.sum(w * vals, axis=-1)
 
+    def field_table(self, leg_name: str) -> ker.FieldTable:
+        """(Q f)(z) of a leg, tabulated once over the interaction's support
+        box from the direct sums of smeared_kernel, one quadrature batch of
+        grid nodes at a time."""
+        tab = self._field_tables.get(leg_name)
+        if tab is None:
+            g = self.smearings[self.interaction]
+            tab = ker.tabulate_field(
+                lambda t, x: self.smeared_kernel("Q", leg_name, t, x),
+                g.support_box(), g, self.table.spline_order, qd.MIN_BUDGET)
+            self._field_tables[leg_name] = tab
+        return tab
+
     def smeared_expr(self, expr: KernelExpr, leg_name: str, t, x,
                      vertex_first: bool = True):
         """(E f)(z) for a kernel expression, hbar powers included."""
@@ -119,7 +148,12 @@ class EvalContext:
                                                      vertex_first))
 
     def scalar_pair(self, basis: str, p_name: str, q_name: str) -> QuadResult:
-        """<f_p, K f_q> by tensor Gauss-Legendre with a two-resolution error."""
+        """<f_p, K f_q> by tensor Gauss-Legendre with a two-resolution error,
+        computed once per (basis, p, q)."""
+        key = (basis, p_name, q_name)
+        if key in self._pairs:
+            return self._pairs[key]
+
         def val(order):
             ppts, pw = self.nodes(p_name, order)
             qpts, qw = self.nodes(q_name, order)
@@ -134,7 +168,9 @@ class EvalContext:
         fine = val(2 * self.pair_nodes)
         coarse = val(self.pair_nodes)
         err = abs(fine - coarse) + 1e-15 * abs(fine)
-        return QuadResult(fine, err, (2 * self.pair_nodes) ** 2)
+        res = self._pairs[key] = QuadResult(fine, err,
+                                            (2 * self.pair_nodes) ** 2)
+        return res
 
 def _q_dressing_weight(expr: KernelExpr) -> float:
     """Real Q coefficient of a dressing exponent (only Q dressings occur)."""
@@ -150,7 +186,9 @@ class _BatchCache:
     """Memoizes table lookups and smeared fields within one point batch.
 
     Terms of a summed integrand share vertices, so the diagonal Q values,
-    pair Q values and smeared leg fields are computed once per batch.
+    pair Q values and smeared leg fields are computed once per batch.  Q
+    fields are read from the context's field tables; the discontinuous
+    retarded and the Hadamard fields are direct node sums.
     """
 
     def __init__(self, ctx: EvalContext, pts: np.ndarray):
@@ -176,10 +214,17 @@ class _BatchCache:
                                            self.x[:, i] - self.x[:, j]))
 
     def smeared(self, basis: str, leg: str, v: int, vertex_first: bool):
-        return self._memo(
-            ("smear", basis, leg, v, vertex_first),
-            lambda: self.ctx.smeared_kernel(basis, leg, self.t[:, v],
-                                            self.x[:, v], vertex_first))
+        def compute():
+            if basis == "Q":
+                return self.ctx.field_table(leg)(self.t[:, v], self.x[:, v])
+            return self.ctx.smeared_kernel(basis, leg, self.t[:, v],
+                                           self.x[:, v], vertex_first)
+        return self._memo(("smear", basis, leg, v, vertex_first), compute)
+
+    def field_bound(self, leg: str, v: int):
+        """Local error bound of the tabulated Q field of a leg at vertex v."""
+        return self._memo(("bound", leg, v), lambda: self.ctx.field_table(
+            leg).bound(self.t[:, v], self.x[:, v]))
 
     def vertex_weight(self, i: int):
         """The interaction smearing at vertex i."""
@@ -203,16 +248,23 @@ def _weighted(expr: KernelExpr, hbar: float):
 
 
 def _integrand(ctx: EvalContext, term):
-    """Integrand of one Generator or ExpandedTerm: (coeff, rel_err, fn).
+    """Integrand ``fn(cache)`` of one Generator or ExpandedTerm.
 
     The term is turned once into weighted factor lists: vertex weights,
-    exponentiated pairs, edge powers and attached smeared kernels for
-    ``fn(cache)``, and scalar pairs, whose product (relative error
-    ``rel_err``) is folded into the complex prefactor ``coeff``.  An
+    exponentiated pairs, edge powers and attached smeared kernels, and
+    scalar pairs, whose product is folded into the complex prefactor.  An
     ExpandedTerm carries single unit-weight kernels (hbar powers and
     coefficients are in its prefactor); a Generator carries the kernel
     expressions of finite hbar, over the real basis except in its pair
     exponents.
+
+    Scalar pairs and tabulated Q fields carry an error estimate.  fn returns
+    (values, derivatives, higher): ``derivatives`` lists (key, delta,
+    d values / d factor) for each such factor, keyed by what shares its
+    error (the pair, or the leg field at a vertex), so that terms sharing a
+    factor add their derivatives before the bound delta applies; ``higher``
+    bounds the products of two or more such errors.  A term without such a
+    factor returns ((), 0.0).
     """
     p = ctx.params
     a = p.a
@@ -231,16 +283,22 @@ def _integrand(ctx: EvalContext, term):
         scalars = [(pn, qn, _weighted(e.real_basis(), p.hbar))
                    for e, pn, qn in term.scalar_pairs]
 
-    scalar = 1.0 + 0.0j
-    rel_err = 0.0
+    def unit(w):
+        return 1.0 if w is None else w
+
+    rest = term.coeff.value(p.a, p.hbar, p.lam)
+    coeff = rest
+    constants = []  # (scalar value, its error parts (key, weight, delta))
     for pn, qn, parts in scalars:
-        pairs = [(w, ctx.scalar_pair(b, pn, qn)) for w, b in parts]
-        value = _linear(pairs, lambda r: complex(r.value))
-        err = sum(r.error if w is None else abs(w) * r.error
-                  for w, r in pairs)
-        scalar *= value
-        rel_err += err / max(abs(value), 1e-300)
-    coeff = term.coeff.value(p.a, p.hbar, p.lam) * scalar
+        pairs = [(w, b, ctx.scalar_pair(b, pn, qn)) for w, b in parts]
+        value = _linear([(w, r) for w, b, r in pairs],
+                        lambda r: complex(r.value))
+        coeff *= value
+        constants.append((value, [(("pair", b, pn, qn), unit(w), r.error)
+                                  for w, b, r in pairs]))
+    # the weights of the tabulated Q field in each attached factor
+    attached = [(v, l, vf, parts, [unit(w) for w, b in parts if b == "Q"])
+                for v, l, vf, parts in attached]
 
     vertices = []
     for i in range(term.n_vertices):
@@ -253,33 +311,69 @@ def _integrand(ctx: EvalContext, term):
                  for i, j, parts in pair_parts]
 
     def fn(cache: _BatchCache):
-        out = np.full(cache.t.shape[0], coeff, dtype=complex)
+        factors = []    # (pointwise value, its error parts)
         for i, dress in vertices:
             w = cache.vertex_weight(i)
             if dress is not None:
                 w = w * np.exp(dress * cache.q_pair(i, i))
-            out *= w
+            factors.append((w, ()))
         for scale, i, j, parts in exp_pairs:
-            out *= np.exp(scale * _linear(
+            factors.append((np.exp(scale * _linear(
                 parts, lambda b: cache.q_pair(i, j) if b == "Q"
-                else cache.edge(b, i, j)))
+                else cache.edge(b, i, j))), ()))
         for i, j, b, h, pw in edges:
-            out *= cache.edge(b, i, j) ** pw
-        for v, l, vf, parts in attached:
-            out *= _linear(parts, lambda b: cache.smeared(b, l, v, vf))
-        return out
+            factors.append((cache.edge(b, i, j) ** pw, ()))
+        for v, l, vf, parts, qw in attached:
+            errs = ()
+            if qw:
+                errs = [(("field", l, v), sum(qw), cache.field_bound(l, v))]
+            factors.append((_linear(
+                parts, lambda b: cache.smeared(b, l, v, vf)), errs))
+        out = np.full(cache.t.shape[0], coeff, dtype=complex)
+        for f, _ in factors:
+            out *= f
+        every = constants + factors
+        if not any(errs for _, errs in every):
+            return out, (), 0.0
+        derivatives = []
+        for k, (_, errs) in enumerate(every):
+            if errs:
+                others = rest
+                for j, (f, _) in enumerate(every):
+                    if j != k:
+                        others = others * f
+                derivatives += [(key, delta, w * others)
+                                for key, w, delta in errs]
+        # none, exactly one and at least two of the errors, in magnitude
+        c0, c1, c2 = abs(rest), 0.0, 0.0
+        for f, errs in every:
+            m = np.abs(f)
+            d = sum(abs(w) * delta for _, w, delta in errs)
+            c0, c1, c2 = c0 * m, c1 * m + c0 * d, c2 * (m + d) + c1 * d
+        return out, derivatives, c2
 
-    return coeff, rel_err, fn
+    return fn
 
 
 def _sum_spec(ctx: EvalContext, integrands, n_vertices: int,
               singular: bool) -> qd.IntegrandSpec:
+    """The summed integrand of terms with n_vertices vertices.  Its envelope
+    is the first-order error sum_key delta |sum of the derivatives| plus
+    the higher-order bounds."""
     def fn(pts):
         cache = _BatchCache(ctx, pts)
         total = np.zeros(pts.shape[0], dtype=complex)
+        envelope = np.zeros(pts.shape[0])
+        derivatives: dict[tuple, list] = {}
         for g in integrands:
-            total = total + g(cache)
-        return total
+            out, parts, higher = g(cache)
+            total = total + out
+            for key, delta, d in parts:
+                derivatives.setdefault(key, [delta, 0.0])[1] += d
+            envelope += higher
+        for delta, d in derivatives.values():
+            envelope += delta * np.abs(d)
+        return total, envelope
     pairs = ()
     if singular and n_vertices >= 2:
         pairs = (qd.SingularPair(0, 1, ctx.params.alpha),)
@@ -289,25 +383,24 @@ def _sum_spec(ctx: EvalContext, integrands, n_vertices: int,
 
 def evaluate_terms(ctx: EvalContext, terms, budget: int, seed: int,
                    singular: bool = False, p_hat: float = 1.5) -> QuadResult:
-    """phi = 0 value of a sum of terms: free-leg terms drop, vertex-free
-    terms contribute their exact scalar value, the rest are integrated as a
-    single summed integrand per vertex count."""
-    const_val = 0.0 + 0.0j
-    const_err = 0.0
+    """phi = 0 value of a sum of terms: free-leg terms drop, the rest are
+    summed into one integrand per vertex count.  Vertex-free terms are that
+    integrand at a single (empty) point; the others are integrated.  The
+    error adds the envelope of the factors that carry an error estimate
+    (see _integrand) to the quadrature error."""
     by_n: dict[int, list] = {}
     for term in terms:
-        if term.free_legs:
-            continue
-        coeff, rel_err, fn = _integrand(ctx, term)
-        if term.n_vertices == 0:
-            const_val += coeff
-            const_err += abs(coeff) * rel_err
-        else:
-            by_n.setdefault(term.n_vertices, []).append(fn)
-    total = QuadResult(const_val, const_err, 0, seed)
+        if not term.free_legs:
+            by_n.setdefault(term.n_vertices, []).append(_integrand(ctx, term))
+    total = QuadResult(0.0 + 0.0j, 0.0, 0, seed)
     for n, fns in sorted(by_n.items()):
         spec = _sum_spec(ctx, fns, n, singular)
-        total = total + qd.integrate(spec, budget, seed, p_hat)
+        if n == 0:
+            value, envelope = spec.fn(np.zeros((1, 0, 2)))
+            total = total + QuadResult(complex(value[0]), float(envelope[0]),
+                                       0, seed)
+        else:
+            total = total + qd.integrate(spec, budget, seed, p_hat)
     if abs(complex(total.value).imag) == 0.0:
         total = QuadResult(complex(total.value).real, total.error,
                            total.samples, seed)
@@ -334,9 +427,7 @@ def _coefficient(n: int, hbar: float, ctx: EvalContext, legs: list[str],
         terms = alg.classical_term(n, len(legs), legs)
         res = evaluate_terms(ctx, terms, budget, seed)
     else:
-        ctx_h = EvalContext(ctx.params.with_(hbar=hbar), ctx.table,
-                            ctx.smearings, ctx.leg_nodes, ctx.pair_nodes,
-                            ctx.interaction)
+        ctx_h = ctx.with_hbar(hbar)
         if ctx_h.params.alpha >= 1.0:
             raise ConfigError(
                 f"alpha = {ctx_h.params.alpha} >= 1: outside the finite "

@@ -1,6 +1,7 @@
 import csv
 import hashlib
 import json
+import math
 import os
 
 import pytest
@@ -138,6 +139,9 @@ class TestConfigRanges:
         ("corr", "smearings", "f1",
          [{"center": [0.35, -0.25], "radius": -0.18, "amplitude": 1.0}]),
         ("corr", None, "quantum_hbars", [-0.1]),
+        # p_hat at or above 1/alpha = 4 pi / (a^2 hbar), 125.66 here
+        ("bounds", "bounds", "p_hat", 200.0),
+        ("bounds", "bounds", "p_hat", 4.0 * math.pi / 0.1),
     ])
     def test_out_of_range_is_config_error(self, tmp_path, command, section,
                                           key, value):
@@ -148,6 +152,20 @@ class TestConfigRanges:
         path.write_text(json.dumps(bad))
         res = _run([command, "--config", str(path), "--out", str(tmp_path)])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("command", ["coeff", "corr"])
+    def test_quantum_p_hat_is_config_error(self, tmp_path, command):
+        # order 2 at hbar = 10 integrates |z^2|^(-alpha p_hat) with
+        # alpha p_hat = 10 / (4 pi) * 1.5 > 1
+        bad = _mutated(None, "orders", [0, 1, 2])
+        bad["quantum_hbars"] = [10.0]
+        with pytest.raises(ConfigError):
+            parse_config(bad)
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(bad))
+        res = _run([command, "--config", str(path), "--out", str(tmp_path)])
+        assert res.exit_code == 1
+        assert "p_hat" in res.output
 
     def test_quantum_hbars_need_an_order(self, tmp_path):
         bad = _mutated(None, "orders", [])
@@ -229,12 +247,14 @@ class TestCommands:
         assert hashlib.sha256(text).hexdigest() == sha256
 
     # sha256 of each output on BASE_CONFIG with quantum_hbars [0.1],
-    # recorded before the coefficient pipelines were folded into one routine
+    # recorded before the coefficient pipelines were folded into one routine;
+    # correlation.csv and compare.csv re-recorded when the Q leg fields
+    # became tables with an error bound
     PINNED_OUTPUTS = {
         "expectation.csv":
         "3c381b767d7854126f3a4a81b82bd008cdba6feeb843fcd5c9607a1239763308",
         "correlation.csv":
-        "b86a9f9396040b6b92bbe2deba25d8ed7197e466ec06ca50e49c64f361998472",
+        "769e5a2405f610a77d3f3535e33abd2b3da27074ea3c399d11f1021554d6fa65",
         "mc.csv":
         "a73bd4cd1bf2247ef2ed4191dd7d524c2287c6647716d0a461715dea46e3fdb2",
         "bounds.csv":
@@ -242,7 +262,7 @@ class TestCommands:
         "bounds.json":
         "329065d2fe84f353bbdb48340c4a1678413617503e7dcccecf6e6d534e2e9e71",
         "compare.csv":
-        "ac164e4cc3cc16857876ebcd89dc8f12b438bad1bfdaaf4c8cd7e0b21b9cc738",
+        "ed7ba3047ad2b71f3ff8ee3e4d211c655ad9adce7ad844196701e222c2c9029d",
     }
 
     def test_outputs_pinned(self, tmp_path):

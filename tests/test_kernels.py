@@ -1,9 +1,12 @@
 import math
+import os
+import tempfile
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from stochsg import kernels as ker
 from stochsg.errors import EvalOnLightcone, OutOfDomain, QTableFormatError
@@ -224,6 +227,54 @@ class TestCovarianceQ:
         b = ker.covariance_q(z, zp, params.with_(sign_convention="green"),
                              budget=300)
         assert a.value == b.value
+
+
+@st.composite
+def small_tables(draw):
+    """A QTable of 4-6 nodes per axis with arbitrary finite entries."""
+    n_t, n_x = draw(st.integers(4, 6)), draw(st.integers(4, 6))
+    pos = st.floats(1e-3, 1e3)
+    p = ModelParams(m=draw(st.floats(0, 10)), a=draw(st.floats(0, 10)),
+                    hbar=draw(st.floats(0, 10)), lam=draw(st.floats(0, 10)),
+                    mu=draw(pos), mu_ref=draw(pos),
+                    t_switch=draw(st.floats(-10, 10)),
+                    sign_convention=draw(st.sampled_from(["paper", "green"])),
+                    chi_width=draw(pos))
+    values = draw(arrays(np.float64, (n_t, n_t, n_x),
+                         elements=st.floats(allow_nan=False,
+                                            allow_infinity=False)))
+    return ker.QTable(np.linspace(-p.mu, p.mu, n_t),
+                      np.linspace(-2 * p.mu, 2 * p.mu, n_x), values, p,
+                      draw(st.sampled_from(ker.INTERP_METHODS)))
+
+
+class TestQTableFile:
+    @given(small_tables())
+    @settings(max_examples=50, deadline=None)
+    def test_roundtrip(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "q.bin")
+            table.save(path)
+            back = ker.QTable.load(path)
+        assert np.array_equal(back.values, table.values)
+        assert np.array_equal(back.time_grid, table.time_grid)
+        assert np.array_equal(back.space_offset_grid, table.space_offset_grid)
+        assert back.params == table.params
+        assert back.interp_method == table.interp_method
+
+    @given(small_tables())
+    @settings(max_examples=5, deadline=None)
+    def test_every_truncation_is_typed_error(self, table):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "q.bin")
+            table.save(path)
+            with open(path, "rb") as fh:
+                whole = fh.read()
+            for cut in range(len(whole)):
+                with open(path, "wb") as fh:
+                    fh.write(whole[:cut])
+                with pytest.raises(QTableFormatError):
+                    ker.QTable.load(path)
 
 
 class TestQTable:

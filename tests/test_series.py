@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from stochsg import algebra as alg
 from stochsg import kernels as ker
 from stochsg import quad as qd
 from stochsg import series as ser
@@ -65,6 +66,43 @@ class TestCorrelation:
             assert abs(complex(c.value.value)) <= 3 * c.value.error + 1e-13
 
 
+class TestFieldTables:
+    @pytest.mark.parametrize("leg", ["f1", "f2"])
+    def test_tables_match_direct_sums(self, ctx, smearings, leg):
+        # 2000 random points of supp g, in the disc of radius 0.5 at the
+        # origin where g does not underflow to 0
+        rng = np.random.default_rng(31)
+        r = 0.5 * np.sqrt(rng.random(3000))
+        phi = 2.0 * np.pi * rng.random(3000)
+        t, x = r * np.cos(phi), r * np.sin(phi)
+        live = smearings["g"](t, x) > 0
+        t, x = t[live][:2000], x[live][:2000]
+        assert t.size == 2000
+        tab = ctx.field_table(leg)
+        direct = ctx.smeared_kernel("Q", leg, t, x)
+        err = np.abs(tab(t, x) - direct)
+        assert np.all(err <= tab.delta)
+        assert np.all(err <= tab.bound(t, x))
+        assert 0 < tab.delta <= 1e-3 * np.max(np.abs(direct))
+
+    @pytest.mark.parametrize("n,seed,recorded", [
+        (1, 21, -3.8057778491312565e-07),
+        (2, 22, 9.059371746314433e-08),
+    ])
+    def test_values_agree_with_direct_sums(self, ctx, n, seed, recorded):
+        # recorded with every Q field summed over the leg nodes at each
+        # quadrature point
+        c = ser.correlation_coefficient(n, ctx, "f1", "f2", 1024, seed)
+        assert abs(complex(c.value.value).real - recorded) <= c.value.error
+
+    def test_caches_shared_across_hbar(self, params, qtable, smearings):
+        ctx0 = ser.EvalContext(params, qtable, smearings)
+        ser.quantum_coefficient(0, 0.1, ctx0, ["f1", "f2"], 1024, 7)
+        ser.quantum_coefficient(1, 0.05, ctx0, ["f1", "f2"], 1024, 7)
+        assert set(ctx0._field_tables) == {"f1", "f2"}
+        assert ("Q", "f1", "f2") in ctx0._pairs
+
+
 class TestOracle:
     def test_vanishing_charge(self, params, qtable, smearings):
         p0 = params.with_(a=0.0)
@@ -117,6 +155,18 @@ class TestQuantum:
         c = ser.correlation_coefficient(0, ctx, "f1", "f2", 1024, 7)
         assert complex(q.value.value) == complex(c.value.value)
         assert q.value.error == c.value.error > 0.0
+
+    def test_vertex_term_carries_scalar_pair_error(self, params, qtable,
+                                                  smearings):
+        # one two-vertex term whose only leg factor is the pairing Q(f1, f2),
+        # evaluated with a coarse pairing rule
+        term = next(t for t in alg.collected_raw_list(
+            alg.bogoliubov_generators(2, ["f1", "f2"]))
+            if t.n_vertices == 2 and t.scalar_pairs and not t.free_legs)
+        coarse = ser.EvalContext(params, qtable, smearings, pair_nodes=3)
+        pair = coarse.scalar_pair("Q", "f1", "f2")
+        res = ser.evaluate_terms(coarse, [term], 1024, 7, singular=True)
+        assert res.error >= abs(res.value) * pair.error / abs(pair.value)
 
     def test_alpha_gate(self, ctx):
         with pytest.raises(ConfigError):
