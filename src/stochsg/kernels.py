@@ -542,7 +542,7 @@ class QTable:
 
 
 FIELD_NODES = 65    # grid nodes per axis of a tabulated field (odd)
-FIELD_PAD = 3       # grid cells between the tabulated box and each edge
+FIELD_PAD = 8       # grid cells between the tabulated box and each edge
 FIELD_REACH = 2     # grid cells around the nearest node that bound() covers
 
 
@@ -552,18 +552,15 @@ class FieldTable:
     B-spline of the given order; queries are clipped to the grid.
 
     Its error comes from two resolutions: the spline through every node
-    (fine) and the one through every other node (coarse).  ``delta`` is the
-    largest |fine - coarse| over the live grid nodes.  ``bound(t, x)`` is
-    the local version: the largest |fine - coarse| over the nodes within
-    FIELD_REACH cells of the node nearest z, which covers the coarse cell
-    around z.
+    (fine) and the one through every other node (coarse).  ``bound(t, x)``
+    is the largest |fine - coarse| over the nodes within FIELD_REACH cells
+    of the node nearest z, which covers the coarse cell around z.
     """
 
     origin: tuple[float, float]
     step: tuple[float, float]
     coeffs: np.ndarray
     order: int
-    delta: float
     local: np.ndarray = field(repr=False)
 
     def _coords(self, t, x):
@@ -577,31 +574,32 @@ class FieldTable:
         return _spline_read(self.local, self._coords(t, x), 0)
 
 
-def tabulate_field(fn, box: tuple[float, float, float, float], live,
+def tabulate_field(fn, box: tuple[float, float, float, float],
+                   domain: tuple[float, float, float, float],
                    order: int, batch: int) -> FieldTable:
     """Tabulate fn(t, x) over box = (tmin, tmax, xmin, xmax), padded by
     FIELD_PAD cells per side, so that the first-order accurate edge cells of
     the mirror-boundary spline lie outside the box.  fn is evaluated on at
-    most ``batch`` nodes at a time; ``live(t, x) > 0`` marks the nodes that
-    enter ``delta``."""
+    most ``batch`` nodes at a time, at node coordinates clipped to
+    ``domain``, the box in which fn is defined."""
     cells = FIELD_NODES - 1 - 2 * FIELD_PAD
     k = np.arange(-FIELD_PAD, FIELD_NODES - FIELD_PAD)
     st = (box[1] - box[0]) / cells
     sx = (box[3] - box[2]) / cells
-    T, X = np.meshgrid(box[0] + st * k, box[2] + sx * k, indexing="ij")
+    T, X = np.meshgrid(np.clip(box[0] + st * k, domain[0], domain[1]),
+                       np.clip(box[2] + sx * k, domain[2], domain[3]),
+                       indexing="ij")
     t, x = T.ravel(), X.ravel()
     vals = np.concatenate([fn(t[lo:lo + batch], x[lo:lo + batch])
                            for lo in range(0, t.size, batch)]).reshape(T.shape)
     half = np.arange(FIELD_NODES) / 2.0
     I, J = np.meshgrid(half, half, indexing="ij")
     coarse = _spline_read(_spline_coeffs(vals[::2, ::2], order), (I, J), order)
-    diff = np.abs(vals - coarse)
     return FieldTable(
         (box[0] - FIELD_PAD * st, box[2] - FIELD_PAD * sx), (st, sx),
         _spline_coeffs(vals, order), order,
-        float(np.max(diff[live(T, X) > 0], initial=0.0)),
-        ndimage.maximum_filter(diff, size=2 * FIELD_REACH + 1,
-                               mode="nearest"))
+        ndimage.maximum_filter(np.abs(vals - coarse),
+                               size=2 * FIELD_REACH + 1, mode="nearest"))
 
 
 def worker_count() -> int:

@@ -131,24 +131,21 @@ def _map_points(r: np.ndarray, spec: IntegrandSpec, p_hat: float):
 
 
 def _run_lattice(spec: IntegrandSpec, n_points: int, shifts: np.ndarray,
-                 p_hat: float, envelopes: list | None = None
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per-shift means over the n_points lattice and over its even-indexed
-    points, which form the embedded n_points/2 lattice exactly.  The
-    per-shift means of an integrand's envelope go to ``envelopes``."""
-    means, halves = [], []
+                 p_hat: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-shift means over the n_points lattice, over its even-indexed
+    points, which form the embedded n_points/2 lattice exactly, and of the
+    integrand's envelope (0 where fn returns plain values)."""
+    means, halves, envelopes = [], [], []
     for s in range(shifts.shape[0]):
         r = _lattice_points(n_points, 2 * spec.n_vertices, shifts[s])
         pts, w = _map_points(r, spec, p_hat)
         out = spec.fn(pts)
-        if isinstance(out, tuple):
-            out, env = out
-            if envelopes is not None:
-                envelopes.append(float(np.sum(env * w)) / n_points)
+        out, env = out if isinstance(out, tuple) else (out, 0.0)
         vals = np.asarray(out) * w
         means.append(np.sum(vals) / n_points)
         halves.append(np.sum(vals[::2]) / (n_points // 2))
-    return np.asarray(means), np.asarray(halves)
+        envelopes.append(np.sum(env * w) / n_points)
+    return np.asarray(means), np.asarray(halves), np.asarray(envelopes)
 
 
 def _replicate_error(means: np.ndarray) -> float:
@@ -177,8 +174,7 @@ def integrate(spec: IntegrandSpec, budget: int, seed: int,
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     shifts = rng.random((N_SHIFTS, 2 * spec.n_vertices))
 
-    envelopes: list[float] = []
-    means, halves = _run_lattice(spec, n_points, shifts, p_hat, envelopes)
+    means, halves, envelopes = _run_lattice(spec, n_points, shifts, p_hat)
     value = complex(np.mean(means))
     err = _replicate_error(means)
     if np.isrealobj(means) or abs(value.imag) == 0.0:
@@ -189,7 +185,7 @@ def integrate(spec: IntegrandSpec, budget: int, seed: int,
         if err > 4.0 * err_half and err > 1e-12 * (abs(value) + 1e-300):
             raise SingularityBudgetExceeded(
                 f"error grew from {err_half:g} to {err:g} under doubling")
-    return QuadResult(value, err + sum(envelopes) / N_SHIFTS,
+    return QuadResult(value, err + float(sum(envelopes)) / N_SHIFTS,
                       n_points * N_SHIFTS, seed)
 
 

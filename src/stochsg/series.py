@@ -130,13 +130,18 @@ class EvalContext:
     def field_table(self, leg_name: str) -> ker.FieldTable:
         """(Q f)(z) of a leg, tabulated once over the interaction's support
         box from the direct sums of smeared_kernel, one quadrature batch of
-        grid nodes at a time."""
+        grid nodes at a time.  Nodes of the padded grid are clipped to the
+        region where the Q table covers every pairing with the leg's
+        nodes."""
         tab = self._field_tables.get(leg_name)
         if tab is None:
-            g = self.smearings[self.interaction]
+            tg, dg = self.table.time_grid, self.table.space_offset_grid
+            leg_box = self.smearings[leg_name].support_box()
+            domain = (tg[0], tg[-1], dg[0] + leg_box[3], dg[-1] + leg_box[2])
             tab = ker.tabulate_field(
                 lambda t, x: self.smeared_kernel("Q", leg_name, t, x),
-                g.support_box(), g, self.table.spline_order, qd.MIN_BUDGET)
+                self.smearings[self.interaction].support_box(), domain,
+                self.table.spline_order, qd.MIN_BUDGET)
             self._field_tables[leg_name] = tab
         return tab
 

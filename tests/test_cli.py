@@ -254,7 +254,7 @@ class TestCommands:
         "expectation.csv":
         "3c381b767d7854126f3a4a81b82bd008cdba6feeb843fcd5c9607a1239763308",
         "correlation.csv":
-        "769e5a2405f610a77d3f3535e33abd2b3da27074ea3c399d11f1021554d6fa65",
+        "d358c83d8331a426bd57274a544596fc57bfa8e72014670f6695fc06ee870df4",
         "mc.csv":
         "a73bd4cd1bf2247ef2ed4191dd7d524c2287c6647716d0a461715dea46e3fdb2",
         "bounds.csv":
@@ -262,7 +262,7 @@ class TestCommands:
         "bounds.json":
         "329065d2fe84f353bbdb48340c4a1678413617503e7dcccecf6e6d534e2e9e71",
         "compare.csv":
-        "ed7ba3047ad2b71f3ff8ee3e4d211c655ad9adce7ad844196701e222c2c9029d",
+        "0113b5d0d120f225880ca3cffeff91e7902a6d29b30811a335e51e85ad5d9189",
     }
 
     def test_outputs_pinned(self, tmp_path):
@@ -300,6 +300,49 @@ class TestCommands:
                              for r in csv.DictReader(fh)]
             tables.append((rows, (out / "bounds.csv").read_bytes()))
         assert tables[0] == tables[1]
+
+    # (order, hbar, value_re, value_im) of each row, recorded with every Q
+    # field summed over the leg nodes at each quadrature point
+    TIP_ROWS = {
+        "expectation.csv": [
+            (0, 0.0, 0.0, 0.0),
+            (1, 0.0, 0.0, 0.0),
+            (2, 0.0, 0.0, -5.313973270755823e-07),
+            (2, 0.1, 2.5445969800623143e-06, -9.43309200057067e-06),
+        ],
+        "correlation.csv": [
+            (0, 0.0, 1.892040793275308e-05, 0.0),
+            (1, 0.0, -1.8696478880070605e-07, 0.0),
+            (2, 0.0, -8.52323415244253e-09, 0.0),
+            (2, 0.1, 9.15396038791509e-08, -5.422816094454677e-08),
+        ],
+    }
+
+    def test_interaction_near_tip_matches_direct_sums(self, tmp_path):
+        # a bump of g next to the upper tip of D_mu: the padded field grid
+        # reaches past t = mu, where the Q table ends
+        cfg = json.loads(json.dumps(BASE_CONFIG))
+        cfg["smearings"]["g"] = [
+            {"center": [0.9, 0.0], "radius": 0.05, "amplitude": 1.0},
+            {"center": [0.0, 0.0], "radius": 0.3, "amplitude": 1.0}]
+        cfg["orders"] = [0, 1, 2]
+        cfg["quantum_hbars"] = [0.1]
+        path = tmp_path / "tip.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / "out"
+        for cmd in ("coeff", "corr"):
+            res = _run([cmd, "--config", str(path), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+        for name, recorded in self.TIP_ROWS.items():
+            with open(out / name, newline="") as fh:
+                rows = list(csv.DictReader(fh))
+            assert [(int(r["order"]), float(r["hbar"])) for r in rows] == \
+                [rec[:2] for rec in recorded]
+            for r, (_, _, re, im) in zip(rows, recorded):
+                diff = abs(complex(float(r["value_re"]), float(r["value_im"]))
+                           - complex(re, im))
+                assert diff <= float(r["error"])
+                assert diff <= 1e-5 * abs(complex(re, im))
 
     def test_determinism_byte_identical(self, workdir):
         tmp, cfg = workdir

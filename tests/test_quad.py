@@ -174,8 +174,8 @@ class TestSingular:
         # run at half the point count
         spec, _ = SINGULAR_BANK[0]
         shifts = np.random.default_rng(3).random((8, 2 * spec.n_vertices))
-        _, halves = _run_lattice(spec, 4096, shifts, 1.5)
-        means, _ = _run_lattice(spec, 2048, shifts, 1.5)
+        _, halves, _ = _run_lattice(spec, 4096, shifts, 1.5)
+        means, _, _ = _run_lattice(spec, 2048, shifts, 1.5)
         assert np.allclose(halves, means, rtol=1e-12, atol=0.0)
 
 

@@ -81,9 +81,9 @@ class TestFieldTables:
         tab = ctx.field_table(leg)
         direct = ctx.smeared_kernel("Q", leg, t, x)
         err = np.abs(tab(t, x) - direct)
-        assert np.all(err <= tab.delta)
-        assert np.all(err <= tab.bound(t, x))
-        assert 0 < tab.delta <= 1e-3 * np.max(np.abs(direct))
+        bound = tab.bound(t, x)
+        assert np.all(err <= bound)
+        assert 0 < np.max(bound) <= 1e-3 * np.max(np.abs(direct))
 
     @pytest.mark.parametrize("n,seed,recorded", [
         (1, 21, -3.8057778491312565e-07),
@@ -91,9 +91,11 @@ class TestFieldTables:
     ])
     def test_values_agree_with_direct_sums(self, ctx, n, seed, recorded):
         # recorded with every Q field summed over the leg nodes at each
-        # quadrature point
+        # quadrature point; the tables move them by 3e-7 relative or less
         c = ser.correlation_coefficient(n, ctx, "f1", "f2", 1024, seed)
-        assert abs(complex(c.value.value).real - recorded) <= c.value.error
+        diff = abs(complex(c.value.value).real - recorded)
+        assert diff <= c.value.error
+        assert diff <= 1e-6 * abs(recorded)
 
     def test_caches_shared_across_hbar(self, params, qtable, smearings):
         ctx0 = ser.EvalContext(params, qtable, smearings)
