@@ -125,15 +125,19 @@ KE_Q_OMEGA = KE_Q + KE_OMEGA_H  # Q + hbar omega
 
 @dataclass(frozen=True)
 class Generator:
-    """One monomial of the generator algebra.
+    """One monomial of the generator algebra, at finite hbar or in one hbar
+    stratum.
 
     vertices: per-vertex integer charge (multiple of the base charge a),
     smearing id, dressing exponent D (weight factor e^{-(c^2 a^2/2) D(x,x)})
     and optional support-order rank.  ``pair_exps[(i, j)]`` with i < j is the
     exponent kernel E in e^{-c_i c_j a^2 E(x_i, x_j)}; the first kernel slot
-    is x_i.  ``attached`` entries (v, E, leg, vertex_first) multiply the
-    vertex weight by the smeared kernel (E leg)(x_v) (or its transpose);
-    the derivative factor i c_v a is already folded into ``coeff``.
+    is x_i.  ``edges`` (i, j, basis, hbar, power) are Taylor-expanded
+    quantum contractions, the factor (hbar^h K_b(x_i, x_j))^power.
+    ``attached`` entries (v, E, leg, vertex_first) multiply the vertex
+    weight by the smeared kernel (E leg)(x_v) (or its transpose); the
+    derivative factor i c_v a is already folded into ``coeff``.  A kernel
+    slot term (b, h, c) always means c hbar^h K_b.
     """
 
     coeff: Coeff = COEFF_ONE
@@ -142,6 +146,7 @@ class Generator:
     dressings: tuple[KernelExpr, ...] = ()
     ranks: tuple[int | None, ...] = ()
     pair_exps: tuple[tuple[tuple[int, int], KernelExpr], ...] = ()
+    edges: tuple[tuple[int, int, str, int, int], ...] = ()
     attached: tuple[tuple[int, KernelExpr, str, bool], ...] = ()
     scalar_pairs: tuple[tuple[KernelExpr, str, str], ...] = ()
     free_legs: tuple[str, ...] = ()
@@ -207,6 +212,8 @@ def _pointwise_two(A: Generator, B: Generator) -> Generator:
         dressings=A.dressings + B.dressings,
         ranks=A.ranks + B.ranks,
         pair_exps=tuple(sorted(pairs.items())),
+        edges=A.edges + tuple((i + off, j + off, b, h, p)
+                              for i, j, b, h, p in B.edges),
         attached=A.attached + tuple((v + off, e, l, vf) for v, e, l, vf in B.attached),
         scalar_pairs=A.scalar_pairs + B.scalar_pairs,
         free_legs=A.free_legs + B.free_legs)
@@ -392,9 +399,22 @@ def leibniz_expand(A, B, fields: list[str], K: KernelExpr) -> list[Generator]:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _expr_key(expr: KernelExpr, rank_pair=(None, None)) -> tuple:
-    return tuple((b, h, c.re, c.im) for b, h, c in expr.real_basis().terms
+def _expr_key(expr: KernelExpr, rank_pair=(None, None),
+              transposed: bool = False) -> tuple:
+    """Key over the real basis of a kernel slot or of its transpose;
+    rank_pair ranks the two arguments of the kernel keyed.  Coefficients
+    enter as integer numerators and denominators, which hash natively."""
+    if transposed:
+        expr = expr.transpose()
+    return tuple((b, h, *c.re.as_integer_ratio(), *c.im.as_integer_ratio())
+                 for b, h, c in expr.real_basis().terms
                  if not _rank_dropped(b, *rank_pair))
+
+
+@functools.cache
+def _unit_kernel(basis: str, hbar: int) -> KernelExpr:
+    """The one-term slot 1 * hbar^h * K_basis, built once per (basis, h)."""
+    return KernelExpr.of((basis, hbar, 1))
 
 
 def _rank_dropped(basis: str, ra, rb) -> bool:
@@ -439,7 +459,7 @@ def _linearize(g: Generator, leg_ranks: dict | None = None,
     ranks = g.ranks if rank_reduce else (None,) * g.n_vertices
 
     def options(e: KernelExpr, ra, rb, entry):
-        return [(0, entry(KernelExpr.of((b, h, 1))), c)
+        return [(0, entry(_unit_kernel(b, h)), c)
                 for b, h, c in e.real_basis().terms
                 if not _rank_dropped(b, ra, rb)]
 
@@ -458,9 +478,9 @@ def _linearize(g: Generator, leg_ranks: dict | None = None,
                           scalar_pairs=tuple(chosen[n_att:]))
 
 
-def _vertex_classes(g) -> list[tuple]:
-    """Per-vertex (charge, smearing, dressing key, rank) of a Generator or
-    an ExpandedTerm: relabellings may only permute equal classes."""
+def _vertex_classes(g: Generator) -> list[tuple]:
+    """Per-vertex (charge, smearing, dressing key, rank): relabellings may
+    only permute equal classes."""
     return [(g.charges[i], g.smearings[i], _expr_key(g.dressings[i]),
              g.ranks[i]) for i in range(g.n_vertices)]
 
@@ -478,40 +498,33 @@ def _min_over_relabellings(classes: list[tuple], key_for) -> tuple:
 
 def _canonical_key(g: Generator, leg_ranks: dict | None = None,
                    rank_reduce: bool = False) -> tuple:
-    """Canonical structural key, minimized over vertex relabelings."""
-    leg_ranks = leg_ranks or {}
+    """Canonical structural key, minimized over vertex relabelings.
 
-    def rank_of_leg(name):
-        return leg_ranks.get(name) if rank_reduce else None
+    An endpoint swap transposes a pair exponent and maps DeltaR <-> DeltaA
+    on an edge.  Slot keys do not depend on the relabelling, so each is
+    computed once, a pair exponent's in both orientations.
+    """
+    # without rank_reduce every rank is None and nothing is dropped
+    lr = (leg_ranks or {}).get if rank_reduce else (lambda leg: None)
+    vr = g.ranks if rank_reduce else (None,) * g.n_vertices
+    pairs = [(i, j, _expr_key(e, (vr[i], vr[j])),
+              _expr_key(e, (vr[j], vr[i]), True)) for (i, j), e in g.pair_exps]
+    att = [(v, l, _expr_key(e, (vr[v], lr(l)), not vf))
+           for v, e, l, vf in g.attached]
+    scal = tuple(sorted((p, q, _expr_key(e, (lr(p), lr(q)))) if p <= q
+                        else (q, p, _expr_key(e, (lr(q), lr(p)), True))
+                        for e, p, q in g.scalar_pairs))
+    rest = (scal, tuple(sorted(g.free_legs)), g.coeff.powers_key())
 
-    def rank_of_vertex(i):
-        return g.ranks[i] if rank_reduce else None
-
-    # without rank_reduce every rank pair is (None, None): nothing is dropped
     def key_for(vkey, inv):
-        edges = []
-        for (i, j), e in g.pair_exps:
-            a, b = inv[i], inv[j]
-            rp = (rank_of_vertex(i), rank_of_vertex(j))
-            if a <= b:
-                edges.append((a, b, _expr_key(e, rp)))
-            else:
-                edges.append((b, a, _expr_key(e.transpose(), rp[::-1])))
-        att = []
-        for v, e, l, vf in g.attached:
-            ee = e if vf else e.transpose()
-            rp = (rank_of_vertex(v), rank_of_leg(l))
-            att.append((inv[v], l, _expr_key(ee, rp)))
-        scal = []
-        for e, p, q in g.scalar_pairs:
-            rp = (rank_of_leg(p), rank_of_leg(q))
-            if p <= q:
-                scal.append((p, q, _expr_key(e, rp)))
-            else:
-                scal.append((q, p, _expr_key(e.transpose(), rp[::-1])))
-        return (vkey, tuple(sorted(edges)), tuple(sorted(att)),
-                tuple(sorted(scal)), tuple(sorted(g.free_legs)),
-                g.coeff.powers_key())
+        exps = tuple(sorted((inv[i], inv[j], k) if inv[i] < inv[j]
+                            else (inv[j], inv[i], kt)
+                            for i, j, k, kt in pairs))
+        edges = tuple(sorted((inv[i], inv[j], b, h, p) if inv[i] < inv[j]
+                             else (inv[j], inv[i], _SWAP.get(b, b), h, p)
+                             for i, j, b, h, p in g.edges))
+        return (vkey, exps, edges,
+                tuple(sorted((inv[v], l, k) for v, l, k in att))) + rest
 
     return _min_over_relabellings(_vertex_classes(g), key_for)
 
@@ -726,8 +739,8 @@ def uncontracted_cancellation(n: int, m: int, deform_q: bool = True) -> dict:
 def _drop_vertex(g: Generator, v: int) -> Generator:
     keep = [i for i in range(g.n_vertices) if i != v]
     remap = {old: new for new, old in enumerate(keep)}
-    return Generator(
-        coeff=g.coeff,
+    return replace(
+        g,
         charges=tuple(g.charges[i] for i in keep),
         smearings=tuple(g.smearings[i] for i in keep),
         dressings=tuple(g.dressings[i] for i in keep),
@@ -735,56 +748,32 @@ def _drop_vertex(g: Generator, v: int) -> Generator:
         pair_exps=tuple(sorted(((remap[i], remap[j]), e)
                                for (i, j), e in g.pair_exps
                                if i != v and j != v)),
-        attached=tuple((remap[w], e, l, vf) for w, e, l, vf in g.attached),
-        scalar_pairs=g.scalar_pairs,
-        free_legs=g.free_legs)
+        edges=tuple((remap[i], remap[j], b, h, p)
+                    for i, j, b, h, p in g.edges if i != v and j != v),
+        attached=tuple((remap[w], e, l, vf) for w, e, l, vf in g.attached))
 
 
 # ---------------------------------------------------------------------------
 # hbar strata: expansion, grading, classical limit
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ExpandedTerm:
-    """A single hbar-stratum summand with explicit contraction factors.
-
-    The grade-zero pair kernels stay exponential (``q_pairs``); the quantum
-    part of each pair kernel is Taylor-expanded into multiplicative ``edges``
-    (i, j, basis, hbar, power) with the kernel's first slot at x_i.  Attached
-    factors and scalar pairs are split into single basis terms.
-    """
-
-    coeff: Coeff = COEFF_ONE
-    charges: tuple[int, ...] = ()
-    smearings: tuple[str, ...] = ()
-    dressings: tuple[KernelExpr, ...] = ()
-    ranks: tuple[int | None, ...] = ()
-    q_pairs: tuple[tuple[tuple[int, int], KernelExpr], ...] = ()
-    edges: tuple[tuple[int, int, str, int, int], ...] = ()
-    attached: tuple[tuple[int, str, int, str, bool], ...] = ()
-    scalar_pairs: tuple[tuple[str, int, str, str], ...] = ()
-    free_legs: tuple[str, ...] = ()
-
-    @property
-    def n_vertices(self) -> int:
-        return len(self.charges)
-
-
 def _expand_generator(g: Generator, k_max: int, real_basis: bool):
-    """Yield (stratum, ExpandedTerm) for quantum hbar-order <= k_max.
+    """Yield (stratum, term) for quantum hbar-order <= k_max.
 
     One choice list per factor: each quantum term (b, h, c) of each pair
     kernel offers the Taylor powers p of e^{-c_i c_j a^2 c K}, at hbar cost
     h p with coefficient (-c_i c_j c)^p / p! a^(2p) (the edge (i, j, b, h,
     p) is kept for p > 0); then each attached factor and scalar pair offers
-    its basis terms.
+    its basis terms (b, h, c), kept as the slot hbar^h K_b with c folded
+    into the coefficient.  The grade-zero pair kernels stay exponential.
     """
     def _terms(expr: KernelExpr):
         return (expr.real_basis() if real_basis else expr).terms
 
     def options(e: KernelExpr, entry):
         lo, hi = e.hbar_split()
-        return [(h, entry(b, h), c) for b, h, c in lo.terms + _terms(hi)]
+        return [(h, entry(_unit_kernel(b, h)), c)
+                for b, h, c in lo.terms + _terms(hi)]
 
     q_pairs, factors = [], []
     for (i, j), e in g.pair_exps:
@@ -801,25 +790,27 @@ def _expand_generator(g: Generator, k_max: int, real_basis: bool):
                        * Fraction(1, math.factorial(p)), a_pow=2 * p))
                 for p in range(1, k_max // h + 1)])
     n_edges = len(factors)
-    factors += [options(e, lambda b, h: (v, b, h, l, vf))
+    factors += [options(e, lambda k: (v, k, l, vf))
                 for v, e, l, vf in g.attached]
     n_att = len(factors)
-    factors += [options(e, lambda b, h: (b, h, p, q))
+    factors += [options(e, lambda k: (k, p, q))
                 for e, p, q in g.scalar_pairs]
 
+    # the factor order fixes the floating-point product of the integrand
     for chosen, coeff, h_tot in _linear_choices(factors, g.coeff, k_max):
-        yield h_tot, ExpandedTerm(
-            coeff=replace(coeff, hbar_pow=coeff.hbar_pow + h_tot),
-            charges=g.charges, smearings=g.smearings,
-            dressings=g.dressings, ranks=g.ranks,
-            q_pairs=tuple(q_pairs),
+        yield h_tot, replace(
+            g, coeff=coeff, pair_exps=tuple(q_pairs),
             edges=tuple(sorted(e for e in chosen[:n_edges] if e)),
-            attached=tuple(sorted(chosen[n_edges:n_att])),
-            scalar_pairs=tuple(sorted(chosen[n_att:])),
+            attached=tuple(sorted(chosen[n_edges:n_att],
+                                  key=lambda s: (s[0], s[1].terms[0][:2],
+                                                 *s[2:]))),
+            scalar_pairs=tuple(sorted(chosen[n_att:],
+                                      key=lambda s: (s[0].terms[0][:2],
+                                                     *s[1:]))),
             free_legs=tuple(sorted(g.free_legs)))
 
 
-def _null_support(term: ExpandedTerm) -> bool:
+def _null_support(term: Generator) -> bool:
     """True if an edge product vanishes pointwise: Delta^R and Delta^A on
     the same vertex pair have disjoint supports."""
     seen: dict[tuple[int, int], set[str]] = {}
@@ -829,41 +820,14 @@ def _null_support(term: ExpandedTerm) -> bool:
     return any(len(s) == 2 for s in seen.values())
 
 
-def _expanded_key(t: ExpandedTerm) -> tuple:
-    def key_for(vkey, inv):
-        qp = []
-        for (i, j), e in t.q_pairs:
-            a, b = inv[i], inv[j]
-            if a > b:
-                a, b = b, a
-            qp.append((a, b, _expr_key(e)))
-        ed = []
-        for i, j, b, h, p in t.edges:
-            a, c = inv[i], inv[j]
-            bb = b
-            if a > c:
-                a, c = c, a
-                bb = _SWAP.get(b, b)
-            ed.append((a, c, bb, h, p))
-        att = tuple(sorted((inv[v], b if vf else _SWAP.get(b, b), h, l)
-                           for v, b, h, l, vf in t.attached))
-        scal = tuple(sorted((b, h, p, q) if p <= q
-                            else (_SWAP.get(b, b), h, q, p)
-                            for b, h, p, q in t.scalar_pairs))
-        return (vkey, tuple(sorted(qp)), tuple(sorted(ed)), att, scal,
-                t.free_legs, t.coeff.powers_key())
-
-    return _min_over_relabellings(_vertex_classes(t), key_for)
-
-
 def expand_strata(gens, k_max: int, real_basis: bool = True) -> dict:
     """Collect hbar strata 0..k_max of a generator sum.
 
-    Returns {stratum: {canonical_key: (CRat, ExpandedTerm)}} with exact
+    Returns {stratum: {canonical_key: (CRat, term)}} with exact
     cancellation applied; pointwise-null edge products are dropped when
     working over the real basis.
     """
-    sums = _sum_by_key(((h, _expanded_key(term)), term.coeff.crat, term)
+    sums = _sum_by_key(((h, _canonical_key(term)), term.coeff.crat, term)
                        for g in _as_list(gens)
                        for h, term in _expand_generator(g, k_max, real_basis)
                        if not (real_basis and _null_support(term)))
@@ -874,7 +838,7 @@ def expand_strata(gens, k_max: int, real_basis: bool = True) -> dict:
 
 
 def classical_term(n: int, m: int, legs: list[str] | None = None,
-                   deform_q: bool = True) -> list[ExpandedTerm]:
+                   deform_q: bool = True) -> list[Generator]:
     """hbar^0 stratum of the (Q-deformed) retarded product R_{n,m}.
 
     Verifies along the way that every stratum below n cancels exactly;
@@ -894,7 +858,7 @@ def classical_term(n: int, m: int, legs: list[str] | None = None,
 
 
 def classical_term_labeled(n: int, m: int, legs: list[str] | None = None,
-                           deform_q: bool = False) -> list[ExpandedTerm]:
+                           deform_q: bool = False) -> list[Generator]:
     """Classical stratum in the original kernel labels (for rendering)."""
     legs = legs or [f"f{k + 1}" for k in range(max(m, 0))]
     gens = bogoliubov_generators(n, legs, deform_q)
@@ -902,7 +866,7 @@ def classical_term_labeled(n: int, m: int, legs: list[str] | None = None,
     return _summed_terms(strata[n])
 
 
-def aggregate_charge_sectors(terms) -> list[tuple[ExpandedTerm, int]]:
+def aggregate_charge_sectors(terms) -> list[tuple[Generator, int]]:
     """Group expanded terms by contraction structure, charges ignored.
 
     One graph per (edge kernels, leg attachments) class, the charge
@@ -910,8 +874,8 @@ def aggregate_charge_sectors(terms) -> list[tuple[ExpandedTerm, int]]:
     second order for the field observable this collapses the expansion to
     four graphs.
     """
-    sums = _sum_by_key((_expanded_key(replace(t, charges=(0,) * t.n_vertices,
-                                              coeff=COEFF_ONE)), CR_ONE, t)
+    sums = _sum_by_key((_canonical_key(replace(t, charges=(0,) * t.n_vertices,
+                                               coeff=COEFF_ONE)), CR_ONE, t)
                        for t in terms)
     return [(sums[k][1], int(sums[k][0].re)) for k in sorted(sums)]
 
@@ -924,23 +888,17 @@ def hbar_floor(n: int, m: int) -> int:
     return 0
 
 
-def hbar_grade(t) -> int:
+def hbar_grade(t: Generator) -> int:
     """Total hbar power of a term, prefactor included.
 
-    Exponential pair kernels contribute their minimal power (0 for kernels
-    with a Q part); explicit expanded edges contribute hbar * power.
+    Exponential pair kernels contribute 0 (the constant term of e^x);
+    attached factors and scalar pairs, linear in their kernel, their
+    minimal power; expanded edges hbar * power.
     """
-    if isinstance(t, ExpandedTerm):
-        return t.coeff.hbar_pow
-    g = t
-    grade = g.coeff.hbar_pow
-    # exponential pair kernels contribute 0 (the constant term of e^x);
-    # attached factors and scalar pairs are linear in the kernel
-    for _, e, _, _ in g.attached:
-        grade += e.min_hbar()
-    for e, _, _ in g.scalar_pairs:
-        grade += e.min_hbar()
-    return grade
+    return (t.coeff.hbar_pow
+            + sum(e.min_hbar() for _, e, _, _ in t.attached)
+            + sum(e.min_hbar() for e, _, _ in t.scalar_pairs)
+            + sum(h * p for _, _, _, h, p in t.edges))
 
 
 # ---------------------------------------------------------------------------
@@ -1042,16 +1000,26 @@ class TermGraph:
         return json.dumps(self.to_json_dict(), sort_keys=True)
 
 
-def _term_graph(t, edges: list[dict], multiplicity: int = 1) -> TermGraph:
-    """The view of a Generator or an ExpandedTerm with these edges."""
+def _term_graph(t: Generator, slot_fields, hbar_degree: int,
+                multiplicity: int = 1) -> TermGraph:
+    """The view of a term; slot_fields(E) describes the kernel of an
+    attached factor or scalar pair."""
     frac, ipow = t.coeff.crat.as_fraction_ipow()
     vertices = tuple(
         {"charge": t.charges[i], "smearing": t.smearings[i],
          "dressed": not t.dressings[i].is_zero()}
         for i in range(t.n_vertices))
+    edges = [{"a": i, "b": j, "kernel": _kernel_name(e), "kind": "exponential"}
+             for (i, j), e in t.pair_exps]
+    edges += [{"a": i, "b": j, "kernel": b, "kind": "contraction",
+               "hbar": h, "power": p} for i, j, b, h, p in t.edges]
+    edges += [{"a": v, "b": f"leg:{l}", "kind": "attached", **slot_fields(e)}
+              for v, e, l, vf in t.attached]
+    edges += [{"a": f"leg:{p}", "b": f"leg:{q}", "kind": "scalar",
+               **slot_fields(e)} for e, p, q in t.scalar_pairs]
     return TermGraph(vertices, tuple(t.free_legs), tuple(edges),
                      frac.numerator, frac.denominator, ipow, t.coeff.a_pow,
-                     t.coeff.hbar_pow, t.coeff.lam_pow, multiplicity)
+                     hbar_degree, t.coeff.lam_pow, multiplicity)
 
 
 def _kernel_name(expr: KernelExpr) -> str:
@@ -1060,33 +1028,18 @@ def _kernel_name(expr: KernelExpr) -> str:
 
 
 def term_graph_from_generator(g: Generator) -> TermGraph:
-    edges = []
-    for (i, j), e in g.pair_exps:
-        edges.append({"a": i, "b": j, "kernel": _kernel_name(e),
-                      "kind": "exponential"})
-    for v, e, l, vf in g.attached:
-        edges.append({"a": v, "b": f"leg:{l}", "kernel": _kernel_name(e),
-                      "kind": "attached"})
-    for e, p, q in g.scalar_pairs:
-        edges.append({"a": f"leg:{p}", "b": f"leg:{q}",
-                      "kernel": _kernel_name(e), "kind": "scalar"})
-    return _term_graph(g, edges)
+    """A finite-hbar term: each slot named by its kernels."""
+    return _term_graph(g, lambda e: {"kernel": _kernel_name(e)},
+                       g.coeff.hbar_pow)
 
 
-def term_graph_from_expanded(t: ExpandedTerm, multiplicity: int = 1) -> TermGraph:
-    edges = []
-    for (i, j), e in t.q_pairs:
-        edges.append({"a": i, "b": j, "kernel": "Q", "kind": "exponential"})
-    for i, j, b, h, p in t.edges:
-        edges.append({"a": i, "b": j, "kernel": b, "kind": "contraction",
-                      "hbar": h, "power": p})
-    for v, b, h, l, vf in t.attached:
-        edges.append({"a": v, "b": f"leg:{l}", "kernel": b,
-                      "kind": "attached", "hbar": h})
-    for b, h, p, q in t.scalar_pairs:
-        edges.append({"a": f"leg:{p}", "b": f"leg:{q}", "kernel": b,
-                      "kind": "scalar", "hbar": h})
-    return _term_graph(t, edges, multiplicity)
+def term_graph_from_expanded(t: Generator, multiplicity: int = 1) -> TermGraph:
+    """A term of one hbar stratum: one-term slots with their hbar powers,
+    and the term's hbar grade."""
+    def one_term(e: KernelExpr) -> dict:
+        (b, h, _), = e.terms
+        return {"kernel": b, "hbar": h}
+    return _term_graph(t, one_term, hbar_grade(t), multiplicity)
 
 
 def graph_render(t: TermGraph) -> str:

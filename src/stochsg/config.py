@@ -3,12 +3,14 @@
 Unknown fields are errors, so typos fail loudly instead of silently using
 defaults.  Each section's field names and value types are those of its
 dataclass; a value of another type is an error, except that an integer
-may stand for a real.
+may stand for a real.  Reals must be finite (JSON readers accept NaN and
+Infinity).
 """
 
 from __future__ import annotations
 
 import json
+import math
 import types
 import typing
 from dataclasses import dataclass
@@ -33,8 +35,8 @@ def _check_keys(d, allowed, where: str):
 
 def _typed(value, tp, where: str):
     """value checked against the field type tp.  Integers widen to float
-    for float fields, lists become tuples, and None passes only where tp
-    admits it; anything else is a ConfigError."""
+    for float fields, which must be finite, lists become tuples, and None
+    passes only where tp admits it; anything else is a ConfigError."""
     if isinstance(tp, types.UnionType):
         if value is None and type(None) in tp.__args__:
             return None
@@ -52,8 +54,14 @@ def _typed(value, tp, where: str):
             raise ConfigError(f"{where} must have {len(hints)} entries")
         return tp(*(_typed(v, t, f"{where}[{k}]")
                     for k, (v, t) in enumerate(zip(value, hints.values()))))
-    if tp is float and type(value) is int:
-        return float(value)
+    if tp is float and type(value) in (int, float):
+        try:
+            value = float(value)
+        except OverflowError:   # an integer beyond the float range
+            value = math.inf
+        if not math.isfinite(value):
+            raise ConfigError(f"{where} must be a finite real, got {value!r}")
+        return value
     if type(value) is not tp:    # bool is not an int here
         raise ConfigError(f"{where} must be of type {tp.__name__}, "
                           f"got {value!r}")
@@ -203,6 +211,11 @@ def parse_config(doc: dict) -> RunConfig:
             raise ConfigError(f"{key}: {exc}") from exc
 
     params = sub("params", ModelParams)
+    try:
+        params.alpha
+    except OverflowError as exc:
+        raise ConfigError(f"params: alpha = a^2 hbar / (4 pi) overflows "
+                          f"at a = {params.a}") from exc
     smearings = {}
     for name, spec in _typed(doc.get("smearings", {}), dict,
                              "smearings").items():
@@ -237,7 +250,7 @@ def parse_config(doc: dict) -> RunConfig:
         legs = _typed(ob.get("legs", []), tuple[str, ...], f"{where}.legs")
         if kind not in ("expectation", "correlation"):
             raise ConfigError(f"{where}: unknown kind {kind!r}")
-        if (kind == "expectation") != (len(legs) == 1):
+        if len(legs) != (1 if kind == "expectation" else 2):
             raise ConfigError(f"{where}: expectation needs 1 leg, "
                               "correlation needs 2")
         for leg in legs:
@@ -260,7 +273,10 @@ def parse_config(doc: dict) -> RunConfig:
         if max(orders) >= 2 and _outside_p_range(alpha, quadc.p_hat):
             raise ConfigError(f"quad.p_hat = {quadc.p_hat} >= 1/alpha = "
                               f"{1.0 / alpha} at quantum hbar = {h}")
-    if boundsc.orders and params.hbar > 0:
+    if boundsc.orders:
+        if params.alpha == 0:
+            raise ConfigError("bounds requested with alpha = a^2 hbar / "
+                              "(4 pi) = 0")
         if params.alpha >= 1.0:
             raise ConfigError(
                 f"bounds requested with alpha = {params.alpha} >= 1")

@@ -13,15 +13,16 @@ hierarchy with source sign s = -1; see the sign note in spde_mc.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import algebra as alg
 from . import kernels as ker
 from . import quad as qd
-from .algebra import ExpandedTerm, KernelExpr
+from .algebra import KernelExpr
 from .errors import ConfigError
+from .exact import CR_ONE
 from .results import QuadResult
 
 ALGEBRA_CONVENTION = "paper"
@@ -148,7 +149,7 @@ class EvalContext:
     def smeared_expr(self, expr: KernelExpr, leg_name: str, t, x,
                      vertex_first: bool = True):
         """(E f)(z) for a kernel expression, hbar powers included."""
-        return _linear(_weighted(expr, self.params.hbar),
+        return _linear(_slot_parts(expr, self.params.hbar, graded=False),
                        lambda b: self.smeared_kernel(b, leg_name, t, x,
                                                      vertex_first))
 
@@ -247,21 +248,30 @@ def _linear(parts, value):
     return total
 
 
-def _weighted(expr: KernelExpr, hbar: float):
-    """(weight, basis) parts of a kernel expression at finite hbar."""
-    return [(c.as_complex() * hbar ** h, b) for b, h, c in expr.terms]
+def _slot_parts(expr: KernelExpr, hbar: float, graded: bool = True):
+    """(weight, basis) parts of a kernel expression at finite hbar.
+
+    A graded slot (an attached factor or scalar pair of a term) is taken
+    over the real basis with its lowest hbar power factored out, since
+    alg.hbar_grade puts that power in the term's prefactor; otherwise (a
+    pair exponent, EvalContext.smeared_expr) expr is taken as it is.  A lone kernel of coefficient 1
+    enters unweighted (weight None), so real factors stay real.
+    """
+    low = expr.min_hbar() if graded else 0
+    if graded:
+        expr = expr.real_basis()
+    if len(expr.terms) == 1 and expr.terms[0][1:] == (low, CR_ONE):
+        return [(None, expr.terms[0][0])]
+    return [(c.as_complex() * hbar ** (h - low), b) for b, h, c in expr.terms]
 
 
-def _integrand(ctx: EvalContext, term):
-    """Integrand ``fn(cache)`` of one Generator or ExpandedTerm.
+def _integrand(ctx: EvalContext, term: alg.Generator):
+    """Integrand ``fn(cache)`` of one term.
 
     The term is turned once into weighted factor lists: vertex weights,
     exponentiated pairs, edge powers and attached smeared kernels, and
-    scalar pairs, whose product is folded into the complex prefactor.  An
-    ExpandedTerm carries single unit-weight kernels (hbar powers and
-    coefficients are in its prefactor); a Generator carries the kernel
-    expressions of finite hbar, over the real basis except in its pair
-    exponents.
+    scalar pairs, whose product is folded into the complex prefactor, which
+    carries hbar to the term's grade (alg.hbar_grade).
 
     Scalar pairs and tabulated Q fields carry an error estimate.  fn returns
     (values, derivatives, higher): ``derivatives`` lists (key, delta,
@@ -273,25 +283,18 @@ def _integrand(ctx: EvalContext, term):
     """
     p = ctx.params
     a = p.a
-    if isinstance(term, ExpandedTerm):
-        pair_parts = [(i, j, [(None, "Q")]) for (i, j), _ in term.q_pairs]
-        edges = term.edges
-        attached = [(v, l, vf, [(None, b)])
-                    for v, b, h, l, vf in term.attached]
-        scalars = [(pn, qn, [(None, b)]) for b, h, pn, qn in term.scalar_pairs]
-    else:
-        pair_parts = [(i, j, _weighted(e, p.hbar))
-                      for (i, j), e in term.pair_exps]
-        edges = ()
-        attached = [(v, l, vf, _weighted(e.real_basis(), p.hbar))
-                    for v, e, l, vf in term.attached]
-        scalars = [(pn, qn, _weighted(e.real_basis(), p.hbar))
-                   for e, pn, qn in term.scalar_pairs]
+    pair_parts = [(i, j, _slot_parts(e, p.hbar, graded=False))
+                  for (i, j), e in term.pair_exps]
+    attached = [(v, l, vf, _slot_parts(e, p.hbar))
+                for v, e, l, vf in term.attached]
+    scalars = [(pn, qn, _slot_parts(e, p.hbar))
+               for e, pn, qn in term.scalar_pairs]
 
     def unit(w):
         return 1.0 if w is None else w
 
-    rest = term.coeff.value(p.a, p.hbar, p.lam)
+    grade = alg.hbar_grade(term)
+    rest = replace(term.coeff, hbar_pow=grade).value(p.a, p.hbar, p.lam)
     coeff = rest
     constants = []  # (scalar value, its error parts (key, weight, delta))
     for pn, qn, parts in scalars:
@@ -326,7 +329,7 @@ def _integrand(ctx: EvalContext, term):
             factors.append((np.exp(scale * _linear(
                 parts, lambda b: cache.q_pair(i, j) if b == "Q"
                 else cache.edge(b, i, j))), ()))
-        for i, j, b, h, pw in edges:
+        for i, j, b, h, pw in term.edges:
             factors.append((cache.edge(b, i, j) ** pw, ()))
         for v, l, vf, parts, qw in attached:
             errs = ()

@@ -261,8 +261,9 @@ class TestGrading:
         terms = A.classical_term(1, 1)
         assert len(terms) == 2
         for t in terms:
-            assert t.coeff.hbar_pow == 0
-            (v, b, h, l, vf), = t.attached
+            assert A.hbar_grade(t) == 0
+            (v, e, l, vf), = t.attached
+            (b, h, _), = e.terms
             assert b == "DeltaA" and h == 1
             mag = CRat.of(0, Fraction(t.charges[0], 2) * -1)
             assert t.coeff.crat == mag
@@ -271,7 +272,8 @@ class TestGrading:
         terms = A.classical_term(2, 1)
         assert len(terms) == 4
         bases = {b for t in terms for _, _, b, _, _ in t.edges}
-        bases |= {b for t in terms for _, b, _, _, _ in t.attached}
+        bases |= {b for t in terms for _, e, _, _ in t.attached
+                  for b, _, _ in e.terms}
         assert bases <= {"DeltaR", "DeltaA"}  # H cancels exactly
 
     def test_labeled_second_order_graph_classes(self):
@@ -281,7 +283,8 @@ class TestGrading:
         assert len(grouped) == 4
         sigs = sorted(
             tuple(sorted([b for _, _, b, _, _ in t.edges]
-                         + [b for _, b, _, _, _ in t.attached]))
+                         + [b for _, e, _, _ in t.attached
+                            for b, _, _ in e.terms]))
             for t, _ in grouped)
         assert sigs == [("DeltaAF", "Omega"), ("DeltaF", "DeltaF"),
                         ("DeltaF", "Omega"), ("Omega", "Omega")]
@@ -300,6 +303,17 @@ class TestGrading:
         conn = A.connected_product([A.leg("f1"), A.leg("f2")], A.KE_OMEGA_H)
         (g,) = A.collected_raw_list(conn)
         assert A.hbar_grade(g) == 1
+
+    def test_grade_of_every_stratum_term(self):
+        # stratum k of R_{2,m} (prefactor hbar^-2) is the hbar^(k-2)
+        # stratum: strata 0 and 1 cancel, 2 is classical, 3 the first
+        # quantum correction
+        strata = A.expand_strata(A.bogoliubov_generators(2, ["f1", "f2"]),
+                                 k_max=3)
+        assert [k for k, terms in strata.items() if terms] == [2, 3]
+        for k, terms in strata.items():
+            for _, t in terms.values():
+                assert A.hbar_grade(t) == k - 2
 
     def test_negative_grade_raised_on_tampered_sum(self):
         # dropping the l = 1 block breaks the telescoping: strata below n

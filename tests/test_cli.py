@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -6,6 +7,8 @@ import os
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochsg.cli import main
 from stochsg.config import parse_config
@@ -99,6 +102,51 @@ def _mutated(section, key, value) -> dict:
     return bad
 
 
+def _paths(node, path=()):
+    """The path of every value inside a JSON document, containers too."""
+    items = (node.items() if isinstance(node, dict)
+             else enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _paths(child, path + (key,))
+
+
+_PATHS = list(_paths(BASE_CONFIG))
+_ODD_VALUES = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 0.0, 1e308]),
+    st.integers(max_value=-1), st.floats(max_value=-1e-9),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.sampled_from(["", "x", "f1", "g", "paper", "1.0"]),
+    st.lists(st.sampled_from([0, -1, 0.5, "f1", None, [0.0, 0.0]]),
+             max_size=3),
+    st.dictionaries(st.sampled_from(["center", "radius", "kind", "legs"]),
+                    st.sampled_from([0, 1.0, "f1", None, [0.0, 0.0]]),
+                    max_size=2))
+
+
+def _set_path(doc, path, value):
+    """Set doc at path, unless an earlier mutation removed the way there."""
+    node = doc
+    try:
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+    except (KeyError, IndexError, TypeError):
+        pass
+
+
+def _reals(obj):
+    """Every float inside a parsed config."""
+    if isinstance(obj, float):
+        yield obj
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from _reals(getattr(obj, f.name))
+    elif isinstance(obj, (dict, tuple, list)):
+        for v in (obj.values() if isinstance(obj, dict) else obj):
+            yield from _reals(v)
+
+
 class TestConfigRanges:
     @pytest.mark.parametrize("command,section,key,value", [
         ("corr", "quad", "budget", 100),
@@ -142,6 +190,33 @@ class TestConfigRanges:
         # p_hat at or above 1/alpha = 4 pi / (a^2 hbar), 125.66 here
         ("bounds", "bounds", "p_hat", 200.0),
         ("bounds", "bounds", "p_hat", 4.0 * math.pi / 0.1),
+        # bounds divide by alpha = a^2 hbar / (4 pi)
+        ("bounds", "params", "hbar", 0.0),
+        ("bounds", "params", "a", 0.0),
+        # non-finite reals, which JSON readers accept
+        ("compute-q", "params", "mu", math.nan),
+        ("compute-q", "params", "m", math.nan),
+        ("compute-q", "params", "a", math.nan),
+        ("compute-q", "params", "hbar", math.nan),
+        ("compute-q", "params", "lam", math.nan),
+        ("compute-q", "params", "t_switch", math.nan),
+        ("compute-q", "params", "chi_width", math.nan),
+        ("corr", "quad", "p_hat", math.nan),
+        ("compute-q", "params", "m", math.inf),
+        ("compute-q", "params", "lam", math.inf),
+        ("compute-q", "params", "mu", math.inf),
+        ("compute-q", "params", "t_switch", -math.inf),
+        ("compute-q", "params", "chi_width", math.inf),
+        ("corr", "quad", "p_hat", math.inf),
+        ("mc", "mc", "dt", math.inf),
+        ("mc", "mc", "pad", math.inf),
+        ("corr", "smearings", "f1",
+         [{"center": [math.nan, -0.25], "radius": 0.18, "amplitude": 1.0}]),
+        # observable leg counts, and alpha beyond the float range
+        ("corr", None, "observables", [{"kind": "correlation", "legs": []}]),
+        ("mc", None, "observables",
+         [{"kind": "correlation", "legs": ["f1", "f2", "f1"]}]),
+        ("compute-q", "params", "a", 1e308),
     ])
     def test_out_of_range_is_config_error(self, tmp_path, command, section,
                                           key, value):
@@ -166,6 +241,24 @@ class TestConfigRanges:
         res = _run([command, "--config", str(path), "--out", str(tmp_path)])
         assert res.exit_code == 1
         assert "p_hat" in res.output
+
+    def test_integer_beyond_float_range(self):
+        with pytest.raises(ConfigError):
+            parse_config(_mutated("params", "lam", 10 ** 400))
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(st.sampled_from(_PATHS), _ODD_VALUES),
+                    min_size=1, max_size=3))
+    def test_mutants_parse_or_raise_config_error(self, mutations):
+        # a mutant parses into a config of finite reals or is refused
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        for path, value in mutations:
+            _set_path(doc, path, value)
+        try:
+            cfg = parse_config(doc)
+        except ConfigError:
+            return
+        assert all(math.isfinite(x) for x in _reals(cfg))
 
     def test_quantum_hbars_need_an_order(self, tmp_path):
         bad = _mutated(None, "orders", [])
