@@ -50,7 +50,12 @@ _COINCIDENCE_OK = {"Q", "DeltaR", "DeltaA", "Delta"}
 
 @dataclass(frozen=True)
 class KernelExpr:
-    """Normalized linear combination of basis kernels with hbar powers."""
+    """Normalized linear combination of basis kernels with hbar powers.
+
+    The hash is computed once per instance, and the derived expressions
+    (real basis, transpose, hbar split) once per distinct value, so equal
+    expressions share them.
+    """
 
     terms: tuple[tuple[str, int, CRat], ...] = ()
 
@@ -63,7 +68,7 @@ class KernelExpr:
                 raise KeyError(f"unknown kernel basis {basis!r}")
             c = coeff if isinstance(coeff, CRat) else CRat.of(coeff)
             key = (basis, hbar)
-            acc[key] = acc.get(key, CRat.of(0)) + c
+            acc[key] = acc[key] + c if key in acc else c
         kept = tuple(sorted((b, h, c) for (b, h), c in acc.items()
                             if not c.is_zero()))
         return KernelExpr(kept)
@@ -75,9 +80,17 @@ class KernelExpr:
         c = c if isinstance(c, CRat) else CRat.of(c)
         return KernelExpr.of(*((b, h, cc * c) for b, h, cc in self.terms))
 
+    @functools.cached_property
+    def _hash(self) -> int:
+        return hash(self.terms)
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def is_zero(self) -> bool:
         return not self.terms
 
+    @functools.cache
     def real_basis(self) -> "KernelExpr":
         out = []
         for b, h, c in self.terms:
@@ -87,6 +100,7 @@ class KernelExpr:
                 out.append((b, h, c))
         return KernelExpr.of(*out)
 
+    @functools.cache
     def transpose(self) -> "KernelExpr":
         """Swap the two kernel arguments (expressed over the real basis)."""
         return KernelExpr.of(*((_SWAP.get(b, b), h, c)
@@ -95,6 +109,7 @@ class KernelExpr:
     def is_symmetric(self) -> bool:
         return self.real_basis() == self.transpose()
 
+    @functools.cache
     def hbar_split(self) -> tuple["KernelExpr", "KernelExpr"]:
         lo = KernelExpr.of(*(t for t in self.terms if t[1] == 0))
         hi = KernelExpr.of(*(t for t in self.terms if t[1] > 0))
@@ -123,7 +138,7 @@ KE_Q_OMEGA = KE_Q + KE_OMEGA_H  # Q + hbar omega
 # generator monomials
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Generator:
     """One monomial of the generator algebra, at finite hbar or in one hbar
     stratum.
@@ -424,23 +439,20 @@ def _rank_dropped(basis: str, ra, rb) -> bool:
     return basis == ("DeltaR" if ra < rb else "DeltaA")
 
 
-def _linear_choices(factors, coeff, k_max: int):
+def _linear_choices(factors, crat: CRat, k_max: int):
     """Expand a product of factors that are linear in their kernels.
 
     Each factor is a list of options (h, entry, c): one term with hbar
-    power h and coefficient c.  Yields (entries, coefficient, hbar) for
-    every choice of one option per factor whose hbar total stays <= k_max,
-    the first factor varying slowest.
+    power h and coefficient c, a CRat.  Returns (entries, crat times the
+    chosen c, hbar) for every choice of one option per factor whose hbar
+    total stays <= k_max, the first factor varying slowest.
     """
-    def rec(idx, chosen, coeff, h_tot):
-        if idx == len(factors):
-            yield chosen, coeff, h_tot
-            return
-        for h, entry, c in factors[idx]:
-            if h_tot + h <= k_max:
-                yield from rec(idx + 1, chosen + [entry], coeff * c, h_tot + h)
-
-    yield from rec(0, [], coeff, 0)
+    partial = [([], crat, 0)]
+    for options in factors:
+        partial = [(chosen + [entry], prod * c, h_tot + h)
+                   for chosen, prod, h_tot in partial
+                   for h, entry, c in options if h_tot + h <= k_max]
+    return partial
 
 
 def _linearize(g: Generator, leg_ranks: dict | None = None,
@@ -472,9 +484,10 @@ def _linearize(g: Generator, leg_ranks: dict | None = None,
         factors.append(options(e, leg_ranks.get(p), leg_ranks.get(q),
                                lambda k: (k, p, q)))
     n_att = len(g.attached)
-    for chosen, coeff, _ in _linear_choices(factors, g.coeff, 0):
-        if not coeff.is_zero():
-            yield replace(g, coeff=coeff, attached=tuple(chosen[:n_att]),
+    for chosen, crat, _ in _linear_choices(factors, g.coeff.crat, 0):
+        if not crat.is_zero():
+            yield replace(g, coeff=replace(g.coeff, crat=crat),
+                          attached=tuple(chosen[:n_att]),
                           scalar_pairs=tuple(chosen[n_att:]))
 
 
@@ -758,7 +771,7 @@ def _drop_vertex(g: Generator, v: int) -> Generator:
 # ---------------------------------------------------------------------------
 
 def _expand_generator(g: Generator, k_max: int, real_basis: bool):
-    """Yield (stratum, term) for quantum hbar-order <= k_max.
+    """The terms of g of quantum hbar-order <= k_max, built on demand.
 
     One choice list per factor: each quantum term (b, h, c) of each pair
     kernel offers the Taylor powers p of e^{-c_i c_j a^2 c K}, at hbar cost
@@ -766,6 +779,11 @@ def _expand_generator(g: Generator, k_max: int, real_basis: bool):
     p) is kept for p > 0); then each attached factor and scalar pair offers
     its basis terms (b, h, c), kept as the slot hbar^h K_b with c folded
     into the coefficient.  The grade-zero pair kernels stay exponential.
+
+    Returns (shape, choices, build): choices lists (edges, attached,
+    scalars, crat, stratum) per choice, the first three holding the chosen
+    entries of each kind; build(edges, attached, scalars, crat) is the
+    term.  Equal shapes and entries give terms that differ only in crat.
     """
     def _terms(expr: KernelExpr):
         return (expr.real_basis() if real_basis else expr).terms
@@ -784,10 +802,10 @@ def _expand_generator(g: Generator, k_max: int, real_basis: bool):
             q_pairs.append(((i, j), lo))
         for b, h, c in _terms(hi):
             w = CRat.of(-g.charges[i] * g.charges[j]) * c
-            factors.append([(0, None, COEFF_ONE)] + [
+            factors.append([(0, None, CR_ONE)] + [
                 (h * p, (i, j, b, h, p),
-                 Coeff(math.prod([w] * p, start=CR_ONE)
-                       * Fraction(1, math.factorial(p)), a_pow=2 * p))
+                 math.prod([w] * p, start=CR_ONE)
+                 * Fraction(1, math.factorial(p)))
                 for p in range(1, k_max // h + 1)])
     n_edges = len(factors)
     factors += [options(e, lambda k: (v, k, l, vf))
@@ -796,18 +814,33 @@ def _expand_generator(g: Generator, k_max: int, real_basis: bool):
     factors += [options(e, lambda k: (k, p, q))
                 for e, p, q in g.scalar_pairs]
 
-    # the factor order fixes the floating-point product of the integrand
-    for chosen, coeff, h_tot in _linear_choices(factors, g.coeff, k_max):
-        yield h_tot, replace(
-            g, coeff=coeff, pair_exps=tuple(q_pairs),
-            edges=tuple(sorted(e for e in chosen[:n_edges] if e)),
-            attached=tuple(sorted(chosen[n_edges:n_att],
+    q_pairs, free_legs = tuple(q_pairs), tuple(sorted(g.free_legs))
+    a_pow, hbar_pow, lam_pow = g.coeff.powers_key()
+
+    def build(edges, attached, scalars, crat: CRat) -> Generator:
+        edges = tuple(sorted(filter(None, edges)))
+        # the factor order fixes the floating-point product of the integrand
+        return Generator(
+            coeff=Coeff(crat, a_pow + 2 * sum(e[4] for e in edges), hbar_pow,
+                        lam_pow),
+            charges=g.charges, smearings=g.smearings,
+            dressings=g.dressings, ranks=g.ranks, pair_exps=q_pairs,
+            edges=edges,
+            attached=tuple(sorted(attached,
                                   key=lambda s: (s[0], s[1].terms[0][:2],
                                                  *s[2:]))),
-            scalar_pairs=tuple(sorted(chosen[n_att:],
+            scalar_pairs=tuple(sorted(scalars,
                                       key=lambda s: (s[0].terms[0][:2],
                                                      *s[1:]))),
-            free_legs=tuple(sorted(g.free_legs)))
+            free_legs=free_legs)
+
+    choices = [(tuple(chosen[:n_edges]), tuple(chosen[n_edges:n_att]),
+                tuple(chosen[n_att:]), crat, h_tot)
+               for chosen, crat, h_tot in
+               _linear_choices(factors, g.coeff.crat, k_max)]
+    shape = (g.charges, g.smearings, g.dressings, g.ranks, q_pairs,
+             free_legs, a_pow, hbar_pow, lam_pow)
+    return shape, choices, build
 
 
 def _null_support(term: Generator) -> bool:
@@ -826,11 +859,40 @@ def expand_strata(gens, k_max: int, real_basis: bool = True) -> dict:
     Returns {stratum: {canonical_key: (CRat, term)}} with exact
     cancellation applied; pointwise-null edge products are dropped when
     working over the real basis.
+
+    The terms repeat far fewer structures than they number (R_{3,1}:
+    88,000 terms, 11,000 structures), so each structure is built, tested
+    for a null edge product and keyed once; a repeat only adds its
+    coefficient.  A structure is spelled by small ids of its parts, which
+    keeps the memo small.
     """
-    sums = _sum_by_key(((h, _canonical_key(term)), term.coeff.crat, term)
-                       for g in _as_list(gens)
-                       for h, term in _expand_generator(g, k_max, real_basis)
-                       if not (real_basis and _null_support(term)))
+    ids: dict = {}       # structure part -> small id
+    keys: dict = {}      # structure -> canonical key, None for a null one
+    interned: dict = {}  # one object per canonical key and per key part
+
+    def keyed():
+        for g in _as_list(gens):
+            shape, choices, build = _expand_generator(g, k_max, real_basis)
+            shape = ids.setdefault(shape, len(ids))
+            for edges, attached, scalars, crat, h in choices:
+                s = (shape, ids.setdefault(edges, len(ids)),
+                     ids.setdefault(attached, len(ids)),
+                     ids.setdefault(scalars, len(ids)))
+                if s in keys:
+                    # seen before, so its key is already being summed
+                    if keys[s] is not None:
+                        yield keys[s], crat, None
+                    continue
+                t = build(edges, attached, scalars, crat)
+                key = None
+                if not (real_basis and _null_support(t)):
+                    key = (h, tuple(interned.setdefault(p, p)
+                                    for p in _canonical_key(t)))
+                    key = interned.setdefault(key, key)
+                    yield key, crat, t
+                keys[s] = key
+
+    sums = _sum_by_key(keyed())
     strata: dict[int, dict] = {k: {} for k in range(k_max + 1)}
     for (h, key), entry in sums.items():
         strata[h][key] = entry

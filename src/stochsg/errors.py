@@ -51,3 +51,7 @@ class QTableFormatError(StochSGError):
 
 class ConfigError(StochSGError):
     """Invalid or inconsistent run configuration."""
+
+
+class NonFiniteValue(StochSGError):
+    """A numeric result overflowed the float range or is not a number."""

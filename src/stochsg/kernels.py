@@ -24,8 +24,8 @@ import numpy as np
 from scipy import ndimage
 from scipy.special import j0 as _j0, k0 as _k0, y0 as _y0
 
-from .errors import (ConfigError, EvalOnLightcone, OutOfDomain,
-                     QTableFormatError)
+from .errors import (ConfigError, EvalOnLightcone, NonFiniteValue,
+                     OutOfDomain, QTableFormatError)
 from .results import QuadResult
 
 LIGHTCONE_FLOOR = 1e-12
@@ -510,7 +510,8 @@ class QTable:
     @staticmethod
     def load(path: str) -> "QTable":
         """Read a table written by save; a file that is not one complete
-        QTBL table of this version raises QTableFormatError."""
+        QTBL table of this version, or that holds a non-finite number,
+        raises QTableFormatError."""
         with open(path, "rb") as fh:
             data = fh.read()
         if len(data) < _QTBL_HEAD or data[:4] != _QTBL_MAGIC:
@@ -526,6 +527,11 @@ class QTable:
         m, a, hbar, lam, mu, mu_ref, t_switch, sign, chi_width = \
             struct.unpack_from("<9d", data, 20)
         body = np.frombuffer(data, dtype="<f8", offset=_QTBL_HEAD)
+        if not (np.isfinite(body).all() and np.isfinite(
+                [m, a, hbar, lam, mu, mu_ref, t_switch, chi_width]).all()):
+            raise QTableFormatError(f"{path}: non-finite number in the table")
+        if sign not in (0.0, 1.0):
+            raise QTableFormatError(f"{path}: sign code {sign!r}")
         tgrid = body[:n_t].copy()
         dgrid = body[n_t:n_t + n_x].copy()
         vals = body[n_t + n_x:].reshape(n_t, n_t, n_x).copy()
@@ -633,7 +639,8 @@ def build_q_table(p: ModelParams, n_t: int = 64, n_x: int = 128,
     """Tabulate Q(t, t', x - x') over D_mu x D_mu.
 
     Chunks of entries are independent, so they run on the thread pool of
-    parallel_map; the output is deterministic either way.
+    parallel_map; the output is deterministic either way.  NonFiniteValue
+    if a grid node or an entry is not finite.
     """
     if n_t < MIN_TABLE_NODES or n_x < MIN_TABLE_NODES:
         raise ValueError(f"n_t and n_x must be >= {MIN_TABLE_NODES}")
@@ -646,10 +653,14 @@ def build_q_table(p: ModelParams, n_t: int = 64, n_x: int = 128,
 
     def fill(lo: int):
         sl = slice(lo, lo + _Q_CHUNK)
-        vals[sl] = _q_values(t[sl], d[sl], tp[sl], np.zeros_like(d[sl]),
-                             p, n, n)
+        # an overflow shows as a non-finite entry, refused below
+        with np.errstate(over="ignore", invalid="ignore"):
+            vals[sl] = _q_values(t[sl], d[sl], tp[sl], np.zeros_like(d[sl]),
+                                 p, n, n)
 
     parallel_map(fill, range(0, t.size, _Q_CHUNK))
+    if not all(np.isfinite(x).all() for x in (tgrid, dgrid, vals)):
+        raise NonFiniteValue(f"Q table with a non-finite node or entry at {p}")
     values = vals.reshape(n_t, n_t, n_x)
     return QTable(tgrid, dgrid, values, p, interp_method)
 

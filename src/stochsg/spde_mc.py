@@ -18,6 +18,7 @@ cone, which makes causality checks exact per sample.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,6 +31,7 @@ SOURCE_SIGN = -1.0
 BOUNDARIES = ("absorbingPad", "periodic")
 MIN_REALIZATIONS = 100
 MAX_ORDER = 2   # the hierarchy is solved through Psi_2
+MAX_CELLS = 2 ** 28   # lattice cells per field: 2 GiB of float64
 
 
 @dataclass(frozen=True)
@@ -68,7 +70,12 @@ class LatticeGrid:
 def grid_for(params: ModelParams, smearings, dt: float,
              pad: float = 0.25, boundary: str = "absorbingPad") -> LatticeGrid:
     """Grid starting at the noise switch-on whose spatial extent covers the
-    domain of dependence of every smearing support, plus a pad."""
+    domain of dependence of every smearing support, plus a pad.
+
+    ConfigError if no such lattice can be sized: the switch-on is not
+    before the end of the supports, the cell count is not finite or above
+    MAX_CELLS, or dt^2 overflows.
+    """
     t_max = max(f.support_box()[1] for f in smearings)
     x_lo = min(f.support_box()[2] for f in smearings)
     x_hi = max(f.support_box()[3] for f in smearings)
@@ -76,9 +83,18 @@ def grid_for(params: ModelParams, smearings, dt: float,
     span = t_max - t0
     x0 = x_lo - span - pad
     width = (x_hi + span + pad) - x0
-    n_t = int(np.ceil(span / dt)) + 2
-    n_x = int(np.ceil(width / dt)) + 1
-    return LatticeGrid(dt, dt, n_t, n_x, t0, x0, boundary)
+    if not span > 0:
+        raise ConfigError(f"params.t_switch = {t0!r} is not before the end "
+                          f"of the smearing supports, t = {t_max!r}")
+    # float cell counts, inf when they overflow
+    n_t, n_x = span / dt + 2, width / dt + 1
+    if not (n_t * n_x <= MAX_CELLS and math.isfinite(dt * dt)):
+        raise ConfigError(
+            f"mc lattice cannot be sized: dt = {dt!r} over t in [{t0!r}, "
+            f"{t_max!r}] with pad {pad!r} gives {n_t:.3g} x {n_x:.3g} cells "
+            f"(at most {MAX_CELLS}) and dt^2 = {dt * dt!r}")
+    return LatticeGrid(dt, dt, math.ceil(span / dt) + 2,
+                       math.ceil(width / dt) + 1, t0, x0, boundary)
 
 
 def sample_noise(grid: LatticeGrid, params: ModelParams, seed: int,

@@ -280,6 +280,20 @@ class TestConfigRanges:
         assert res.exit_code == 1
         assert "order" in res.output
 
+    @pytest.mark.parametrize("section,key,value,message", [
+        ("params", "t_switch", 1e308, "t_switch"),
+        ("mc", "pad", 1e308, "cannot be sized"),
+        ("mc", "dt", 1e308, "cannot be sized"),
+    ])
+    def test_unsized_lattice_is_config_error(self, tmp_path, section, key,
+                                             value, message):
+        # parse_config accepts these; the lattice they ask for overflows
+        path = tmp_path / "lattice.json"
+        path.write_text(json.dumps(_mutated(section, key, value)))
+        res = _run(["mc", "--config", str(path), "--out", str(tmp_path)])
+        assert res.exit_code == 1
+        assert message in res.output
+
     @pytest.mark.parametrize("command", ["compute-q", "mc"])
     @pytest.mark.parametrize("workers", ["abc", "0"])
     def test_bad_workers_is_config_error(self, workdir, monkeypatch, command,
@@ -289,6 +303,33 @@ class TestConfigRanges:
         res = _run([command, "--config", cfg, "--out", str(tmp / "w")])
         assert res.exit_code == 1
         assert "WORKERS" in res.output
+
+
+class TestNumericFailures:
+    """Values parse_config accepts but whose numbers leave the float range:
+    exit code 2, and no table or CSV is written."""
+
+    def test_prefactor_overflow(self, tmp_path):
+        # hbar**-1 at hbar = 1e-320 overflows in Coeff.value
+        path = tmp_path / "tiny_hbar.json"
+        path.write_text(json.dumps(_mutated("params", "hbar", 1e-320)))
+        res = _run(["bounds", "--config", str(path), "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "overflows" in res.output
+        assert not (tmp_path / "bounds.csv").exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("t_switch", -1e308),   # the covariance integrand is inf - inf
+        ("mu", 1e308),          # the grid over [-2 mu, 2 mu] overflows
+    ])
+    def test_non_finite_q_table(self, tmp_path, key, value):
+        path = tmp_path / "extreme.json"
+        path.write_text(json.dumps(_mutated("params", key, value)))
+        res = _run(["compute-q", "--config", str(path),
+                    "--out", str(tmp_path)])
+        assert res.exit_code == 2
+        assert "non-finite" in res.output
+        assert not (tmp_path / "qtable.bin").exists()
 
 
 class TestCommands:

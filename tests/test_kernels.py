@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from stochsg import kernels as ker
-from stochsg.errors import EvalOnLightcone, OutOfDomain, QTableFormatError
+from stochsg.errors import (EvalOnLightcone, NonFiniteValue, OutOfDomain,
+                            QTableFormatError)
 from stochsg.kernels import ModelParams, SmearingFunction, SpacetimePoint
 
 
@@ -276,8 +277,31 @@ class TestQTableFile:
                 with pytest.raises(QTableFormatError):
                     ker.QTable.load(path)
 
+    @given(small_tables(), st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_non_finite_number_is_typed_error(self, table, data):
+        # any one double of the file, header parameters and grids included
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "q.bin")
+            table.save(path)
+            with open(path, "rb") as fh:
+                whole = bytearray(fh.read())
+            slots = range(20, len(whole), 8)
+            at = data.draw(st.sampled_from(slots))
+            bad = data.draw(st.sampled_from([math.nan, math.inf, -math.inf]))
+            whole[at:at + 8] = np.float64(bad).astype("<f8").tobytes()
+            with open(path, "wb") as fh:
+                fh.write(whole)
+            with pytest.raises(QTableFormatError):
+                ker.QTable.load(path)
+
 
 class TestQTable:
+    def test_non_finite_entry_is_refused(self, params):
+        # t_switch -1e308 makes the covariance integrand inf - inf
+        with pytest.raises(NonFiniteValue):
+            ker.build_q_table(params.with_(t_switch=-1e308), 4, 4, 16)
+
     def test_nodes_reproduced(self, params, qtable):
         tg, dg = qtable.time_grid, qtable.space_offset_grid
         scale = qtable.values.max()
