@@ -144,25 +144,24 @@ class Generator:
     stratum.
 
     vertices: per-vertex integer charge (multiple of the base charge a),
-    smearing id, dressing exponent D (weight factor e^{-(c^2 a^2/2) D(x,x)})
-    and optional support-order rank.  ``pair_exps[(i, j)]`` with i < j is the
+    smearing id and dressing exponent D (weight factor
+    e^{-(c^2 a^2/2) D(x,x)}).  ``pair_exps[(i, j)]`` with i < j is the
     exponent kernel E in e^{-c_i c_j a^2 E(x_i, x_j)}; the first kernel slot
     is x_i.  ``edges`` (i, j, basis, hbar, power) are Taylor-expanded
     quantum contractions, the factor (hbar^h K_b(x_i, x_j))^power.
-    ``attached`` entries (v, E, leg, vertex_first) multiply the vertex
-    weight by the smeared kernel (E leg)(x_v) (or its transpose); the
-    derivative factor i c_v a is already folded into ``coeff``.  A kernel
-    slot term (b, h, c) always means c hbar^h K_b.
+    ``attached`` entries (v, E, leg) multiply the vertex weight by the
+    smeared kernel (E leg)(x_v) = int E(x_v, y) leg(y) dy, x_v in the first
+    slot; the derivative factor i c_v a is already folded into ``coeff``.
+    A kernel slot term (b, h, c) always means c hbar^h K_b.
     """
 
     coeff: Coeff = COEFF_ONE
     charges: tuple[int, ...] = ()
     smearings: tuple[str, ...] = ()
     dressings: tuple[KernelExpr, ...] = ()
-    ranks: tuple[int | None, ...] = ()
     pair_exps: tuple[tuple[tuple[int, int], KernelExpr], ...] = ()
     edges: tuple[tuple[int, int, str, int, int], ...] = ()
-    attached: tuple[tuple[int, KernelExpr, str, bool], ...] = ()
+    attached: tuple[tuple[int, KernelExpr, str], ...] = ()
     scalar_pairs: tuple[tuple[KernelExpr, str, str], ...] = ()
     free_legs: tuple[str, ...] = ()
 
@@ -179,21 +178,21 @@ def unit() -> Generator:
 
 
 def vertex(charge: int, smearing: str = "g", dressing: KernelExpr = KE_ZERO,
-           rank: int | None = None, coeff: Coeff = COEFF_ONE) -> Generator:
+           coeff: Coeff = COEFF_ONE) -> Generator:
     return Generator(coeff=coeff, charges=(charge,), smearings=(smearing,),
-                     dressings=(dressing,), ranks=(rank,))
+                     dressings=(dressing,))
 
 
 def leg(name: str, coeff: Coeff = COEFF_ONE) -> Generator:
     return Generator(coeff=coeff, free_legs=(name,))
 
 
-def sg_vertex(smearing: str = "g", dressing: KernelExpr = KE_ZERO,
-              rank: int | None = None) -> list[Generator]:
+def sg_vertex(smearing: str = "g",
+              dressing: KernelExpr = KE_ZERO) -> list[Generator]:
     """The sine-Gordon interaction V = (V_{+a} + V_{-a}) / 2."""
     half = Coeff(CRat.of(Fraction(1, 2)))
-    return [vertex(+1, smearing, dressing, rank, half),
-            vertex(-1, smearing, dressing, rank, half)]
+    return [vertex(+1, smearing, dressing, half),
+            vertex(-1, smearing, dressing, half)]
 
 
 def _as_list(x) -> list[Generator]:
@@ -225,11 +224,10 @@ def _pointwise_two(A: Generator, B: Generator) -> Generator:
         charges=A.charges + B.charges,
         smearings=A.smearings + B.smearings,
         dressings=A.dressings + B.dressings,
-        ranks=A.ranks + B.ranks,
         pair_exps=tuple(sorted(pairs.items())),
         edges=A.edges + tuple((i + off, j + off, b, h, p)
                               for i, j, b, h, p in B.edges),
-        attached=A.attached + tuple((v + off, e, l, vf) for v, e, l, vf in B.attached),
+        attached=A.attached + tuple((v + off, e, l) for v, e, l in B.attached),
         scalar_pairs=A.scalar_pairs + B.scalar_pairs,
         free_legs=A.free_legs + B.free_legs)
 
@@ -275,7 +273,7 @@ def _contracted(g: Generator, targets, partners, attach,
     """g with its free legs contracted in every way _leg_fates allows.
 
     A leg attached to vertex v contributes i c_v a (K f)(x_v) with
-    (K, vertex_first) = attach(v); paired legs contribute <f, pair_kernel f'>.
+    K = attach(v); paired legs contribute <f, pair_kernel f'>.
     """
     legs = g.free_legs
     out = []
@@ -283,9 +281,8 @@ def _contracted(g: Generator, targets, partners, attach,
         coeff = g.coeff
         attached = list(g.attached)
         for p, v in att:
-            kernel, vertex_first = attach(v)
             coeff = coeff * Coeff(CR_I * g.charges[v], a_pow=1)
-            attached.append((v, kernel, legs[p], vertex_first))
+            attached.append((v, attach(v), legs[p]))
         out.append(replace(
             g, coeff=coeff, attached=tuple(attached),
             scalar_pairs=g.scalar_pairs + tuple(
@@ -309,7 +306,7 @@ def _star_two(A: Generator, B: Generator, K: KernelExpr) -> list[Generator]:
     into_a = tuple(v for v in range(off) if g.charges[v] != 0)
     return _contracted(g, [into_b] * n_a + [into_a] * (m - n_a),
                        [range(n_a, m)] * n_a + [()] * (m - n_a),
-                       lambda v: (K, v < off), K)
+                       lambda v: K if v < off else K.transpose(), K)
 
 
 def star_product(A, B, K: KernelExpr) -> list[Generator]:
@@ -360,7 +357,7 @@ def gamma_deform(A, K: KernelExpr) -> list[Generator]:
         m = len(a.free_legs)
         out.extend(_contracted(base, [charged] * m,
                                [range(i + 1, m) for i in range(m)],
-                               lambda v: (K_sym, True), K_sym))
+                               lambda v: K_sym, K_sym))
     return out
 
 
@@ -394,7 +391,7 @@ def leibniz_expand(A, B, fields: list[str], K: KernelExpr) -> list[Generator]:
                                 new_pieces.append(replace(
                                     g,
                                     coeff=g.coeff * Coeff(CR_I * g.charges[v], a_pow=1),
-                                    attached=g.attached + ((v, K, fields[i], True),)))
+                                    attached=g.attached + ((v, K, fields[i]),)))
                         for p_idx, aleg in enumerate(g.free_legs):
                             kept = tuple(l for k, l in enumerate(g.free_legs)
                                          if k != p_idx)
@@ -414,29 +411,20 @@ def leibniz_expand(A, B, fields: list[str], K: KernelExpr) -> list[Generator]:
 # ---------------------------------------------------------------------------
 
 @functools.cache
-def _expr_key(expr: KernelExpr, rank_pair=(None, None),
-              transposed: bool = False) -> tuple:
-    """Key over the real basis of a kernel slot or of its transpose;
-    rank_pair ranks the two arguments of the kernel keyed.  Coefficients
-    enter as integer numerators and denominators, which hash natively."""
+def _expr_key(expr: KernelExpr, transposed: bool = False) -> tuple:
+    """Key over the real basis of a kernel slot or of its transpose.
+    Coefficients enter as integer numerators and denominators, which hash
+    natively."""
     if transposed:
         expr = expr.transpose()
     return tuple((b, h, *c.re.as_integer_ratio(), *c.im.as_integer_ratio())
-                 for b, h, c in expr.real_basis().terms
-                 if not _rank_dropped(b, *rank_pair))
+                 for b, h, c in expr.real_basis().terms)
 
 
 @functools.cache
 def _unit_kernel(basis: str, hbar: int) -> KernelExpr:
     """The one-term slot 1 * hbar^h * K_basis, built once per (basis, h)."""
     return KernelExpr.of((basis, hbar, 1))
-
-
-def _rank_dropped(basis: str, ra, rb) -> bool:
-    """K(z_a - z_b) with a strictly earlier: Delta^R vanishes (and dually)."""
-    if ra is None or rb is None or ra == rb:
-        return False
-    return basis == ("DeltaR" if ra < rb else "DeltaA")
 
 
 def _linear_choices(factors, crat: CRat, k_max: int):
@@ -455,34 +443,24 @@ def _linear_choices(factors, crat: CRat, k_max: int):
     return partial
 
 
-def _linearize(g: Generator, leg_ranks: dict | None = None,
-               rank_reduce: bool = False):
+def _linearize(g: Generator):
     """Expand the linear kernel factors into single real-basis terms.
 
     Attached factors and scalar pairs are linear in their kernel, so a
     generator with a multi-term kernel there is a sum of single-term
-    generators.  All attached entries are normalized to vertex-first slot
-    order and scalar pairs to sorted leg order.  Yields generators whose
-    attached/scalar kernels are single real-basis terms with unit
-    coefficient (coefficients folded into coeff).
+    generators.  Scalar pairs are normalized to sorted leg order.  Yields
+    generators whose attached/scalar kernels are single real-basis terms
+    with unit coefficient (coefficients folded into coeff).
     """
-    # without rank_reduce every rank is None and _rank_dropped drops nothing
-    leg_ranks = (leg_ranks or {}) if rank_reduce else {}
-    ranks = g.ranks if rank_reduce else (None,) * g.n_vertices
-
-    def options(e: KernelExpr, ra, rb, entry):
+    def options(e: KernelExpr, entry):
         return [(0, entry(_unit_kernel(b, h)), c)
-                for b, h, c in e.real_basis().terms
-                if not _rank_dropped(b, ra, rb)]
+                for b, h, c in e.real_basis().terms]
 
-    factors = [options(e if vf else e.transpose(), ranks[v], leg_ranks.get(l),
-                       lambda k: (v, k, l, True))
-               for v, e, l, vf in g.attached]
+    factors = [options(e, lambda k: (v, k, l)) for v, e, l in g.attached]
     for e, p, q in g.scalar_pairs:
         if p > q:
             e, p, q = e.transpose(), q, p
-        factors.append(options(e, leg_ranks.get(p), leg_ranks.get(q),
-                               lambda k: (k, p, q)))
+        factors.append(options(e, lambda k: (k, p, q)))
     n_att = len(g.attached)
     for chosen, crat, _ in _linear_choices(factors, g.coeff.crat, 0):
         if not crat.is_zero():
@@ -492,10 +470,10 @@ def _linearize(g: Generator, leg_ranks: dict | None = None,
 
 
 def _vertex_classes(g: Generator) -> list[tuple]:
-    """Per-vertex (charge, smearing, dressing key, rank): relabellings may
-    only permute equal classes."""
-    return [(g.charges[i], g.smearings[i], _expr_key(g.dressings[i]),
-             g.ranks[i]) for i in range(g.n_vertices)]
+    """Per-vertex (charge, smearing, dressing key): relabellings may only
+    permute equal classes."""
+    return [(g.charges[i], g.smearings[i], _expr_key(g.dressings[i]))
+            for i in range(g.n_vertices)]
 
 
 def _min_over_relabellings(classes: list[tuple], key_for) -> tuple:
@@ -509,23 +487,18 @@ def _min_over_relabellings(classes: list[tuple], key_for) -> tuple:
                if [classes[i] for i in perm] == target)
 
 
-def _canonical_key(g: Generator, leg_ranks: dict | None = None,
-                   rank_reduce: bool = False) -> tuple:
+def _canonical_key(g: Generator) -> tuple:
     """Canonical structural key, minimized over vertex relabelings.
 
     An endpoint swap transposes a pair exponent and maps DeltaR <-> DeltaA
     on an edge.  Slot keys do not depend on the relabelling, so each is
     computed once, a pair exponent's in both orientations.
     """
-    # without rank_reduce every rank is None and nothing is dropped
-    lr = (leg_ranks or {}).get if rank_reduce else (lambda leg: None)
-    vr = g.ranks if rank_reduce else (None,) * g.n_vertices
-    pairs = [(i, j, _expr_key(e, (vr[i], vr[j])),
-              _expr_key(e, (vr[j], vr[i]), True)) for (i, j), e in g.pair_exps]
-    att = [(v, l, _expr_key(e, (vr[v], lr(l)), not vf))
-           for v, e, l, vf in g.attached]
-    scal = tuple(sorted((p, q, _expr_key(e, (lr(p), lr(q)))) if p <= q
-                        else (q, p, _expr_key(e, (lr(q), lr(p)), True))
+    pairs = [(i, j, _expr_key(e), _expr_key(e, True))
+             for (i, j), e in g.pair_exps]
+    att = [(v, l, _expr_key(e)) for v, e, l in g.attached]
+    scal = tuple(sorted((p, q, _expr_key(e)) if p <= q
+                        else (q, p, _expr_key(e, True))
                         for e, p, q in g.scalar_pairs))
     rest = (scal, tuple(sorted(g.free_legs)), g.coeff.powers_key())
 
@@ -565,17 +538,15 @@ def _summed_terms(sums: dict) -> list:
             for c, rep in sums.values()]
 
 
-def collect(gens, leg_ranks=None, rank_reduce=False) -> dict:
+def collect(gens) -> dict:
     """Group generators by canonical key, summing exact coefficients.
 
     Linear kernel factors are expanded into single real-basis terms first,
     so combinations that agree only after kernel identities (for example
     Delta_F - omega = i Delta^A) collect exactly.
     """
-    return _sum_by_key((_canonical_key(g, leg_ranks, rank_reduce),
-                        g.coeff.crat, g)
-                       for g0 in _as_list(gens)
-                       for g in _linearize(g0, leg_ranks, rank_reduce))
+    return _sum_by_key((_canonical_key(g), g.coeff.crat, g)
+                       for g0 in _as_list(gens) for g in _linearize(g0))
 
 
 def collected_raw_list(gens) -> list[Generator]:
@@ -588,12 +559,42 @@ def collected_raw_list(gens) -> list[Generator]:
                                      for g in _as_list(gens)))
 
 
-def multisets_equal(gs1, gs2, leg_ranks=None, rank_reduce=False) -> bool:
-    c1 = collect(gs1, leg_ranks, rank_reduce)
-    c2 = collect(gs2, leg_ranks, rank_reduce)
+def multisets_equal(gs1, gs2) -> bool:
+    c1, c2 = collect(gs1), collect(gs2)
     if set(c1) != set(c2):
         return False
     return all(c1[k][0] == c2[k][0] for k in c1)
+
+
+def support_ordered(gens, order: dict) -> list[Generator]:
+    """gens with the kernel terms dropped that vanish under a time ordering
+    of the supports.
+
+    ``order`` maps smearing and leg names to a time rank; a name it leaves
+    out has none.  K(z, z') with the support of z strictly earlier than
+    that of z' loses its Delta^R term (Delta^A when strictly later).  Pair
+    exponents and kernel slots are rewritten over the real basis; edges are
+    kept.
+    """
+    def kept(e: KernelExpr, a: str, b: str) -> KernelExpr:
+        ra, rb = order.get(a), order.get(b)
+        if ra is None or rb is None or ra == rb:
+            return e
+        gone = "DeltaR" if ra < rb else "DeltaA"
+        return KernelExpr.of(*(t for t in e.real_basis().terms
+                               if t[0] != gone))
+
+    out = []
+    for g in _as_list(gens):
+        s, pairs = g.smearings, {}
+        for (i, j), e in g.pair_exps:
+            _merge_pair_exps(pairs, (i, j), kept(e, s[i], s[j]))
+        out.append(replace(
+            g, pair_exps=tuple(sorted(pairs.items())),
+            attached=tuple((v, kept(e, s[v], l), l) for v, e, l in g.attached),
+            scalar_pairs=tuple((kept(e, p, q), p, q)
+                               for e, p, q in g.scalar_pairs)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -618,8 +619,7 @@ def qs_term(n: int, inverse: bool = False) -> list[Generator]:
 
 
 def bogoliubov_generators(n: int, legs: list[str], deform_q: bool = True,
-                          smearings: list[str] | None = None,
-                          ranks: list[int | None] | None = None
+                          smearings: list[str] | None = None
                           ) -> list[Generator]:
     """All generator monomials of the (Q-deformed) retarded product R_{n,m}.
 
@@ -631,7 +631,6 @@ def bogoliubov_generators(n: int, legs: list[str], deform_q: bool = True,
     (i/hbar)^n (-1)^(left size) 2^(-n) (times derivative factors i c a).
     """
     smearings = smearings or ["g"] * n
-    ranks = ranks or [None] * n
     k_within_R = KE_Q_F if deform_q else KE_F_H
     k_within_L = KE_Q_AF if deform_q else KE_AF_H
     k_cross = KE_Q_OMEGA if deform_q else KE_OMEGA_H
@@ -660,11 +659,10 @@ def bogoliubov_generators(n: int, legs: list[str], deform_q: bool = True,
                 charges=tuple(charges_orig[order[k]] for k in range(n)),
                 smearings=tuple(smearings[order[k]] for k in range(n)),
                 dressings=(dress,) * n,
-                ranks=tuple(ranks[order[k]] for k in range(n)),
                 pair_exps=pair_exps, free_legs=tuple(legs))
             out.extend(_contracted(
                 base, targets, partners,
-                lambda v: (k_cross if v < n_left else k_within_R, True),
+                lambda v: k_cross if v < n_left else k_within_R,
                 KE_Q))
     return out
 
@@ -704,7 +702,7 @@ def _field_terms(n: int, leg_name: str, side: str) -> list[Generator]:
 
 
 def _leg_side(g: Generator, leg_name: str) -> str | None:
-    for v, e, l, _ in g.attached:
+    for v, e, l in g.attached:
         if l == leg_name:
             _, hi = e.hbar_split()
             if any(b == "Omega" for b, _, _ in hi.terms):
@@ -733,7 +731,7 @@ def uncontracted_cancellation(n: int, m: int, deform_q: bool = True) -> dict:
     residual = []
     for g in bogoliubov_generators(n, legs, deform_q, smearings=smearings):
         marked = g.smearings.index("g*")
-        if any(v == marked for v, _, _, _ in g.attached):
+        if any(v == marked for v, _, _ in g.attached):
             continue  # subsum requires the marked vertex leg-free
         stripped = _drop_vertex(g, marked)
         # keep the marked charge as part of the class so the factored
@@ -757,13 +755,12 @@ def _drop_vertex(g: Generator, v: int) -> Generator:
         charges=tuple(g.charges[i] for i in keep),
         smearings=tuple(g.smearings[i] for i in keep),
         dressings=tuple(g.dressings[i] for i in keep),
-        ranks=tuple(g.ranks[i] for i in keep),
         pair_exps=tuple(sorted(((remap[i], remap[j]), e)
                                for (i, j), e in g.pair_exps
                                if i != v and j != v)),
         edges=tuple((remap[i], remap[j], b, h, p)
                     for i, j, b, h, p in g.edges if i != v and j != v),
-        attached=tuple((remap[w], e, l, vf) for w, e, l, vf in g.attached))
+        attached=tuple((remap[w], e, l) for w, e, l in g.attached))
 
 
 # ---------------------------------------------------------------------------
@@ -808,8 +805,7 @@ def _expand_generator(g: Generator, k_max: int, real_basis: bool):
                  * Fraction(1, math.factorial(p)))
                 for p in range(1, k_max // h + 1)])
     n_edges = len(factors)
-    factors += [options(e, lambda k: (v, k, l, vf))
-                for v, e, l, vf in g.attached]
+    factors += [options(e, lambda k: (v, k, l)) for v, e, l in g.attached]
     n_att = len(factors)
     factors += [options(e, lambda k: (k, p, q))
                 for e, p, q in g.scalar_pairs]
@@ -824,11 +820,11 @@ def _expand_generator(g: Generator, k_max: int, real_basis: bool):
             coeff=Coeff(crat, a_pow + 2 * sum(e[4] for e in edges), hbar_pow,
                         lam_pow),
             charges=g.charges, smearings=g.smearings,
-            dressings=g.dressings, ranks=g.ranks, pair_exps=q_pairs,
+            dressings=g.dressings, pair_exps=q_pairs,
             edges=edges,
             attached=tuple(sorted(attached,
                                   key=lambda s: (s[0], s[1].terms[0][:2],
-                                                 *s[2:]))),
+                                                 s[2]))),
             scalar_pairs=tuple(sorted(scalars,
                                       key=lambda s: (s[0].terms[0][:2],
                                                      *s[1:]))),
@@ -838,8 +834,8 @@ def _expand_generator(g: Generator, k_max: int, real_basis: bool):
                 tuple(chosen[n_att:]), crat, h_tot)
                for chosen, crat, h_tot in
                _linear_choices(factors, g.coeff.crat, k_max)]
-    shape = (g.charges, g.smearings, g.dressings, g.ranks, q_pairs,
-             free_legs, a_pow, hbar_pow, lam_pow)
+    shape = (g.charges, g.smearings, g.dressings, q_pairs, free_legs, a_pow,
+             hbar_pow, lam_pow)
     return shape, choices, build
 
 
@@ -958,7 +954,7 @@ def hbar_grade(t: Generator) -> int:
     minimal power; expanded edges hbar * power.
     """
     return (t.coeff.hbar_pow
-            + sum(e.min_hbar() for _, e, _, _ in t.attached)
+            + sum(e.min_hbar() for _, e, _ in t.attached)
             + sum(e.min_hbar() for e, _, _ in t.scalar_pairs)
             + sum(h * p for _, _, _, h, p in t.edges))
 
@@ -1076,7 +1072,7 @@ def _term_graph(t: Generator, slot_fields, hbar_degree: int,
     edges += [{"a": i, "b": j, "kernel": b, "kind": "contraction",
                "hbar": h, "power": p} for i, j, b, h, p in t.edges]
     edges += [{"a": v, "b": f"leg:{l}", "kind": "attached", **slot_fields(e)}
-              for v, e, l, vf in t.attached]
+              for v, e, l in t.attached]
     edges += [{"a": f"leg:{p}", "b": f"leg:{q}", "kind": "scalar",
                **slot_fields(e)} for e, p, q in t.scalar_pairs]
     return TermGraph(vertices, tuple(t.free_legs), tuple(edges),

@@ -640,10 +640,12 @@ def build_q_table(p: ModelParams, n_t: int = 64, n_x: int = 128,
 
     Chunks of entries are independent, so they run on the thread pool of
     parallel_map; the output is deterministic either way.  NonFiniteValue
-    if a grid node or an entry is not finite.
+    if the grid span, a grid node or an entry is not finite.
     """
     if n_t < MIN_TABLE_NODES or n_x < MIN_TABLE_NODES:
         raise ValueError(f"n_t and n_x must be >= {MIN_TABLE_NODES}")
+    if not np.isfinite(4 * p.mu):  # the span of the offset grid
+        raise NonFiniteValue(f"Q table grid over a non-finite span at {p}")
     tgrid = np.linspace(-p.mu, p.mu, n_t)
     dgrid = np.linspace(-2 * p.mu, 2 * p.mu, n_x)
     n = max(6, int(round(budget ** 0.5)))
@@ -680,30 +682,24 @@ def gq_weight(z: SpacetimePoint, p: ModelParams, table: QTable,
 # numeric kernel bindings for the quadrature layer
 # ---------------------------------------------------------------------------
 
-def difference_kernel(symbol: str, p: ModelParams,
-                      convention: str | None = None) -> Callable:
-    """Vectorized evaluator K(dt, dx) for a translation-invariant kernel.
-
-    ``convention`` overrides the params' retarded sign (the symbolic layer
-    pins "paper" so that the classical expansion matches the SPDE hierarchy).
-    """
-    sign = p.retarded_sign if convention is None else (
-        -1.0 if convention == "paper" else 1.0)
-    pp = p if convention is None else p.with_(sign_convention=convention)
+def difference_kernel(symbol: str, p: ModelParams) -> Callable:
+    """Vectorized evaluator K(dt, dx) for a translation-invariant kernel,
+    with the retarded sign of the params' convention."""
+    sign = p.retarded_sign
     if symbol == "H":
-        return lambda dt, dx: hadamard(dt, dx, pp, check=False)
+        return lambda dt, dx: hadamard(dt, dx, p, check=False)
     if symbol == "H0":
-        return lambda dt, dx: hadamard_massless(dt, dx, pp.mu_ref, check=False)
+        return lambda dt, dx: hadamard_massless(dt, dx, p.mu_ref, check=False)
     if symbol == "DeltaR":
-        return lambda dt, dx: retarded_massive(dt, dx, pp.m, sign)
+        return lambda dt, dx: retarded_massive(dt, dx, p.m, sign)
     if symbol == "DeltaA":
-        return lambda dt, dx: advanced(dt, dx, pp.m, sign)
+        return lambda dt, dx: advanced(dt, dx, p.m, sign)
     if symbol == "Delta":
-        return lambda dt, dx: pauli_jordan(dt, dx, pp.m, sign)
+        return lambda dt, dx: pauli_jordan(dt, dx, p.m, sign)
     if symbol == "Omega":
-        return lambda dt, dx: wightman(dt, dx, pp, check=False)
+        return lambda dt, dx: wightman(dt, dx, p, check=False)
     if symbol == "DeltaF":
-        return lambda dt, dx: feynman(dt, dx, pp, check=False)
+        return lambda dt, dx: feynman(dt, dx, p, check=False)
     if symbol == "DeltaAF":
-        return lambda dt, dx: antifeynman(dt, dx, pp, check=False)
+        return lambda dt, dx: antifeynman(dt, dx, p, check=False)
     raise KeyError(f"unknown kernel symbol {symbol!r}")

@@ -21,7 +21,7 @@ from . import algebra as alg
 from . import kernels as ker
 from . import quad as qd
 from .algebra import KernelExpr
-from .errors import ConfigError
+from .errors import ConfigError, NonFiniteValue
 from .exact import CR_ONE
 from .results import QuadResult
 
@@ -56,9 +56,9 @@ class EvalContext:
 
     Every vertex weight is the smearing named ``interaction``, whatever the
     vertex's symbolic label; legs are looked up in ``smearings`` by name.
-    Since every vertex carries that weight, a Q-smeared leg field at a
-    vertex is read from a table over the interaction's support
-    (``field_table``).
+    Every basis kernel is one two-point function (``kernel``).  Since every
+    vertex carries that weight, a Q-smeared leg field at a vertex is read
+    from a table over the interaction's support (``field_table``).
     """
 
     def __init__(self, params: ker.ModelParams, table: ker.QTable,
@@ -88,14 +88,17 @@ class EvalContext:
         return ctx
 
     def kernel(self, basis: str):
+        """K(t, x, t', x') of a basis kernel: Q is the table, every other
+        basis the difference kernel of (t - t', x - x') in the algebra's
+        sign convention."""
         if basis == "Q":
-            raise KeyError("Q is evaluated through the table, not as a "
-                           "difference kernel")
+            return self.table.interp
         fn = self._kernel_cache.get(basis)
         if fn is None:
-            fn = ker.difference_kernel(basis, self.params,
-                                       convention=ALGEBRA_CONVENTION)
-            self._kernel_cache[basis] = fn
+            diff = ker.difference_kernel(basis, self.params.with_(
+                sign_convention=ALGEBRA_CONVENTION))
+            fn = self._kernel_cache[basis] = (
+                lambda t, x, tp, xp: diff(t - tp, x - xp))
         return fn
 
     def nodes(self, leg_name: str, order: int | None = None):
@@ -108,24 +111,13 @@ class EvalContext:
 
     # -- pointwise building blocks -----------------------------------------
 
-    def smeared_kernel(self, basis: str, leg_name: str, t, x,
-                       vertex_first: bool = True):
-        """(K f)(z) for a single basis kernel, with z in the first slot when
-        vertex_first (else the transposed pairing)."""
+    def smeared_kernel(self, basis: str, leg_name: str, t, x):
+        """(K f)(z) = sum_j w_j K(z, y_j) for a single basis kernel."""
         pts, w = self.nodes(leg_name)
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
-        if basis == "Q":
-            vals = self.table.interp(t[..., None], x[..., None],
-                                     pts[None, :, 0], pts[None, :, 1])
-        else:
-            fn = self.kernel(basis)
-            if vertex_first:
-                vals = fn(t[..., None] - pts[None, :, 0],
-                          x[..., None] - pts[None, :, 1])
-            else:
-                vals = fn(pts[None, :, 0] - t[..., None],
-                          pts[None, :, 1] - x[..., None])
+        vals = self.kernel(basis)(t[..., None], x[..., None],
+                                  pts[None, :, 0], pts[None, :, 1])
         return np.sum(w * vals, axis=-1)
 
     def field_table(self, leg_name: str) -> ker.FieldTable:
@@ -146,12 +138,10 @@ class EvalContext:
             self._field_tables[leg_name] = tab
         return tab
 
-    def smeared_expr(self, expr: KernelExpr, leg_name: str, t, x,
-                     vertex_first: bool = True):
+    def smeared_expr(self, expr: KernelExpr, leg_name: str, t, x):
         """(E f)(z) for a kernel expression, hbar powers included."""
         return _linear(_slot_parts(expr, self.params.hbar, graded=False),
-                       lambda b: self.smeared_kernel(b, leg_name, t, x,
-                                                     vertex_first))
+                       lambda b: self.smeared_kernel(b, leg_name, t, x))
 
     def scalar_pair(self, basis: str, p_name: str, q_name: str) -> QuadResult:
         """<f_p, K f_q> by tensor Gauss-Legendre with a two-resolution error,
@@ -163,13 +153,8 @@ class EvalContext:
         def val(order):
             ppts, pw = self.nodes(p_name, order)
             qpts, qw = self.nodes(q_name, order)
-            if basis == "Q":
-                mat = self.table.interp(ppts[:, None, 0], ppts[:, None, 1],
-                                        qpts[None, :, 0], qpts[None, :, 1])
-            else:
-                fn = self.kernel(basis)
-                mat = fn(ppts[:, None, 0] - qpts[None, :, 0],
-                         ppts[:, None, 1] - qpts[None, :, 1])
+            mat = self.kernel(basis)(ppts[:, None, 0], ppts[:, None, 1],
+                                     qpts[None, :, 0], qpts[None, :, 1])
             return complex(pw @ mat @ qw)
         fine = val(2 * self.pair_nodes)
         coarse = val(self.pair_nodes)
@@ -191,10 +176,11 @@ def _q_dressing_weight(expr: KernelExpr) -> float:
 class _BatchCache:
     """Memoizes table lookups and smeared fields within one point batch.
 
-    Terms of a summed integrand share vertices, so the diagonal Q values,
-    pair Q values and smeared leg fields are computed once per batch.  Q
-    fields are read from the context's field tables; the discontinuous
-    retarded and the Hadamard fields are direct node sums.
+    Terms of a summed integrand share vertices, so the kernel values at
+    vertex pairs (the diagonal Q included) and the smeared leg fields are
+    computed once per batch.  Q fields are read from the context's field
+    tables; the discontinuous retarded and the Hadamard fields are direct
+    node sums.
     """
 
     def __init__(self, ctx: EvalContext, pts: np.ndarray):
@@ -208,24 +194,18 @@ class _BatchCache:
             self._store[key] = compute()
         return self._store[key]
 
-    def q_pair(self, i: int, j: int):
-        """Q(z_i, z_j); i == j gives the diagonal."""
-        return self._memo(("qpair", i, j), lambda: self.ctx.table.interp(
-            self.t[:, i], self.x[:, i], self.t[:, j], self.x[:, j]))
+    def pair(self, basis: str, i: int, j: int):
+        """K(z_i, z_j); i == j gives the diagonal."""
+        return self._memo(("pair", basis, i, j), lambda: self.ctx.kernel(
+            basis)(self.t[:, i], self.x[:, i], self.t[:, j], self.x[:, j]))
 
-    def edge(self, basis: str, i: int, j: int):
-        return self._memo(
-            ("edge", basis, i, j),
-            lambda: self.ctx.kernel(basis)(self.t[:, i] - self.t[:, j],
-                                           self.x[:, i] - self.x[:, j]))
-
-    def smeared(self, basis: str, leg: str, v: int, vertex_first: bool):
+    def smeared(self, basis: str, leg: str, v: int):
         def compute():
             if basis == "Q":
                 return self.ctx.field_table(leg)(self.t[:, v], self.x[:, v])
             return self.ctx.smeared_kernel(basis, leg, self.t[:, v],
-                                           self.x[:, v], vertex_first)
-        return self._memo(("smear", basis, leg, v, vertex_first), compute)
+                                           self.x[:, v])
+        return self._memo(("smear", basis, leg, v), compute)
 
     def field_bound(self, leg: str, v: int):
         """Local error bound of the tabulated Q field of a leg at vertex v."""
@@ -285,8 +265,7 @@ def _integrand(ctx: EvalContext, term: alg.Generator):
     a = p.a
     pair_parts = [(i, j, _slot_parts(e, p.hbar, graded=False))
                   for (i, j), e in term.pair_exps]
-    attached = [(v, l, vf, _slot_parts(e, p.hbar))
-                for v, e, l, vf in term.attached]
+    attached = [(v, l, _slot_parts(e, p.hbar)) for v, e, l in term.attached]
     scalars = [(pn, qn, _slot_parts(e, p.hbar))
                for e, pn, qn in term.scalar_pairs]
 
@@ -305,8 +284,8 @@ def _integrand(ctx: EvalContext, term: alg.Generator):
         constants.append((value, [(("pair", b, pn, qn), unit(w), r.error)
                                   for w, b, r in pairs]))
     # the weights of the tabulated Q field in each attached factor
-    attached = [(v, l, vf, parts, [unit(w) for w, b in parts if b == "Q"])
-                for v, l, vf, parts in attached]
+    attached = [(v, l, parts, [unit(w) for w, b in parts if b == "Q"])
+                for v, l, parts in attached]
 
     vertices = []
     for i in range(term.n_vertices):
@@ -323,20 +302,19 @@ def _integrand(ctx: EvalContext, term: alg.Generator):
         for i, dress in vertices:
             w = cache.vertex_weight(i)
             if dress is not None:
-                w = w * np.exp(dress * cache.q_pair(i, i))
+                w = w * np.exp(dress * cache.pair("Q", i, i))
             factors.append((w, ()))
         for scale, i, j, parts in exp_pairs:
             factors.append((np.exp(scale * _linear(
-                parts, lambda b: cache.q_pair(i, j) if b == "Q"
-                else cache.edge(b, i, j))), ()))
+                parts, lambda b: cache.pair(b, i, j))), ()))
         for i, j, b, h, pw in term.edges:
-            factors.append((cache.edge(b, i, j) ** pw, ()))
-        for v, l, vf, parts, qw in attached:
+            factors.append((cache.pair(b, i, j) ** pw, ()))
+        for v, l, parts, qw in attached:
             errs = ()
             if qw:
                 errs = [(("field", l, v), sum(qw), cache.field_bound(l, v))]
             factors.append((_linear(
-                parts, lambda b: cache.smeared(b, l, v, vf)), errs))
+                parts, lambda b: cache.smeared(b, l, v)), errs))
         out = np.full(cache.t.shape[0], coeff, dtype=complex)
         for f, _ in factors:
             out *= f
@@ -395,7 +373,8 @@ def evaluate_terms(ctx: EvalContext, terms, budget: int, seed: int,
     summed into one integrand per vertex count.  Vertex-free terms are that
     integrand at a single (empty) point; the others are integrated.  The
     error adds the envelope of the factors that carry an error estimate
-    (see _integrand) to the quadrature error."""
+    (see _integrand) to the quadrature error.  NonFiniteValue if the value
+    or the error is not finite."""
     by_n: dict[int, list] = {}
     for term in terms:
         if not term.free_legs:
@@ -409,6 +388,9 @@ def evaluate_terms(ctx: EvalContext, terms, budget: int, seed: int,
                                        0, seed)
         else:
             total = total + qd.integrate(spec, budget, seed, p_hat)
+    if not (np.isfinite(total.value) and np.isfinite(total.error)):
+        raise NonFiniteValue(f"non-finite series value {total.value} "
+                             f"+- {total.error}")
     if abs(complex(total.value).imag) == 0.0:
         total = QuadResult(complex(total.value).real, total.error,
                            total.samples, seed)
@@ -521,7 +503,7 @@ def modified_test_function(ctx: EvalContext, leg_name: str,
 
     def fn(t, x):
         return (ker.gq_weight_arrays(t, x, p, ctx.table, g)
-                * ctx.smeared_expr(expr, leg_name, t, x, True))
+                * ctx.smeared_expr(expr, leg_name, t, x))
 
     return fn
 

@@ -58,6 +58,13 @@ class TestStarProduct:
         kinds = sorted((len(g.free_legs), len(g.scalar_pairs)) for g in res)
         assert kinds == [(0, 1), (2, 0)]
 
+    def test_left_leg_attaches_through_transpose(self):
+        # an A-leg at a B vertex is K(y, x_v): stored vertex-first as K^T
+        res = A.star_product(A.leg("f"), A.vertex(1, "g"), A.KE_Q_OMEGA)
+        (attached,) = [g.attached for g in res if g.attached]
+        assert attached == ((0, A.KE_Q_OMEGA.transpose(), "f"),)
+        assert A.KE_Q_OMEGA.transpose() != A.KE_Q_OMEGA.real_basis()
+
     def test_ccr(self):
         K = A.KE_OMEGA_H
         lhs = A.star_product(A.leg("f1"), A.leg("f2"), K) \
@@ -223,10 +230,10 @@ class TestBogoliubov:
         M = A.interacting_field_term_M(1, "f")
         assert len(J) == 2 and len(M) == 2  # one per charge sector
         for t in J:
-            (v, e, l, vf), = t.attached
+            (v, e, l), = t.attached
             assert e == A.KE_Q_OMEGA
         for t in M:
-            (v, e, l, vf), = t.attached
+            (v, e, l), = t.attached
             assert e == A.KE_Q_F
 
     def test_j_weight_vanishes_at_zero_order(self):
@@ -263,7 +270,7 @@ class TestGrading:
         assert len(terms) == 2
         for t in terms:
             assert A.hbar_grade(t) == 0
-            (v, e, l, vf), = t.attached
+            (v, e, l), = t.attached
             (b, h, _), = e.terms
             assert b == "DeltaA" and h == 1
             mag = CRat.of(0, Fraction(t.charges[0], 2) * -1)
@@ -273,7 +280,7 @@ class TestGrading:
         terms = A.classical_term(2, 1)
         assert len(terms) == 4
         bases = {b for t in terms for _, _, b, _, _ in t.edges}
-        bases |= {b for t in terms for _, e, _, _ in t.attached
+        bases |= {b for t in terms for _, e, _ in t.attached
                   for b, _, _ in e.terms}
         assert bases <= {"DeltaR", "DeltaA"}  # H cancels exactly
 
@@ -284,7 +291,7 @@ class TestGrading:
         assert len(grouped) == 4
         sigs = sorted(
             tuple(sorted([b for _, _, b, _, _ in t.edges]
-                         + [b for _, e, _, _ in t.attached
+                         + [b for _, e, _ in t.attached
                             for b, _, _ in e.terms]))
             for t, _ in grouped)
         assert sigs == [("DeltaAF", "Omega"), ("DeltaF", "DeltaF"),
@@ -322,7 +329,7 @@ class TestGrading:
         gens = [g for g in A.bogoliubov_generators(1, ["f"], True)
                 if not any(b == "Omega" for _, e in g.pair_exps
                            for b, _, _ in e.terms)
-                and not any(b == "Omega" for _, e, _, _ in g.attached
+                and not any(b == "Omega" for _, e, _ in g.attached
                             for b, _, _ in e.terms)]
         strata = A.expand_strata(gens, k_max=1, real_basis=True)
         assert strata[0]  # the hbar^{-1} stratum survives
@@ -360,28 +367,27 @@ class TestRetardedCommutator:
     @pytest.mark.parametrize("n", [0, 1, 2])
     def test_identity_with_support_ranks(self, n):
         legs = ["f1"]
-        leg_ranks = {"f1": 2}
+        order = {"h": 0, "g": 1, "f1": 2}
         lhs = A.bogoliubov_generators(n + 1, legs, deform_q=True,
-                                      smearings=["h"] + ["g"] * n,
-                                      ranks=[0] + [1] * n)
+                                      smearings=["h"] + ["g"] * n)
         R = A.bogoliubov_generators(n, legs, deform_q=True,
-                                    smearings=["g"] * n, ranks=[1] * n)
-        Vh = A.sg_vertex("h", dressing=A.KE_Q, rank=0)
+                                    smearings=["g"] * n)
+        Vh = A.sg_vertex("h", dressing=A.KE_Q)
         comm = A.star_product(Vh, R, A.KE_Q_OMEGA) \
             + [t.scaled(-1) for t in A.star_product(R, Vh, A.KE_Q_OMEGA)]
         pref = Coeff(CRat.of(0, -1), hbar_pow=-1)
         rhs = [t.scaled(pref) for t in comm]
-        assert A.multisets_equal(lhs, rhs, leg_ranks=leg_ranks,
-                                 rank_reduce=True)
+        assert A.multisets_equal(A.support_ordered(lhs, order),
+                                 A.support_ordered(rhs, order))
 
     def test_identity_fails_without_ranks(self):
         # the same comparison without support ordering must NOT collapse:
         # the reduction is what encodes h being earliest
         legs = ["f1"]
         lhs = A.bogoliubov_generators(1, legs, deform_q=True,
-                                      smearings=["h"], ranks=[0])
+                                      smearings=["h"])
         R = A.bogoliubov_generators(0, legs, deform_q=True)
-        Vh = A.sg_vertex("h", dressing=A.KE_Q, rank=0)
+        Vh = A.sg_vertex("h", dressing=A.KE_Q)
         comm = A.star_product(Vh, R, A.KE_Q_OMEGA) \
             + [t.scaled(-1) for t in A.star_product(R, Vh, A.KE_Q_OMEGA)]
         pref = Coeff(CRat.of(0, -1), hbar_pow=-1)

@@ -1,6 +1,7 @@
 import math
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -301,6 +302,13 @@ class TestQTable:
         # t_switch -1e308 makes the covariance integrand inf - inf
         with pytest.raises(NonFiniteValue):
             ker.build_q_table(params.with_(t_switch=-1e308), 4, 4, 16)
+
+    def test_overflowing_grid_is_refused_without_warning(self, params):
+        # the offset grid spans [-2 mu, 2 mu], whose width overflows
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(NonFiniteValue):
+                ker.build_q_table(params.with_(mu=1e308), 4, 4, 16)
 
     def test_nodes_reproduced(self, params, qtable):
         tg, dg = qtable.time_grid, qtable.space_offset_grid

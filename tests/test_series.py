@@ -5,7 +5,7 @@ from stochsg import algebra as alg
 from stochsg import kernels as ker
 from stochsg import quad as qd
 from stochsg import series as ser
-from stochsg.errors import ConfigError
+from stochsg.errors import ConfigError, NonFiniteValue
 
 
 class TestExpectation:
@@ -103,6 +103,35 @@ class TestFieldTables:
         ser.quantum_coefficient(1, 0.05, ctx0, ["f1", "f2"], 1024, 7)
         assert set(ctx0._field_tables) == {"f1", "f2"}
         assert ("Q", "f1", "f2") in ctx0._pairs
+
+
+class TestKernelBinding:
+    def test_q_is_the_table(self, ctx, qtable):
+        assert ctx.kernel("Q") == qtable.interp
+
+    def test_advanced_field_is_the_leg_first_retarded_sum(self, ctx, params):
+        # (DeltaA f)(z) = sum_j w_j DeltaR(y_j - z), the leg in the first slot
+        rng = np.random.default_rng(5)
+        t, x = rng.uniform(-0.4, 0.4, (2, 200))
+        pts, w = ctx.nodes("f1")
+        ret = ker.difference_kernel("DeltaR", params.with_(
+            sign_convention=ser.ALGEBRA_CONVENTION))
+        leg_first = np.sum(w * ret(pts[None, :, 0] - t[:, None],
+                                   pts[None, :, 1] - x[:, None]), axis=-1)
+        assert np.any(leg_first != 0.0)
+        assert np.array_equal(ctx.smeared_kernel("DeltaA", "f1", t, x),
+                              leg_first)
+
+
+class TestNonFinite:
+    def test_nan_table_entry_is_refused(self, params, qtable, smearings):
+        values = qtable.values.copy()
+        values[12, 12, 24] = np.nan
+        bad = ker.QTable(qtable.time_grid, qtable.space_offset_grid, values,
+                         params)
+        ctx = ser.EvalContext(params, bad, smearings)
+        with pytest.raises(NonFiniteValue):
+            ser.correlation_coefficient(1, ctx, "f1", "f2", 1024, 1)
 
 
 class TestOracle:
