@@ -24,7 +24,7 @@ from . import bounds as bnd
 from . import kernels as ker
 from . import series as ser
 from . import spde_mc as mc
-from .config import RunConfig, load_config
+from .config import RunConfig, check_seed, load_config
 from .errors import ConfigError, QTableFormatError, StochSGError
 
 
@@ -46,6 +46,7 @@ def _load(config_path: str, out_dir: str, seed: int | None) -> RunConfig:
     cfg = load_config(config_path)
     os.makedirs(out_dir, exist_ok=True)
     if seed is not None:
+        check_seed(seed, "--seed")
         cfg.quad.seed = seed
         cfg.mc.seed = seed
     return cfg
@@ -53,15 +54,16 @@ def _load(config_path: str, out_dir: str, seed: int | None) -> RunConfig:
 
 def _qtable(cfg: RunConfig, out_dir: str) -> ker.QTable:
     """The table saved at qtable.path if it was built for the same params,
-    grid shape and interpolation; otherwise, or if the file is missing or
-    unreadable, a fresh table, saved there.  The file does not record the
-    build budget, so a changed qtable.budget alone does not rebuild."""
+    grid shape, interpolation and budget; otherwise, or if the file is
+    missing, unreadable or does not record its budget, a fresh table,
+    saved there."""
     q = cfg.qtable
     path = os.path.join(out_dir, q.path)
     try:
         table = ker.QTable.load(path)
         if (table.params == cfg.params and table.interp_method == q.interp
-                and table.values.shape == (q.n_t, q.n_t, q.n_x)):
+                and table.values.shape == (q.n_t, q.n_t, q.n_x)
+                and table.budget == q.budget):
             return table
     except (OSError, QTableFormatError):
         pass

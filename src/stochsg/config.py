@@ -145,6 +145,11 @@ def _require(ok: bool, message: str):
         raise ConfigError(message)
 
 
+def check_seed(seed: int, where: str) -> None:
+    # seeds key Philox generators, whose keys are unsigned 64-bit
+    _require(0 <= seed < 2 ** 64, f"{where} must be in [0, 2^64 - 1]")
+
+
 def _check_ranges(qtable: QTableConfig, quad: QuadConfig, mcc: McConfig,
                   boundsc: BoundsConfig, expandc: ExpandConfig,
                   orders: tuple[int, ...], hbars: tuple[float, ...]):
@@ -165,6 +170,8 @@ def _check_ranges(qtable: QTableConfig, quad: QuadConfig, mcc: McConfig,
     _require(min(quad.leg_nodes, quad.pair_nodes) >= ker.MIN_SMEARING_NODES,
              "quad.leg_nodes and quad.pair_nodes must be >= "
              f"{ker.MIN_SMEARING_NODES}")
+    check_seed(quad.seed, "quad.seed")
+    check_seed(mcc.seed, "mc.seed")
     _require(mcc.dt > 0, "mc.dt must be > 0")
     _require(mcc.pad >= 0, "mc.pad must be >= 0")
     _require(mcc.n_samples >= mc.MIN_REALIZATIONS,

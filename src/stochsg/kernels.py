@@ -422,8 +422,8 @@ MIN_SMEARING_NODES = 1  # Gauss-Legendre nodes per axis of weighted_nodes
 INTERP_METHODS = ("linear", "cubic")
 _Q_CHUNK = 8192     # table entries per pool task
 _QTBL_MAGIC = b"QTBL"
-_QTBL_VERSION = 1
-_QTBL_HEAD = 20 + 72    # "<4sIIII" header, then nine float64 parameters
+_QTBL_VERSION = 2      # version 1 lacks the budget; load reads both
+_QTBL_HEAD = {1: 20 + 72, 2: 20 + 80}   # "<4sIIII", then 9 or 10 float64
 _SIGN_CODE = {"paper": 0.0, "green": 1.0}
 
 
@@ -460,6 +460,7 @@ class QTable:
     values: np.ndarray          # (nT, nT, nX)
     params: ModelParams
     interp_method: str = "cubic"
+    budget: int | None = None   # quadrature budget of the build, if known
     _coeffs: np.ndarray | None = field(default=None, repr=False)
 
     @property
@@ -498,8 +499,10 @@ class QTable:
             "<4sIIII", _QTBL_MAGIC, _QTBL_VERSION,
             len(self.time_grid), len(self.space_offset_grid),
             0 if self.interp_method == "linear" else 1)
-        meta = struct.pack("<9d", p.m, p.a, p.hbar, p.lam, p.mu, p.mu_ref,
-                           p.t_switch, _SIGN_CODE[p.sign_convention], p.chi_width)
+        # budget 0 stands for unknown: a build budget is at least 1
+        meta = struct.pack("<10d", p.m, p.a, p.hbar, p.lam, p.mu, p.mu_ref,
+                           p.t_switch, _SIGN_CODE[p.sign_convention],
+                           p.chi_width, self.budget or 0)
         with open(path, "wb") as fh:
             fh.write(header)
             fh.write(meta)
@@ -509,29 +512,33 @@ class QTable:
 
     @staticmethod
     def load(path: str) -> "QTable":
-        """Read a table written by save; a file that is not one complete
-        QTBL table of this version, or that holds a non-finite number,
-        raises QTableFormatError."""
+        """Read a table written by save, or a version-1 file, whose budget
+        is unknown (None); a file that is not one complete QTBL table of a
+        known version, or that holds a non-finite number, raises
+        QTableFormatError."""
         with open(path, "rb") as fh:
             data = fh.read()
-        if len(data) < _QTBL_HEAD or data[:4] != _QTBL_MAGIC:
+        if len(data) < 20 or data[:4] != _QTBL_MAGIC:
             raise QTableFormatError(f"{path}: not a QTBL file")
         _, version, n_t, n_x, interp_code = struct.unpack_from("<4sIIII", data)
-        if version != _QTBL_VERSION:
+        if version not in _QTBL_HEAD:
             raise QTableFormatError(
                 f"{path}: unsupported QTBL version {version}")
-        size = _QTBL_HEAD + 8 * (n_t + n_x + n_t * n_t * n_x)
+        head = _QTBL_HEAD[version]
+        size = head + 8 * (n_t + n_x + n_t * n_t * n_x)
         if len(data) != size:
             raise QTableFormatError(f"{path}: {len(data)} bytes, but a "
                                     f"{n_t}x{n_t}x{n_x} table takes {size}")
-        m, a, hbar, lam, mu, mu_ref, t_switch, sign, chi_width = \
-            struct.unpack_from("<9d", data, 20)
-        body = np.frombuffer(data, dtype="<f8", offset=_QTBL_HEAD)
-        if not (np.isfinite(body).all() and np.isfinite(
-                [m, a, hbar, lam, mu, mu_ref, t_switch, chi_width]).all()):
+        meta = struct.unpack_from(f"<{(head - 20) // 8}d", data, 20)
+        m, a, hbar, lam, mu, mu_ref, t_switch, sign, chi_width = meta[:9]
+        budget = meta[9] if version > 1 else 0.0
+        body = np.frombuffer(data, dtype="<f8", offset=head)
+        if not (np.isfinite(body).all() and np.isfinite(meta).all()):
             raise QTableFormatError(f"{path}: non-finite number in the table")
         if sign not in (0.0, 1.0):
             raise QTableFormatError(f"{path}: sign code {sign!r}")
+        if budget < 0 or budget != int(budget):
+            raise QTableFormatError(f"{path}: budget {budget!r}")
         tgrid = body[:n_t].copy()
         dgrid = body[n_t:n_t + n_x].copy()
         vals = body[n_t + n_x:].reshape(n_t, n_t, n_x).copy()
@@ -544,7 +551,8 @@ class QTable:
         except ValueError as exc:
             raise QTableFormatError(f"{path}: {exc}") from exc
         return QTable(tgrid, dgrid, vals, params,
-                      "linear" if interp_code == 0 else "cubic")
+                      "linear" if interp_code == 0 else "cubic",
+                      int(budget) or None)
 
 
 FIELD_NODES = 65    # grid nodes per axis of a tabulated field (odd)
@@ -664,7 +672,7 @@ def build_q_table(p: ModelParams, n_t: int = 64, n_x: int = 128,
     if not all(np.isfinite(x).all() for x in (tgrid, dgrid, vals)):
         raise NonFiniteValue(f"Q table with a non-finite node or entry at {p}")
     values = vals.reshape(n_t, n_t, n_x)
-    return QTable(tgrid, dgrid, values, p, interp_method)
+    return QTable(tgrid, dgrid, values, p, interp_method, budget)
 
 
 def gq_weight_arrays(t, x, p: ModelParams, table: QTable, g: SmearingFunction):

@@ -13,7 +13,8 @@ index-addressable through a counter-based generator (Philox keyed by
 (seed, realization)), so runs are reproducible and parallelizable.
 
 With dt = dx the leapfrog stencil propagates on the exact lattice light
-cone, which makes causality checks exact per sample.
+cone, which makes causality checks exact per sample, and lets the
+estimator solve only the cells in the light cones of its outputs.
 """
 
 from __future__ import annotations
@@ -98,83 +99,187 @@ def grid_for(params: ModelParams, smearings, dt: float,
 
 
 def sample_noise(grid: LatticeGrid, params: ModelParams, seed: int,
-                 realization: int) -> np.ndarray:
-    """chi(t)-modulated white noise, N(0, 1/(dt dx)) per cell."""
+                 realization: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
+    """chi(t)-modulated white noise, N(0, 1/(dt dx)) per cell.
+
+    Drawn into ``out`` (a C-contiguous (n_t, n_x) float64 block) when given,
+    else into a new array; either way the array is returned.
+    """
     key = np.array([seed, realization], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    xi = rng.standard_normal((grid.n_t, grid.n_x)) / np.sqrt(grid.dt * grid.dx)
-    chi = chi_cutoff(grid.times, params.t_switch, params.chi_width)
-    return xi * chi[:, None]
+    xi = rng.standard_normal((grid.n_t, grid.n_x), out=out)
+    xi /= np.sqrt(grid.dt * grid.dx)
+    xi *= chi_cutoff(grid.times, params.t_switch, params.chi_width)[:, None]
+    return xi
 
 
-def _laplacian(rows: np.ndarray, dx: float, periodic: bool) -> np.ndarray:
+def _nonzero_box(values: np.ndarray) -> tuple[int, int, int, int]:
+    """Rows [n0, n1) and columns [j0, j1) spanned by the non-zero cells of a
+    (time, space) array; (0, 0, 0, 0) if every cell is zero."""
+    live = values != 0
+    rows = np.flatnonzero(live.any(axis=1))
+    if rows.size == 0:
+        return 0, 0, 0, 0
+    cols = np.flatnonzero(live.any(axis=0))
+    return int(rows[0]), int(rows[-1]) + 1, int(cols[0]), int(cols[-1]) + 1
+
+
+def _clip_windows(lo: np.ndarray, hi: np.ndarray,
+                  grid: LatticeGrid) -> np.ndarray:
+    """Per-row column windows [lo, hi) clipped to the grid, as an (n_t, 2)
+    int array.  On a periodic lattice a window that leaves the row wraps
+    round, so it becomes the whole row."""
+    if grid.boundary == "periodic":
+        wraps = (lo < hi) & ((lo < 0) | (hi > grid.n_x))
+        lo, hi = np.where(wraps, 0, lo), np.where(wraps, grid.n_x, hi)
+    return np.stack([np.clip(lo, 0, grid.n_x), np.clip(hi, 0, grid.n_x)],
+                    axis=1)
+
+
+def light_cone_windows(grid: LatticeGrid, leg_grids, g_grid: np.ndarray):
+    """Per-row column windows of the Psi_0 solve and of the Psi_1 / Psi_2
+    solves, each an (n_t, 2) int array of [lo, hi), empty where hi <= lo.
+
+    A leapfrog cell at row n + 1 reads its neighbours at row n, its own
+    cell at row n - 1 and the filtered source at row n, which spans three
+    source cells.  So Psi_0 is exact on the sampled legs and on g when it
+    is solved on the hull of their backward cones: the index box of the
+    non-zero cells of each, one cell wider per row back in time.  The
+    Psi_1 and Psi_2 sources vanish off g's box, so those fields vanish
+    outside its forward cone, which the filter widens by one cell and which
+    starts one row after g's first row; their window is the Psi_0 window
+    cut to that cone.  Every cell a windowed cell reads is then either in
+    the window of its row or exactly zero.
+    """
+    rows = np.arange(grid.n_t)
+    lo = np.full(grid.n_t, grid.n_x)
+    hi = np.zeros(grid.n_t, dtype=int)
+    for _, n1, j0, j1 in map(_nonzero_box, [*leg_grids, g_grid]):
+        back = n1 - 1 - rows
+        lo = np.where(back >= 0, np.minimum(lo, j0 - back), lo)
+        hi = np.where(back >= 0, np.maximum(hi, j1 + back), hi)
+    psi0 = _clip_windows(lo, hi, grid)
+    n0, n1, j0, j1 = _nonzero_box(g_grid)
+    if n0 == n1:
+        return psi0, np.zeros_like(psi0)
+    ahead = rows - n0
+    cone = _clip_windows(np.where(ahead >= 1, j0 - ahead, grid.n_x),
+                         np.where(ahead >= 1, j1 + ahead, 0), grid)
+    return psi0, np.stack([np.maximum(psi0[:, 0], cone[:, 0]),
+                           np.minimum(psi0[:, 1], cone[:, 1])], axis=1)
+
+
+def _stencil(row: np.ndarray, lo: int, hi: int, mid, first, last):
+    """A three-point stencil of ``row`` on the columns [lo, hi): ``mid`` of
+    the slices (left, centre, right) for the interior columns, ``first``
+    and ``last`` of the row for the edge columns 0 and n_x - 1."""
+    a, b = max(lo, 1), min(hi, row.shape[-1] - 1)
+    out = mid(row[..., a - 1:b - 1], row[..., a:b], row[..., a + 1:b + 1])
+    if a == lo and b == hi:
+        return out
+    parts = [first(row)[..., None]] if lo < a else []
+    parts.append(out)
+    if hi > b:
+        parts.append(last(row)[..., None])
+    return np.concatenate(parts, axis=-1)
+
+
+def _laplacian(cur: np.ndarray, lo: int, hi: int, dx: float,
+               periodic: bool) -> np.ndarray:
+    """Discrete d_xx of ``cur`` on the columns [lo, hi)."""
     if periodic:
-        return (np.roll(rows, 1, axis=-1) - 2.0 * rows
-                + np.roll(rows, -1, axis=-1)) / dx ** 2
-    out = np.zeros_like(rows)
-    out[..., 1:-1] = (rows[..., 2:] - 2.0 * rows[..., 1:-1]
-                      + rows[..., :-2]) / dx ** 2
+        return _stencil(cur, lo, hi, lambda l, c, r: l - 2.0 * c + r,
+                        lambda x: x[..., -1] - 2.0 * x[..., 0] + x[..., 1],
+                        lambda x: x[..., -2] - 2.0 * x[..., -1] + x[..., 0]
+                        ) / dx ** 2
     # zero-Dirichlet edges: the pad keeps reflections outside probe cones
-    out[..., 0] = (rows[..., 1] - 2.0 * rows[..., 0]) / dx ** 2
-    out[..., -1] = (rows[..., -2] - 2.0 * rows[..., -1]) / dx ** 2
-    return out
+    return _stencil(cur, lo, hi, lambda l, c, r: r - 2.0 * c + l,
+                    lambda x: x[..., 1] - 2.0 * x[..., 0],
+                    lambda x: x[..., -2] - 2.0 * x[..., -1]) / dx ** 2
 
 
-def _binomial_filter(rows: np.ndarray, periodic: bool) -> np.ndarray:
-    """3-point binomial smoothing (1/4, 1/2, 1/4) along the space axis.
+def _binomial_filter(row: np.ndarray, lo: int, hi: int,
+                     periodic: bool) -> np.ndarray:
+    """3-point binomial smoothing (1/4, 1/2, 1/4) along the space axis, on
+    the columns [lo, hi).
 
     At unit Courant the leapfrog stencil propagates the two checkerboard
     parities independently, so raw white noise produces a pointwise field
     variance twice the continuum one.  The filter annihilates the odd-parity
     mode (transfer (1 + cos k dx)/2 vanishes at k = pi/dx) and perturbs
-    smooth sources only at second order.
+    smooth sources only at second order.  Off a Dirichlet edge the
+    neighbour is 0.0, added as such so that edge cells round alike.
     """
-    if periodic:
-        left = np.roll(rows, 1, axis=-1)
-        right = np.roll(rows, -1, axis=-1)
-    else:
-        left = np.zeros_like(rows)
-        right = np.zeros_like(rows)
-        left[..., 1:] = rows[..., :-1]
-        right[..., :-1] = rows[..., 1:]
-    return 0.25 * left + 0.5 * rows + 0.25 * right
+    def wrap(x, j):
+        return x[..., j] if periodic else 0.0
+    return _stencil(row, lo, hi,
+                    lambda l, c, r: 0.25 * l + 0.5 * c + 0.25 * r,
+                    lambda x: (0.25 * wrap(x, -1) + 0.5 * x[..., 0]
+                               + 0.25 * x[..., 1]),
+                    lambda x: (0.25 * x[..., -2] + 0.5 * x[..., -1]
+                               + 0.25 * wrap(x, 0)))
 
 
-def solve_linear(source: np.ndarray, grid: LatticeGrid, m: float) -> np.ndarray:
+def solve_linear(source: np.ndarray, grid: LatticeGrid, m: float,
+                 window: np.ndarray | None = None) -> np.ndarray:
     """Leapfrog solve of (dtt - dxx + m^2) psi = source, zero initial data.
 
-    The source is pre-smoothed with the binomial parity filter (see
-    _binomial_filter); ``source`` may carry leading batch axes, the last two
-    are (time, space).  Deterministic given the source.
+    The source is smoothed with the binomial parity filter (see
+    _binomial_filter) as each row is stepped; ``source`` may carry leading
+    batch axes, the last two are (time, space).  Deterministic given the
+    source.
+
+    ``window`` ((n_t, 2) ints, see light_cone_windows) limits each row to
+    the columns [lo, hi); cells outside stay 0.  A computed cell takes the
+    same float operations as in the whole-row solve (window None), so it
+    is exact when every cell it reads is.
     """
     if grid.dt > grid.dx * (1 + 1e-12):
         raise CflViolation(f"dt = {grid.dt} > dx = {grid.dx}")
     periodic = grid.boundary == "periodic"
     dt2 = grid.dt ** 2
-    source = _binomial_filter(source, periodic)
+    mm = m * m
+    rows = [[0, grid.n_x]] * grid.n_t if window is None else window.tolist()
     psi = np.zeros(source.shape)
-    # first step from psi(0) = d_t psi(0) = 0: psi_1 = dt^2/2 * S_0
-    psi[..., 1, :] = 0.5 * dt2 * source[..., 0, :]
-    for n in range(1, grid.n_t - 1):
+    for n, (lo, hi) in enumerate(rows[1:]):
+        if lo >= hi:
+            continue
+        s = _binomial_filter(source[..., n, :], lo, hi, periodic)
+        if n == 0:
+            # first step from psi(0) = d_t psi(0) = 0: psi_1 = dt^2/2 * S_0
+            psi[..., 1, lo:hi] = 0.5 * dt2 * s
+            continue
         cur = psi[..., n, :]
-        acc = (_laplacian(cur, grid.dx, periodic) - m * m * cur
-               + source[..., n, :])
-        psi[..., n + 1, :] = 2.0 * cur - psi[..., n - 1, :] + dt2 * acc
+        here = cur[..., lo:hi]
+        acc = _laplacian(cur, lo, hi, grid.dx, periodic) - mm * here + s
+        psi[..., n + 1, lo:hi] = (2.0 * here - psi[..., n - 1, lo:hi]
+                                  + dt2 * acc)
     return psi
 
 
 def solve_hierarchy(psi0: np.ndarray, grid: LatticeGrid, params: ModelParams,
-                    g_grid: np.ndarray, max_order: int = 2):
-    """Psi_1 (and Psi_2) driven by the sine-Gordon sources built from Psi_0."""
+                    g_grid: np.ndarray, max_order: int = 2,
+                    window: np.ndarray | None = None):
+    """Psi_1 (and Psi_2) driven by the sine-Gordon sources built from Psi_0.
+
+    The sources are evaluated on the index box of g's non-zero cells and
+    are 0 elsewhere; ``window`` is passed to solve_linear.
+    """
     if max_order not in (1, 2):
         raise ValueError("max_order must be 1 or 2")
     a = params.a
-    src1 = SOURCE_SIGN * a * g_grid * np.sin(a * psi0)
-    psi1 = solve_linear(src1, grid, params.m)
+    n0, n1, j0, j1 = _nonzero_box(g_grid)
+    on_g = np.s_[..., n0:n1, j0:j1]
+    g = g_grid[on_g]
+    src1 = np.zeros(psi0.shape)
+    src1[on_g] = SOURCE_SIGN * a * g * np.sin(a * psi0[on_g])
+    psi1 = solve_linear(src1, grid, params.m, window)
     if max_order == 1:
         return (psi1,)
-    src2 = SOURCE_SIGN * a * a * g_grid * np.cos(a * psi0) * psi1
-    psi2 = solve_linear(src2, grid, params.m)
+    src2 = np.zeros(psi0.shape)
+    src2[on_g] = SOURCE_SIGN * a * a * g * np.cos(a * psi0[on_g]) * psi1[on_g]
+    psi2 = solve_linear(src2, grid, params.m, window)
     return psi1, psi2
 
 
@@ -214,8 +319,11 @@ def estimate_correlator(observables, grid: LatticeGrid, params: ModelParams,
 
     Deterministic for fixed (grid, params, seed, n_samples): realizations are
     keyed individually and reduced in index order, independent of the worker
-    count.  Each McEstimate carries lambda^order so it is directly comparable
-    with the series coefficients.
+    count.  Only the cells in the light cones of the smeared legs and of the
+    interaction are solved (light_cone_windows); every cell an estimate
+    reads takes the same float operations as in a whole-lattice solve.
+    Each McEstimate carries lambda^order so it is directly comparable with
+    the series coefficients.
     """
     observables = list(observables)
     if n_samples < MIN_REALIZATIONS:
@@ -229,13 +337,17 @@ def estimate_correlator(observables, grid: LatticeGrid, params: ModelParams,
     g_grid = grid.sample(smearings[interaction])
     cell = grid.dt * grid.dx
 
+    window0, window1 = light_cone_windows(grid, f_grids.values(), g_grid)
+
     def run_chunk(lo: int, hi: int):
-        noise = np.stack([sample_noise(grid, params, seed, r)
-                          for r in range(lo, hi)])
-        psi0 = solve_linear(noise, grid, params.m)
+        noise = np.empty((hi - lo, grid.n_t, grid.n_x))
+        for i in range(hi - lo):
+            sample_noise(grid, params, seed, lo + i, out=noise[i])
+        psi0 = solve_linear(noise, grid, params.m, window0)
         fields = {0: psi0}
         if max_order >= 1:
-            hier = solve_hierarchy(psi0, grid, params, g_grid, max_order)
+            hier = solve_hierarchy(psi0, grid, params, g_grid, max_order,
+                                   window1)
             for k, f in enumerate(hier, start=1):
                 fields[k] = f
         smeared = {}

@@ -10,6 +10,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochsg import kernels as ker
 from stochsg.cli import main
 from stochsg.config import parse_config
 from stochsg.errors import ConfigError
@@ -217,6 +218,10 @@ class TestConfigRanges:
         ("mc", None, "observables",
          [{"kind": "correlation", "legs": ["f1", "f2", "f1"]}]),
         ("compute-q", "params", "a", 1e308),
+        # seeds key unsigned 64-bit Philox generators
+        ("mc", "mc", "seed", -1),
+        ("mc", "mc", "seed", 2 ** 64),
+        ("corr", "quad", "seed", -1),
     ])
     def test_out_of_range_is_config_error(self, tmp_path, command, section,
                                           key, value):
@@ -227,6 +232,13 @@ class TestConfigRanges:
         path.write_text(json.dumps(bad))
         res = _run([command, "--config", str(path), "--out", str(tmp_path)])
         assert res.exit_code == 1
+
+    @pytest.mark.parametrize("seed", ["-3", str(2 ** 64)])
+    def test_seed_override_out_of_range(self, workdir, seed):
+        tmp, cfg = workdir
+        res = _run(["mc", "--config", cfg, "--out", str(tmp), "--seed", seed])
+        assert res.exit_code == 1
+        assert "--seed" in res.output
 
     @pytest.mark.parametrize("command", ["coeff", "corr"])
     def test_quantum_p_hat_is_config_error(self, tmp_path, command):
@@ -303,6 +315,47 @@ class TestConfigRanges:
         res = _run([command, "--config", cfg, "--out", str(tmp / "w")])
         assert res.exit_code == 1
         assert "WORKERS" in res.output
+
+
+_SMEARING_NAMES = st.sampled_from(["f1", "f2", "g"])
+_MC_MUTATIONS = st.one_of(
+    st.tuples(st.just(("mc", "dt")),
+              st.sampled_from([0.05, 0.08, 0.2, 0.0, -0.02, 1e308, math.inf,
+                               "0.05", None])),
+    st.tuples(st.just(("mc", "pad")),
+              st.sampled_from([0.0, 0.25, 1.0, -0.1, math.inf, 1e308])),
+    st.tuples(st.just(("mc", "n_samples")),
+              st.sampled_from([99, 0, -1, 100.0, "100", None])),
+    st.tuples(st.just(("mc", "seed")),
+              st.sampled_from([0, 2 ** 64 - 1, 2 ** 64, -1, 1.5, "1"])),
+    st.tuples(st.just(("mc", "chunk")),
+              st.sampled_from([1, 7, 64, 0, -1, 2.0])),
+    st.tuples(st.just(("mc", "boundary")),
+              st.sampled_from(["periodic", "absorbingPad", "reflect", 3])),
+    st.tuples(st.tuples(st.just("smearings"), _SMEARING_NAMES, st.just(0),
+                        st.just("center"), st.sampled_from([0, 1])),
+              st.one_of(st.floats(-1.0, 1.0),
+                        st.sampled_from([math.nan, math.inf, "x"]))),
+    st.tuples(st.tuples(st.just("smearings"), _SMEARING_NAMES, st.just(0),
+                        st.just("radius")),
+              st.one_of(st.floats(1e-3, 0.6),
+                        st.sampled_from([0.0, -0.1, 1e-9, math.inf]))))
+
+
+class TestMcMutants:
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(st.lists(_MC_MUTATIONS, min_size=1, max_size=3))
+    def test_mc_stage_exits_cleanly(self, tmp_path_factory, mutations):
+        # a mutated lattice, seed or smearing gives an exit code, never a
+        # traceback (which _run would raise)
+        doc = _mutated("mc", "n_samples", 100)
+        for path, value in mutations:
+            _set_path(doc, path, value)
+        tmp = tmp_path_factory.mktemp("mutant")
+        path = tmp / "config.json"
+        path.write_text(json.dumps(doc))
+        res = _run(["mc", "--config", str(path), "--out", str(tmp)])
+        assert res.exit_code in (0, 1, 2, 3), res.output
 
 
 class TestNumericFailures:
@@ -409,6 +462,19 @@ class TestCommands:
         digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
                    for name in self.PINNED_OUTPUTS}
         assert digests == self.PINNED_OUTPUTS
+
+    # sha256 of mc.csv on BASE_CONFIG with orders [0, 1, 2], recorded
+    # before the MC solved only the light-cone cells of its outputs
+    MC_ORDER2_SHA256 = \
+        "e40e404ce7dde175b58aa24d9b881bf88b85f87e1603053ae027de4ab07b4198"
+
+    def test_mc_order2_pinned(self, tmp_path):
+        cfg = tmp_path / "order2.json"
+        cfg.write_text(json.dumps(_mutated(None, "orders", [0, 1, 2])))
+        res = _run(["mc", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        text = (tmp_path / "mc.csv").read_bytes()
+        assert hashlib.sha256(text).hexdigest() == self.MC_ORDER2_SHA256
 
     @pytest.mark.parametrize("leg2", ["f2", "g"])
     def test_interaction_is_bound_by_name(self, workdir, leg2):
@@ -548,6 +614,33 @@ class TestCommands:
         res = _run(["coeff", "--config", cfg, "--out", str(out)])
         assert res.exit_code == 0, res.output
         assert path.read_bytes() == whole
+
+    def test_qtable_rebuilt_when_budget_changes(self, workdir):
+        tmp, cfg = workdir
+        out = tmp / "budget"
+        assert _run(["compute-q", "--config", cfg, "--out", str(out)]) \
+            .exit_code == 0
+        before = (out / "qtable.bin").read_bytes()
+        changed = tmp / "changed.json"
+        changed.write_text(json.dumps(_mutated("qtable", "budget", 144)))
+        res = _run(["corr", "--config", str(changed), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+        assert (out / "qtable.bin").read_bytes() != before
+        assert ker.QTable.load(str(out / "qtable.bin")).budget == 144
+
+    def test_version1_qtable_is_rebuilt(self, workdir):
+        # a version-1 file does not say which budget built it
+        tmp, cfg = workdir
+        out = tmp / "v1"
+        assert _run(["compute-q", "--config", cfg, "--out", str(out)]) \
+            .exit_code == 0
+        path = out / "qtable.bin"
+        v2 = path.read_bytes()
+        path.write_bytes(v2[:4] + (1).to_bytes(4, "little") + v2[8:92]
+                         + v2[100:])
+        assert _run(["corr", "--config", cfg, "--out", str(out)]) \
+            .exit_code == 0
+        assert path.read_bytes() == v2
 
     @pytest.mark.parametrize("key,value,shape", [
         ("n_t", 10, "(10, 10, 24)"),

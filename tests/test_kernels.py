@@ -1,5 +1,6 @@
 import math
 import os
+import struct
 import tempfile
 import warnings
 
@@ -370,13 +371,39 @@ class TestQTable:
         *(lambda d, k=k: d[:k] for k in (0, 3, 19, 20, 91, 92, 500, -8, -1)),
         lambda d: d + b"\0",
         lambda d: b"QTBX" + d[4:],
-        lambda d: d[:4] + (2).to_bytes(4, "little") + d[8:],
+        lambda d: d[:4] + (3).to_bytes(4, "little") + d[8:],
     ], ids=["cut0", "cut3", "cut19", "cut20", "cut91", "cut92", "cut500",
             "cut-8", "cut-1", "trailing", "magic", "version"])
     def test_damaged_file_is_typed_error(self, qtable, tmp_path, damage):
         path = tmp_path / "q.bin"
         qtable.save(str(path))
         path.write_bytes(damage(path.read_bytes()))
+        with pytest.raises(QTableFormatError):
+            ker.QTable.load(str(path))
+
+    def test_budget_roundtrip(self, params, tmp_path):
+        path = str(tmp_path / "q.bin")
+        ker.build_q_table(params, n_t=6, n_x=8, budget=36).save(path)
+        assert ker.QTable.load(path).budget == 36
+
+    def test_version1_file_has_unknown_budget(self, qtable, tmp_path):
+        # version 1: the same layout without the budget double at byte 92
+        path = tmp_path / "q.bin"
+        qtable.save(str(path))
+        v2 = path.read_bytes()
+        path.write_bytes(v2[:4] + (1).to_bytes(4, "little") + v2[8:92]
+                         + v2[100:])
+        back = ker.QTable.load(str(path))
+        assert back.budget is None
+        assert np.array_equal(back.values, qtable.values)
+        assert back.params == qtable.params
+
+    @pytest.mark.parametrize("budget", [-1.0, 2.5])
+    def test_bad_budget_is_typed_error(self, qtable, tmp_path, budget):
+        path = tmp_path / "q.bin"
+        qtable.save(str(path))
+        data = path.read_bytes()
+        path.write_bytes(data[:92] + struct.pack("<d", budget) + data[100:])
         with pytest.raises(QTableFormatError):
             ker.QTable.load(str(path))
 

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,136 @@ class TestHierarchy:
         assert prod == prodf  # even in the noise sign, per sample
 
 
+def _reference_solve(source, grid, m):
+    """Whole-block leapfrog with the filter and the Laplacian applied to
+    full rows through np.roll or zero-filled neighbours: the reference the
+    row-stepped solve_linear must match bit for bit."""
+    periodic = grid.boundary == "periodic"
+
+    def neighbours(rows):
+        if periodic:
+            return np.roll(rows, 1, axis=-1), np.roll(rows, -1, axis=-1)
+        left, right = np.zeros_like(rows), np.zeros_like(rows)
+        left[..., 1:] = rows[..., :-1]
+        right[..., :-1] = rows[..., 1:]
+        return left, right
+
+    def laplacian(rows):
+        if periodic:
+            left, right = neighbours(rows)
+            return (left - 2.0 * rows + right) / grid.dx ** 2
+        out = np.zeros_like(rows)
+        out[..., 1:-1] = (rows[..., 2:] - 2.0 * rows[..., 1:-1]
+                          + rows[..., :-2]) / grid.dx ** 2
+        out[..., 0] = (rows[..., 1] - 2.0 * rows[..., 0]) / grid.dx ** 2
+        out[..., -1] = (rows[..., -2] - 2.0 * rows[..., -1]) / grid.dx ** 2
+        return out
+
+    left, right = neighbours(source)
+    source = 0.25 * left + 0.5 * source + 0.25 * right
+    dt2 = grid.dt ** 2
+    psi = np.zeros(source.shape)
+    psi[..., 1, :] = 0.5 * dt2 * source[..., 0, :]
+    for n in range(1, grid.n_t - 1):
+        cur = psi[..., n, :]
+        acc = laplacian(cur) - m * m * cur + source[..., n, :]
+        psi[..., n + 1, :] = 2.0 * cur - psi[..., n - 1, :] + dt2 * acc
+    return psi
+
+
+def _bits(x):
+    return np.ascontiguousarray(x).view(np.int64)
+
+
+def _inside(window, shape):
+    """Boolean (n_t, n_x) mask of the cells in per-row windows [lo, hi)."""
+    cols = np.arange(shape[1])
+    return (cols >= window[:, :1]) & (cols < window[:, 1:])
+
+
+class TestWindowedSolve:
+    """Solving only the light-cone windows leaves every computed cell
+    bit-identical to the whole-lattice solve."""
+
+    def _check(self, grid, params, leg_grids, g_grid, seed):
+        rng = np.random.default_rng(seed)
+        source = rng.standard_normal((3, grid.n_t, grid.n_x))
+        w0, w1 = mc.light_cone_windows(grid, leg_grids, g_grid)
+        in0 = _inside(w0, (grid.n_t, grid.n_x))
+        in1 = _inside(w1, (grid.n_t, grid.n_x))
+        full0 = mc.solve_linear(source, grid, params.m)
+        assert np.array_equal(_bits(full0),
+                              _bits(_reference_solve(source, grid, params.m)))
+        part0 = mc.solve_linear(source, grid, params.m, w0)
+        assert np.array_equal(part0[:, in0], full0[:, in0])
+        assert np.all(part0[:, ~in0] == 0.0)
+        full = mc.solve_hierarchy(full0, grid, params, g_grid)
+        part = mc.solve_hierarchy(part0, grid, params, g_grid, window=w1)
+        for f, p in zip(full, part):
+            assert np.array_equal(p[:, in1], f[:, in1])
+        # the premise: off g's forward cone Psi_1 and Psi_2 vanish exactly
+        _, cone = mc.light_cone_windows(grid, [np.ones_like(g_grid)], g_grid)
+        off = ~_inside(cone, (grid.n_t, grid.n_x))
+        assert off.any()
+        for f in full:
+            assert np.all(f[:, off] == 0.0)
+        return w0
+
+    @pytest.mark.parametrize("boundary", mc.BOUNDARIES)
+    @pytest.mark.parametrize("n_x", [2, 3, 17])
+    def test_whole_rows_match_reference(self, params, boundary, n_x):
+        # every bit, signed zeros included, at the edges and inside
+        grid = mc.LatticeGrid(0.05, 0.05, 12, n_x, 0.0, 0.0, boundary)
+        source = np.random.default_rng(n_x).standard_normal((2, 12, n_x))
+        source[:, :3] = 0.0
+        source[:, 0] = -0.0     # psi row 1 is the filtered row 0, sign and all
+        source[0, 5, 0] = -0.0
+        assert np.array_equal(
+            _bits(mc.solve_linear(source, grid, params.m)),
+            _bits(_reference_solve(source, grid, params.m)))
+
+    @pytest.mark.parametrize("boundary", mc.BOUNDARIES)
+    @pytest.mark.parametrize("pad,trim", [(0.25, 0), (0.0, 0), (0.0, 6)])
+    def test_windowed_cells_match_full_solve(self, params, smearings,
+                                             boundary, pad, trim):
+        # trim cuts cells off both sides of the lattice, so the backward
+        # cones of the supports reach its edges
+        grid = mc.grid_for(params, list(smearings.values()), dt=0.05,
+                           pad=pad, boundary=boundary)
+        grid = dataclasses.replace(grid, x0=grid.x0 + trim * grid.dx,
+                                   n_x=grid.n_x - 2 * trim)
+        legs = [grid.sample(smearings[k]) for k in ("f1", "f2")]
+        w0 = self._check(grid, params, legs, grid.sample(smearings["g"]), 1)
+        reaches = w0[:, 0].min() == 0 and w0[:, 1].max() == grid.n_x
+        assert reaches == (trim > 0)
+
+    @pytest.mark.parametrize("boundary", mc.BOUNDARIES)
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_boxes(self, params, boundary, seed):
+        # legs and g non-zero on random boxes, some touching an edge
+        grid = mc.LatticeGrid(0.05, 0.05, 30, 40, params.t_switch, -1.0,
+                              boundary)
+        rng = np.random.default_rng(seed)
+
+        def boxed():
+            values = np.zeros((grid.n_t, grid.n_x))
+            n0, n1 = sorted(rng.integers(0, grid.n_t + 1, 2))
+            j0, j1 = sorted(rng.integers(0, grid.n_x + 1, 2))
+            values[n0:n1 + 1, j0:j1 + 1] = rng.uniform(0.5, 1.5)
+            return values
+        self._check(grid, params, [boxed(), boxed()], boxed(), seed)
+
+    def test_windows_of_empty_interaction(self, params, small_grid):
+        g = np.zeros((small_grid.n_t, small_grid.n_x))
+        leg = g.copy()
+        leg[20:25, 50:60] = 1.0
+        w0, w1 = mc.light_cone_windows(small_grid, [leg], g)
+        assert not (w1[:, 1] > w1[:, 0]).any()
+        assert np.array_equal(w0[24], [50, 60])
+        assert np.array_equal(w0[0], [26, 84])
+        assert not (w0[25:, 1] > w0[25:, 0]).any()
+
+
 class TestEstimator:
     def test_reproducible_across_workers(self, params, smearings, mc_grid,
                                          monkeypatch):
@@ -159,6 +291,20 @@ class TestEstimator:
         a = mc.estimate_correlator(obs, mc_grid, params, smearings, 300, 10)
         monkeypatch.setenv("WORKERS", "4")
         b = mc.estimate_correlator(obs, mc_grid, params, smearings, 300, 10)
+        assert a == b
+
+    def test_order2_reproducible_across_workers(self, params, smearings,
+                                                mc_grid, monkeypatch):
+        # the Psi_2 path, two-leg and one-leg, over several chunks
+        obs = [mc.ObservableSpec(f"{kind}{n}", kind, legs, n)
+               for kind, legs in (("corr", ("f1", "f2")), ("expect", ("f1",)))
+               for n in range(3)]
+        monkeypatch.setenv("WORKERS", "1")
+        a = mc.estimate_correlator(obs, mc_grid, params, smearings, 200, 14,
+                                   chunk=48)
+        monkeypatch.setenv("WORKERS", "2")
+        b = mc.estimate_correlator(obs, mc_grid, params, smearings, 200, 14,
+                                   chunk=48)
         assert a == b
 
     def test_centered_moments(self, mc_estimates):
