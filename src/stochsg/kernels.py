@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import struct
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -117,7 +118,11 @@ def retarded_massive(t, x, m: float, sign: float = -1.0):
     if m == 0.0:
         return np.where(inside, 0.5 * sign, 0.0)
     s2 = np.maximum(-lorentzian_square(t, x), 0.0)
-    return np.where(inside, 0.5 * sign * _j0(m * np.sqrt(s2)), 0.0)
+    # J0 only inside the cone: the same values as np.where over every point
+    cone = 0.5 * sign * _j0(m * np.sqrt(s2[inside]))
+    out = np.zeros(inside.shape, dtype=cone.dtype)
+    out[inside] = cone
+    return out
 
 
 def advanced(t, x, m: float, sign: float = -1.0):
@@ -157,9 +162,15 @@ def hadamard_massive(t, x, m: float, floor: float = LIGHTCONE_FLOOR,
         _check_off_cone(t, x, floor)
     s2 = lorentzian_square(t, x)
     mag = np.sqrt(np.maximum(np.abs(s2), floor))
-    space = _k0(m * mag) / (2.0 * np.pi)
-    time = -_y0(m * mag) / 4.0
-    return np.where(s2 > 0.0, space, time)
+    # K0 only on spacelike points, Y0 only on the others
+    space = s2 > 0.0
+    time = ~space
+    k0 = _k0(m * mag[space]) / (2.0 * np.pi)
+    y0 = -_y0(m * mag[time]) / 4.0
+    out = np.empty(space.shape, dtype=np.result_type(k0, y0))
+    out[space] = k0
+    out[time] = y0
+    return out
 
 
 def hadamard(t, x, p: ModelParams, floor: float = LIGHTCONE_FLOOR,
@@ -425,6 +436,7 @@ _QTBL_MAGIC = b"QTBL"
 _QTBL_VERSION = 2      # version 1 lacks the budget; load reads both
 _QTBL_HEAD = {1: 20 + 72, 2: 20 + 80}   # "<4sIIII", then 9 or 10 float64
 _SIGN_CODE = {"paper": 0.0, "green": 1.0}
+_COEFFS_LOCK = threading.Lock()   # fills QTable._coeffs once
 
 
 def _spline_coeffs(values: np.ndarray, order: int) -> np.ndarray:
@@ -468,8 +480,9 @@ class QTable:
         return 1 if self.interp_method == "linear" else 3
 
     def _spline_coeffs(self) -> np.ndarray:
-        if self._coeffs is None:
-            self._coeffs = _spline_coeffs(self.values, self.spline_order)
+        with _COEFFS_LOCK:  # quadrature workers may ask at the same time
+            if self._coeffs is None:
+                self._coeffs = _spline_coeffs(self.values, self.spline_order)
         return self._coeffs
 
     def interp(self, t, x, tp, xp):

@@ -16,6 +16,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import InvalidExponent, SingularityBudgetExceeded
+from .kernels import parallel_map
 from .results import QuadResult
 
 N_SHIFTS = 8
@@ -134,17 +135,20 @@ def _run_lattice(spec: IntegrandSpec, n_points: int, shifts: np.ndarray,
                  p_hat: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-shift means over the n_points lattice, over its even-indexed
     points, which form the embedded n_points/2 lattice exactly, and of the
-    integrand's envelope (0 where fn returns plain values)."""
-    means, halves, envelopes = [], [], []
-    for s in range(shifts.shape[0]):
-        r = _lattice_points(n_points, 2 * spec.n_vertices, shifts[s])
+    integrand's envelope (0 where fn returns plain values).  The shifts
+    run on the pool of kernels.parallel_map and are gathered in shift
+    order, so the sums do not depend on WORKERS."""
+    def sums(shift):
+        r = _lattice_points(n_points, 2 * spec.n_vertices, shift)
         pts, w = _map_points(r, spec, p_hat)
         out = spec.fn(pts)
         out, env = out if isinstance(out, tuple) else (out, 0.0)
         vals = np.asarray(out) * w
-        means.append(np.sum(vals) / n_points)
-        halves.append(np.sum(vals[::2]) / (n_points // 2))
-        envelopes.append(np.sum(env * w) / n_points)
+        return (np.sum(vals) / n_points,
+                np.sum(vals[::2]) / (n_points // 2),
+                np.sum(env * w) / n_points)
+
+    means, halves, envelopes = zip(*parallel_map(sums, shifts))
     return np.asarray(means), np.asarray(halves), np.asarray(envelopes)
 
 

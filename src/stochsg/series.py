@@ -13,6 +13,7 @@ hierarchy with source sign s = -1; see the sign note in spde_mc.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -59,6 +60,11 @@ class EvalContext:
     Every basis kernel is one two-point function (``kernel``).  Since every
     vertex carries that weight, a Q-smeared leg field at a vertex is read
     from a table over the interaction's support (``field_table``).
+
+    Quadrature shifts evaluate integrands on several threads at once, so
+    the memos they reach are safe to fill concurrently: a field table is
+    built once under a lock, and the kernel and node memos keep the first
+    value stored (``dict.setdefault``).
     """
 
     def __init__(self, params: ker.ModelParams, table: ker.QTable,
@@ -74,16 +80,19 @@ class EvalContext:
         self._kernel_cache: dict[str, object] = {}
         self._node_cache: dict[tuple[str, int], tuple] = {}
         self._field_tables: dict[str, ker.FieldTable] = {}
+        self._field_lock = threading.Lock()
         self._pairs: dict[tuple[str, str, str], QuadResult] = {}
 
     def with_hbar(self, hbar: float) -> "EvalContext":
         """This context at another hbar.  It shares the leg nodes, the field
-        tables and the scalar-pair memo, none of which depends on hbar."""
+        tables with their lock and the scalar-pair memo, none of which
+        depends on hbar."""
         ctx = EvalContext(self.params.with_(hbar=hbar), self.table,
                           self.smearings, self.leg_nodes, self.pair_nodes,
                           self.interaction)
         ctx._node_cache = self._node_cache
         ctx._field_tables = self._field_tables
+        ctx._field_lock = self._field_lock
         ctx._pairs = self._pairs
         return ctx
 
@@ -97,8 +106,8 @@ class EvalContext:
         if fn is None:
             diff = ker.difference_kernel(basis, self.params.with_(
                 sign_convention=ALGEBRA_CONVENTION))
-            fn = self._kernel_cache[basis] = (
-                lambda t, x, tp, xp: diff(t - tp, x - xp))
+            fn = self._kernel_cache.setdefault(
+                basis, lambda t, x, tp, xp: diff(t - tp, x - xp))
         return fn
 
     def nodes(self, leg_name: str, order: int | None = None):
@@ -106,7 +115,7 @@ class EvalContext:
         key = (leg_name, order)
         if key not in self._node_cache:
             f = self.smearings[leg_name]
-            self._node_cache[key] = f.weighted_nodes(order)
+            self._node_cache.setdefault(key, f.weighted_nodes(order))
         return self._node_cache[key]
 
     # -- pointwise building blocks -----------------------------------------
@@ -126,16 +135,18 @@ class EvalContext:
         grid nodes at a time.  Nodes of the padded grid are clipped to the
         region where the Q table covers every pairing with the leg's
         nodes."""
-        tab = self._field_tables.get(leg_name)
-        if tab is None:
-            tg, dg = self.table.time_grid, self.table.space_offset_grid
-            leg_box = self.smearings[leg_name].support_box()
-            domain = (tg[0], tg[-1], dg[0] + leg_box[3], dg[-1] + leg_box[2])
-            tab = ker.tabulate_field(
-                lambda t, x: self.smeared_kernel("Q", leg_name, t, x),
-                self.smearings[self.interaction].support_box(), domain,
-                self.table.spline_order, qd.MIN_BUDGET)
-            self._field_tables[leg_name] = tab
+        with self._field_lock:
+            tab = self._field_tables.get(leg_name)
+            if tab is None:
+                tg, dg = self.table.time_grid, self.table.space_offset_grid
+                leg_box = self.smearings[leg_name].support_box()
+                domain = (tg[0], tg[-1], dg[0] + leg_box[3],
+                          dg[-1] + leg_box[2])
+                tab = ker.tabulate_field(
+                    lambda t, x: self.smeared_kernel("Q", leg_name, t, x),
+                    self.smearings[self.interaction].support_box(), domain,
+                    self.table.spline_order, qd.MIN_BUDGET)
+                self._field_tables[leg_name] = tab
         return tab
 
     def smeared_expr(self, expr: KernelExpr, leg_name: str, t, x):

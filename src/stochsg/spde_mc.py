@@ -19,6 +19,7 @@ estimator solve only the cells in the light cones of its outputs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -110,8 +111,18 @@ def sample_noise(grid: LatticeGrid, params: ModelParams, seed: int,
     rng = np.random.Generator(np.random.Philox(key=key))
     xi = rng.standard_normal((grid.n_t, grid.n_x), out=out)
     xi /= np.sqrt(grid.dt * grid.dx)
-    xi *= chi_cutoff(grid.times, params.t_switch, params.chi_width)[:, None]
+    xi *= _chi_column(grid, params.t_switch, params.chi_width)
     return xi
+
+
+@functools.lru_cache(maxsize=8)
+def _chi_column(grid: LatticeGrid, t_switch: float,
+                chi_width: float) -> np.ndarray:
+    """chi on the time rows of the grid, a read-only (n_t, 1) column
+    computed once per (grid, t_switch, chi_width) for every realization."""
+    col = chi_cutoff(grid.times, t_switch, chi_width)[:, None]
+    col.setflags(write=False)
+    return col
 
 
 def _nonzero_box(values: np.ndarray) -> tuple[int, int, int, int]:

@@ -555,6 +555,20 @@ class TestCommands:
             b2 = open(os.path.join(out2, name), "rb").read()
             assert b1 == b2
 
+    def test_series_outputs_do_not_depend_on_workers(self, workdir,
+                                                     monkeypatch):
+        tmp, cfg = workdir
+        outs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("WORKERS", workers)
+            out = tmp / f"workers{workers}"
+            for cmd in ("corr", "coeff"):
+                res = _run([cmd, "--config", cfg, "--out", str(out)])
+                assert res.exit_code == 0, res.output
+            outs.append({name: (out / name).read_bytes() for name in
+                         ("correlation.csv", "expectation.csv", "qtable.bin")})
+        assert outs[0] == outs[1]
+
     def test_seed_override_changes_series(self, workdir):
         tmp, cfg = workdir
         out1, out2 = str(tmp / "s1"), str(tmp / "s2")

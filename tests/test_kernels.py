@@ -1,7 +1,9 @@
 import math
 import os
 import struct
+import sys
 import tempfile
+import time
 import warnings
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from scipy.special import j0, k0, y0
 
 from stochsg import kernels as ker
 from stochsg.errors import (EvalOnLightcone, NonFiniteValue, OutOfDomain,
@@ -150,6 +153,70 @@ class TestPropagators:
     @settings(max_examples=100, deadline=None)
     def test_lorentzian_square_form(self, t, x):
         assert ker.lorentzian_square(t, x) == (x - t) * (x + t)
+
+
+def _hadamard_massive_where(t, x, m, floor=ker.LIGHTCONE_FLOOR):
+    """Reference: both special functions on every point, one picked."""
+    s2 = ker.lorentzian_square(t, x)
+    mag = np.sqrt(np.maximum(np.abs(s2), floor))
+    space = k0(m * mag) / (2.0 * np.pi)
+    time = -y0(m * mag) / 4.0
+    return np.where(s2 > 0.0, space, time)
+
+
+def _retarded_massive_where(t, x, m, sign):
+    """Reference: J0 on every point, 0 picked outside the cone."""
+    inside = ker.in_future_cone(t, x)
+    s2 = np.maximum(-ker.lorentzian_square(t, x), 0.0)
+    return np.where(inside, 0.5 * sign * j0(m * np.sqrt(s2)), 0.0)
+
+
+def _masked_cases():
+    rng = np.random.default_rng(41)
+    t, x = rng.uniform(-2, 2, (2, 1000))
+    c = rng.uniform(-2, 2, 200)
+    return {
+        "random": (t, x),
+        "future-cone": (np.abs(c), c),
+        "t=x": (c, c),
+        "t=-x": (-c, c),
+        "origin-and-signed-zeros": (np.array([0.0, -0.0, 0.0, -0.0, 1.0]),
+                                    np.array([0.0, 0.0, -0.0, -0.0, -0.0])),
+        "scalar-spacelike": (0.3, 1.0),
+        "scalar-timelike": (1.0, 0.3),
+        "scalar-origin": (0.0, -0.0),
+        "broadcast": (np.linspace(-1.5, 1.5, 13)[:, None],
+                      np.linspace(-1.5, 1.5, 17)[None, :]),
+    }
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return (a.shape == b.shape and a.dtype == b.dtype
+            and np.array_equal(a, b)
+            and np.array_equal(np.signbit(a), np.signbit(b)))
+
+
+class TestMaskedKernels:
+    """Each special function is evaluated only where it is used; every
+    element keeps the value of the np.where formula."""
+
+    @pytest.mark.parametrize("case", sorted(_masked_cases()))
+    @pytest.mark.parametrize("m", [0.5, 3.0])
+    def test_hadamard_massive(self, case, m):
+        t, x = _masked_cases()[case]
+        assert _same_bits(ker.hadamard_massive(t, x, m, check=False),
+                          _hadamard_massive_where(t, x, m))
+
+    @pytest.mark.parametrize("case", sorted(_masked_cases()))
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_retarded_and_advanced(self, case, sign):
+        t, x = _masked_cases()[case]
+        assert _same_bits(ker.retarded_massive(t, x, 0.7, sign),
+                          _retarded_massive_where(t, x, 0.7, sign))
+        assert _same_bits(ker.advanced(t, x, 0.7, sign),
+                          _retarded_massive_where(-np.asarray(t),
+                                                  -np.asarray(x), 0.7, sign))
 
 
 class TestCovarianceQ:
@@ -310,6 +377,30 @@ class TestQTable:
             warnings.simplefilter("error")
             with pytest.raises(NonFiniteValue):
                 ker.build_q_table(params.with_(mu=1e308), 4, 4, 16)
+
+    def test_spline_coeffs_filled_once(self, qtable, monkeypatch):
+        # more workers than cores and a short switch interval: a lost
+        # check-then-fill would prefilter the table more than once
+        monkeypatch.setenv("WORKERS", "8")
+        prefilter = ker._spline_coeffs
+        calls = []
+
+        def counted(values, order):
+            calls.append(order)
+            time.sleep(0.05)
+            return prefilter(values, order)
+        monkeypatch.setattr(ker, "_spline_coeffs", counted)
+        fresh = ker.QTable(qtable.time_grid, qtable.space_offset_grid,
+                           qtable.values, qtable.params)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = ker.parallel_map(
+                lambda k: fresh.interp(0.1, 0.0, 0.2, 0.1), range(8))
+        finally:
+            sys.setswitchinterval(interval)
+        assert calls == [3]
+        assert all(g == qtable.interp(0.1, 0.0, 0.2, 0.1) for g in got)
 
     def test_nodes_reproduced(self, params, qtable):
         tg, dg = qtable.time_grid, qtable.space_offset_grid

@@ -1,8 +1,11 @@
+import itertools
+import threading
+
 import numpy as np
 import pytest
 
 from stochsg import kernels as ker
-from stochsg.errors import InvalidExponent
+from stochsg.errors import InvalidExponent, OutOfDomain
 from stochsg.quad import (IntegrandSpec, SingularPair, _lattice_points,
                           _run_lattice, integrate, smeared_pairing)
 
@@ -177,6 +180,25 @@ class TestSingular:
         _, halves, _ = _run_lattice(spec, 4096, shifts, 1.5)
         means, _, _ = _run_lattice(spec, 2048, shifts, 1.5)
         assert np.allclose(halves, means, rtol=1e-12, atol=0.0)
+
+
+class TestWorkerPool:
+    def test_worker_error_keeps_its_type(self, monkeypatch):
+        # the fourth shift's integrand fails on a pool thread
+        monkeypatch.setenv("WORKERS", "2")
+        calls = itertools.count()
+        callers = set()
+
+        def fn(pts):
+            callers.add(threading.get_ident())
+            if next(calls) == 3:
+                raise OutOfDomain("query outside the table")
+            return np.ones(pts.shape[0])
+        before = set(threading.enumerate())
+        with pytest.raises(OutOfDomain):
+            integrate(IntegrandSpec(1, fn), 1024, 1)
+        assert threading.get_ident() not in callers
+        assert set(threading.enumerate()) == before
 
 
 class TestSmearedPairing:

@@ -1,3 +1,6 @@
+import sys
+import time
+
 import numpy as np
 import pytest
 
@@ -103,6 +106,48 @@ class TestFieldTables:
         ser.quantum_coefficient(1, 0.05, ctx0, ["f1", "f2"], 1024, 7)
         assert set(ctx0._field_tables) == {"f1", "f2"}
         assert ("Q", "f1", "f2") in ctx0._pairs
+
+
+class TestWorkers:
+    def test_results_do_not_depend_on_workers(self, params, qtable,
+                                              smearings, monkeypatch):
+        runs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("WORKERS", workers)
+            c = ser.EvalContext(params, qtable, smearings, leg_nodes=12,
+                                pair_nodes=12)
+            runs.append((
+                ser.correlation_coefficient(1, c, "f1", "f2", 1024, 3).value,
+                ser.correlation_coefficient(2, c, "f1", "f2", 1024, 4).value,
+                ser.quantum_coefficient(2, 0.1, c, ["f1", "f2"], 1024,
+                                        5).value,
+                ser.order1_correction_oracle(c, "f1", "f2", "g", 1024, 6)))
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("workers", ["2", "8"])
+    def test_field_tables_built_once(self, params, qtable, smearings,
+                                     monkeypatch, workers):
+        monkeypatch.setenv("WORKERS", workers)
+        tabulate = ker.tabulate_field
+        built = []
+
+        def counted(fn, box, domain, *args):
+            built.append(domain)
+            # hold the build open so that a second shift asks meanwhile
+            time.sleep(0.2)
+            return tabulate(fn, box, domain, *args)
+        monkeypatch.setattr(ker, "tabulate_field", counted)
+        c = ser.EvalContext(params, qtable, smearings)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            ser.correlation_coefficient(1, c, "f1", "f2", 1024, 3)
+            ser.correlation_coefficient(1, c.with_hbar(0.05), "f1", "f2",
+                                        1024, 3)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(built) == 2 and len(set(built)) == 2
+        assert set(c._field_tables) == {"f1", "f2"}
 
 
 class TestKernelBinding:
