@@ -25,8 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import kernels as ker
-from .errors import (DegenerateConfiguration, GridTooCoarse, InvalidExponent,
-                     OutOfDomain, StochSGError)
+from .errors import (ConfigError, DegenerateConfiguration, GridTooCoarse,
+                     InvalidExponent, OutOfDomain, StochSGError)
 
 MIN_GRID_N = 256
 MIN_P_HAT = 1.0
@@ -90,13 +90,17 @@ def conditioning_constants(p: ker.ModelParams, grid_n: int = 256,
     transformed, and split into positive and negative parts.  Both values
     must be grid-converged: a relative change above ``tol`` under doubling
     raises GridTooCoarse.  The log singularities of H0 and H cancel, so W
-    extends continuously across the lightcone and the origin.
+    extends continuously across the lightcone and the origin.  ConfigError
+    if the scale 4 mu_ref^2 of H0 is not a positive finite number.
     """
     if not valid_grid_n(grid_n):
         raise ValueError(f"grid_n must be a power of two >= {MIN_GRID_N}")
     if kernel_pair is None:
         if p.m <= 0:
             raise ValueError("conditioning requires a massive model")
+        if not 0.0 < 4.0 * p.mu_ref * p.mu_ref < math.inf:
+            raise ConfigError(f"mu_ref = {p.mu_ref}: the log-kernel scale "
+                              "4 mu_ref^2 is not a positive finite number")
         floor = 1e-14
 
         def h0(t, x):
@@ -148,13 +152,20 @@ def _check_p(alpha: float, p_hat: float):
 def _log_qs_bound(n: int, p_hat: float, params: ker.ModelParams,
                   c_q: float, k_conditioning: float, g_norm_q: float,
                   c_tilde: float) -> float:
-    k_hbar = params.hbar * k_conditioning
-    log_rate = (math.log(2.0 * params.lam) + 0.5 * params.a ** 2 * k_hbar
-                - math.log(params.hbar))
+    """log of the n-th bound; -inf for n >= 1 at lambda = 0 or
+    ||g||_q = 0, since the bound carries (lambda ||g||_q)^n."""
+    log_power = 0.0
+    if n > 0:
+        if params.lam == 0.0 or g_norm_q == 0.0:
+            return -math.inf
+        k_hbar = params.hbar * k_conditioning
+        log_rate = (math.log(2.0 * params.lam) + 0.5 * params.a ** 2 * k_hbar
+                    - math.log(params.hbar))
+        log_power = n * (log_rate + math.log(g_norm_q))
     return (math.log(2.0) + n * params.alpha * math.log(2.0 * params.mu)
             + n * n * math.log(c_q)
             - (1.0 - 1.0 / p_hat) * math.lgamma(n + 1)
-            + n * (log_rate + math.log(g_norm_q))
+            + log_power
             + (n / p_hat) * math.log(c_tilde))
 
 
@@ -215,7 +226,8 @@ def tail_bound(n_from: int, p_hat: float, params: ker.ModelParams,
     The C_Q^(n^2) factor eventually dominates the (n!)^(1-1/p) decay, so the
     bound series is only numerically summable when the per-order rate is
     small enough for the terms to fall below the floor first; otherwise this
-    raises instead of returning a spuriously finite value.
+    raises instead of returning a spuriously finite value.  A term of 0
+    (lambda = 0 or ||g||_q = 0) ends the sum: every later term is 0 too.
     """
     alpha = params.alpha
     _check_p(alpha, p_hat)
@@ -225,6 +237,8 @@ def tail_bound(n_from: int, p_hat: float, params: ker.ModelParams,
     for n in range(n_from + 1, _TAIL_MAX_N + 1):
         log_term = _log_qs_bound(n, p_hat, params, c_q, k_conditioning,
                                  g_norm_q, c_tilde)
+        if log_term == -math.inf:
+            return total
         if log_term > 700.0 or (log_term > prev_log
                                 and total > 0.0
                                 and log_term > math.log(total)):

@@ -290,6 +290,9 @@ def parse_config(doc: dict) -> RunConfig:
         if _outside_p_range(params.alpha, boundsc.p_hat):
             raise ConfigError(f"bounds.p_hat = {boundsc.p_hat} >= 1/alpha = "
                               f"{1.0 / params.alpha}")
+        if params.m == 0:
+            raise ConfigError("bounds requested with m = 0: the "
+                              "conditioning needs a massive model")
     return cfg
 
 

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
@@ -433,10 +432,9 @@ MIN_SMEARING_NODES = 1  # Gauss-Legendre nodes per axis of weighted_nodes
 INTERP_METHODS = ("linear", "cubic")
 _Q_CHUNK = 8192     # table entries per pool task
 _QTBL_MAGIC = b"QTBL"
-_QTBL_VERSION = 2      # version 1 lacks the budget; load reads both
-_QTBL_HEAD = {1: 20 + 72, 2: 20 + 80}   # "<4sIIII", then 9 or 10 float64
+_QTBL_VERSION = 2
+_QTBL_HEAD = 20 + 80    # "<4sIIII", then 10 float64
 _SIGN_CODE = {"paper": 0.0, "green": 1.0}
-_COEFFS_LOCK = threading.Lock()   # fills QTable._coeffs once
 
 
 def _spline_coeffs(values: np.ndarray, order: int) -> np.ndarray:
@@ -463,8 +461,8 @@ class QTable:
 
     Spatial translation invariance reduces Q(z, z') to three variables.
     Interpolation is a tensor B-spline (tricubic by default, trilinear as a
-    fallback) on the uniform grid, evaluated through prefiltered spline
-    coefficients.
+    fallback) on the uniform grid, evaluated through spline coefficients
+    prefiltered when the table is made.
     """
 
     time_grid: np.ndarray
@@ -473,17 +471,14 @@ class QTable:
     params: ModelParams
     interp_method: str = "cubic"
     budget: int | None = None   # quadrature budget of the build, if known
-    _coeffs: np.ndarray | None = field(default=None, repr=False)
+    _coeffs: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._coeffs = _spline_coeffs(self.values, self.spline_order)
 
     @property
     def spline_order(self) -> int:
         return 1 if self.interp_method == "linear" else 3
-
-    def _spline_coeffs(self) -> np.ndarray:
-        with _COEFFS_LOCK:  # quadrature workers may ask at the same time
-            if self._coeffs is None:
-                self._coeffs = _spline_coeffs(self.values, self.spline_order)
-        return self._coeffs
 
     def interp(self, t, x, tp, xp):
         """Q(z, z') with z = (t, x), z' = (tp, xp); raises OutOfDomain."""
@@ -500,7 +495,7 @@ class QTable:
                 or np.any(jt < -eps) or np.any(jt > len(tg) - 1 + eps)
                 or np.any(kd < -eps) or np.any(kd > len(dg) - 1 + eps)):
             raise OutOfDomain("Q table query outside the tabulated box")
-        return _spline_read(self._spline_coeffs(), (it, jt, kd),
+        return _spline_read(self._coeffs, (it, jt, kd),
                             self.spline_order)
 
     def diag(self, t, x):
@@ -525,27 +520,25 @@ class QTable:
 
     @staticmethod
     def load(path: str) -> "QTable":
-        """Read a table written by save, or a version-1 file, whose budget
-        is unknown (None); a file that is not one complete QTBL table of a
-        known version, or that holds a non-finite number, raises
+        """Read a table written by save; a budget of 0 reads as unknown
+        (None).  A file that is not one complete QTBL table of the current
+        version, or that holds a non-finite number, raises
         QTableFormatError."""
         with open(path, "rb") as fh:
             data = fh.read()
         if len(data) < 20 or data[:4] != _QTBL_MAGIC:
             raise QTableFormatError(f"{path}: not a QTBL file")
         _, version, n_t, n_x, interp_code = struct.unpack_from("<4sIIII", data)
-        if version not in _QTBL_HEAD:
+        if version != _QTBL_VERSION:
             raise QTableFormatError(
                 f"{path}: unsupported QTBL version {version}")
-        head = _QTBL_HEAD[version]
-        size = head + 8 * (n_t + n_x + n_t * n_t * n_x)
+        size = _QTBL_HEAD + 8 * (n_t + n_x + n_t * n_t * n_x)
         if len(data) != size:
             raise QTableFormatError(f"{path}: {len(data)} bytes, but a "
                                     f"{n_t}x{n_t}x{n_x} table takes {size}")
-        meta = struct.unpack_from(f"<{(head - 20) // 8}d", data, 20)
-        m, a, hbar, lam, mu, mu_ref, t_switch, sign, chi_width = meta[:9]
-        budget = meta[9] if version > 1 else 0.0
-        body = np.frombuffer(data, dtype="<f8", offset=head)
+        meta = struct.unpack_from("<10d", data, 20)
+        m, a, hbar, lam, mu, mu_ref, t_switch, sign, chi_width, budget = meta
+        body = np.frombuffer(data, dtype="<f8", offset=_QTBL_HEAD)
         if not (np.isfinite(body).all() and np.isfinite(meta).all()):
             raise QTableFormatError(f"{path}: non-finite number in the table")
         if sign not in (0.0, 1.0):

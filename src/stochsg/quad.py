@@ -181,8 +181,8 @@ def integrate(spec: IntegrandSpec, budget: int, seed: int,
     means, halves, envelopes = _run_lattice(spec, n_points, shifts, p_hat)
     value = complex(np.mean(means))
     err = _replicate_error(means)
-    if np.isrealobj(means) or abs(value.imag) == 0.0:
-        value = value.real if abs(complex(value).imag) == 0 else value
+    if value.imag == 0.0:
+        value = value.real
 
     if spec.singular_pairs:
         err_half = _replicate_error(halves)

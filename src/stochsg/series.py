@@ -61,10 +61,12 @@ class EvalContext:
     vertex carries that weight, a Q-smeared leg field at a vertex is read
     from a table over the interaction's support (``field_table``).
 
+    One context serves every hbar of a run: ``evaluate_terms`` takes the
+    hbar to evaluate at, and no table or memo of the context depends on it.
     Quadrature shifts evaluate integrands on several threads at once, so
     the memos they reach are safe to fill concurrently: a field table is
-    built once under a lock, and the kernel and node memos keep the first
-    value stored (``dict.setdefault``).
+    built once under a lock, and the node memo keeps the first value
+    stored (``dict.setdefault``).
     """
 
     def __init__(self, params: ker.ModelParams, table: ker.QTable,
@@ -77,24 +79,11 @@ class EvalContext:
         self.interaction = interaction
         self.leg_nodes = leg_nodes
         self.pair_nodes = pair_nodes
-        self._kernel_cache: dict[str, object] = {}
+        self._kernel_params = params.with_(sign_convention=ALGEBRA_CONVENTION)
         self._node_cache: dict[tuple[str, int], tuple] = {}
         self._field_tables: dict[str, ker.FieldTable] = {}
         self._field_lock = threading.Lock()
         self._pairs: dict[tuple[str, str, str], QuadResult] = {}
-
-    def with_hbar(self, hbar: float) -> "EvalContext":
-        """This context at another hbar.  It shares the leg nodes, the field
-        tables with their lock and the scalar-pair memo, none of which
-        depends on hbar."""
-        ctx = EvalContext(self.params.with_(hbar=hbar), self.table,
-                          self.smearings, self.leg_nodes, self.pair_nodes,
-                          self.interaction)
-        ctx._node_cache = self._node_cache
-        ctx._field_tables = self._field_tables
-        ctx._field_lock = self._field_lock
-        ctx._pairs = self._pairs
-        return ctx
 
     def kernel(self, basis: str):
         """K(t, x, t', x') of a basis kernel: Q is the table, every other
@@ -102,13 +91,8 @@ class EvalContext:
         sign convention."""
         if basis == "Q":
             return self.table.interp
-        fn = self._kernel_cache.get(basis)
-        if fn is None:
-            diff = ker.difference_kernel(basis, self.params.with_(
-                sign_convention=ALGEBRA_CONVENTION))
-            fn = self._kernel_cache.setdefault(
-                basis, lambda t, x, tp, xp: diff(t - tp, x - xp))
-        return fn
+        diff = ker.difference_kernel(basis, self._kernel_params)
+        return lambda t, x, tp, xp: diff(t - tp, x - xp)
 
     def nodes(self, leg_name: str, order: int | None = None):
         order = order or self.leg_nodes
@@ -256,8 +240,9 @@ def _slot_parts(expr: KernelExpr, hbar: float, graded: bool = True):
     return [(c.as_complex() * hbar ** (h - low), b) for b, h, c in expr.terms]
 
 
-def _integrand(ctx: EvalContext, term: alg.Generator):
-    """Integrand ``fn(cache)`` of one term.
+def _integrand(ctx: EvalContext, p: ker.ModelParams, term: alg.Generator):
+    """Integrand ``fn(cache)`` of one term at the hbar, charge and coupling
+    of ``p``.
 
     The term is turned once into weighted factor lists: vertex weights,
     exponentiated pairs, edge powers and attached smeared kernels, and
@@ -272,7 +257,6 @@ def _integrand(ctx: EvalContext, term: alg.Generator):
     bounds the products of two or more such errors.  A term without such a
     factor returns ((), 0.0).
     """
-    p = ctx.params
     a = p.a
     pair_parts = [(i, j, _slot_parts(e, p.hbar, graded=False))
                   for (i, j), e in term.pair_exps]
@@ -353,10 +337,11 @@ def _integrand(ctx: EvalContext, term: alg.Generator):
 
 
 def _sum_spec(ctx: EvalContext, integrands, n_vertices: int,
-              singular: bool) -> qd.IntegrandSpec:
-    """The summed integrand of terms with n_vertices vertices.  Its envelope
-    is the first-order error sum_key delta |sum of the derivatives| plus
-    the higher-order bounds."""
+              alpha: float | None) -> qd.IntegrandSpec:
+    """The summed integrand of terms with n_vertices vertices, with the
+    |z_0 - z_1|^(-2 alpha) pair mapped if alpha is given.  Its envelope is
+    the first-order error sum_key delta |sum of the derivatives| plus the
+    higher-order bounds."""
     def fn(pts):
         cache = _BatchCache(ctx, pts)
         total = np.zeros(pts.shape[0], dtype=complex)
@@ -372,27 +357,30 @@ def _sum_spec(ctx: EvalContext, integrands, n_vertices: int,
             envelope += delta * np.abs(d)
         return total, envelope
     pairs = ()
-    if singular and n_vertices >= 2:
-        pairs = (qd.SingularPair(0, 1, ctx.params.alpha),)
+    if alpha is not None and n_vertices >= 2:
+        pairs = (qd.SingularPair(0, 1, alpha),)
     return qd.IntegrandSpec(n_vertices, fn, mu=ctx.params.mu,
                             singular_pairs=pairs)
 
 
 def evaluate_terms(ctx: EvalContext, terms, budget: int, seed: int,
-                   singular: bool = False, p_hat: float = 1.5) -> QuadResult:
-    """phi = 0 value of a sum of terms: free-leg terms drop, the rest are
-    summed into one integrand per vertex count.  Vertex-free terms are that
-    integrand at a single (empty) point; the others are integrated.  The
-    error adds the envelope of the factors that carry an error estimate
-    (see _integrand) to the quadrature error.  NonFiniteValue if the value
-    or the error is not finite."""
+                   singular: bool = False, p_hat: float = 1.5,
+                   hbar: float | None = None) -> QuadResult:
+    """phi = 0 value of a sum of terms at ``hbar`` (default: the context's):
+    free-leg terms drop, the rest are summed into one integrand per vertex
+    count.  Vertex-free terms are that integrand at a single (empty) point;
+    the others are integrated.  The error adds the envelope of the factors
+    that carry an error estimate (see _integrand) to the quadrature error.
+    NonFiniteValue if the value or the error is not finite."""
+    p = ctx.params if hbar is None else ctx.params.with_(hbar=hbar)
     by_n: dict[int, list] = {}
     for term in terms:
         if not term.free_legs:
-            by_n.setdefault(term.n_vertices, []).append(_integrand(ctx, term))
+            by_n.setdefault(term.n_vertices, []).append(
+                _integrand(ctx, p, term))
     total = QuadResult(0.0 + 0.0j, 0.0, 0, seed)
     for n, fns in sorted(by_n.items()):
-        spec = _sum_spec(ctx, fns, n, singular)
+        spec = _sum_spec(ctx, fns, n, p.alpha if singular else None)
         if n == 0:
             value, envelope = spec.fn(np.zeros((1, 0, 2)))
             total = total + QuadResult(complex(value[0]), float(envelope[0]),
@@ -428,14 +416,13 @@ def _coefficient(n: int, hbar: float, ctx: EvalContext, legs: list[str],
         terms = alg.classical_term(n, len(legs), legs)
         res = evaluate_terms(ctx, terms, budget, seed)
     else:
-        ctx_h = ctx.with_hbar(hbar)
-        if ctx_h.params.alpha >= 1.0:
-            raise ConfigError(
-                f"alpha = {ctx_h.params.alpha} >= 1: outside the finite "
-                "ultraviolet regime")
+        alpha = ctx.params.with_(hbar=hbar).alpha
+        if alpha >= 1.0:
+            raise ConfigError(f"alpha = {alpha} >= 1: outside the finite "
+                              "ultraviolet regime")
         terms = alg.collected_raw_list(alg.bogoliubov_generators(n, legs))
-        res = evaluate_terms(ctx_h, terms, budget, seed,
-                             singular=n >= 2, p_hat=p_hat)
+        res = evaluate_terms(ctx, terms, budget, seed, singular=n >= 2,
+                             p_hat=p_hat, hbar=hbar)
     pref = ctx.params.lam ** n / math.factorial(n)
     return SeriesCoefficient(n, name, res.scaled(pref), len(terms), hbar)
 

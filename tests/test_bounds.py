@@ -114,6 +114,17 @@ class TestQSBound:
                                     g_norm, mag.value)
             assert rep.satisfied is True
 
+    @pytest.mark.parametrize("lam,g_norm", [(0.0, 0.5), (0.5, 0.0)])
+    def test_zero_coupling_or_cutoff(self, params_alpha_half, lam, g_norm):
+        # the bound carries (lambda ||g||_q)^n
+        p = params_alpha_half.with_(lam=lam)
+        bounds = [bnd.qs_term_bound(n, 1.5, p, 1.1, 0.4, g_norm, 0.0)
+                  for n in range(3)]
+        assert [r.bound_value for r in bounds] == [
+            bnd.qs_term_bound(0, 1.5, params_alpha_half, 1.1, 0.4,
+                              0.5).bound_value, 0.0, 0.0]
+        assert all(r.satisfied is True for r in bounds)
+
 
 class TestFieldBound:
     def test_order_zero_vanishes(self, params_alpha_half):
@@ -152,6 +163,11 @@ class TestTail:
         t2 = bnd.tail_bound(1, 1.5, p, 1.12, 0.4, 0.55)
         t3 = bnd.tail_bound(2, 1.5, p, 1.12, 0.4, 0.55)
         assert t1 > t2 > t3 > 0
+
+    @pytest.mark.parametrize("lam,g_norm", [(0.0, 0.55), (1e-3, 0.0)])
+    def test_zero_tail(self, params_alpha_half, lam, g_norm):
+        p = params_alpha_half.with_(lam=lam)
+        assert bnd.tail_bound(0, 1.5, p, 1.12, 0.4, g_norm) == 0.0
 
     def test_divergent_config_raises(self, params_alpha_half):
         with pytest.raises(StochSGError):

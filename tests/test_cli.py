@@ -7,7 +7,7 @@ import os
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochsg import kernels as ker
@@ -356,6 +356,87 @@ class TestMcMutants:
         path.write_text(json.dumps(doc))
         res = _run(["mc", "--config", str(path), "--out", str(tmp)])
         assert res.exit_code in (0, 1, 2, 3), res.output
+
+
+_G_AMPLITUDE = ("smearings", "g", 0, "amplitude")
+_BOUNDS_MUTATIONS = st.one_of(
+    st.tuples(st.tuples(st.just("params"), st.sampled_from(
+        ["m", "a", "hbar", "lam", "mu_ref", "chi_width", "t_switch"])),
+        st.sampled_from([0.0, 1e-300, 0.5, 3.0, 1e300, -1.0])),
+    st.tuples(st.just(_G_AMPLITUDE),
+              st.sampled_from([0.0, 1e-300, 2.0, 1e300, -1.0])),
+    st.tuples(st.just(("smearings", "g", 0, "radius")),
+              st.sampled_from([0.5, 0.1, 1e-300, 0.0, 0.8])),
+    st.tuples(st.just(("bounds", "p_hat")),
+              st.sampled_from([1.0, 1.5, 3.0, 1e300, 0.5])),
+    st.tuples(st.just(("bounds", "grid_n")),
+              st.sampled_from([256, 128, 255, 0])))
+
+
+class TestBoundsMutants:
+    @settings(max_examples=25, deadline=None, derandomize=True)
+    @given(st.lists(_BOUNDS_MUTATIONS, min_size=1, max_size=3))
+    @example([(("params", "lam"), 0.0)])
+    @example([(_G_AMPLITUDE, 0.0)])
+    @example([(("params", "m"), 0.0)])
+    @example([(("params", "mu_ref"), 1e300)])
+    @example([(("params", "mu_ref"), 0.0)])
+    def test_bounds_stage_exits_cleanly(self, tmp_path_factory, mutations):
+        # the zeros and overflows of the model, cutoff and bound settings
+        # give an exit code, never a traceback (which _run would raise)
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        for path, value in mutations:
+            _set_path(doc, path, value)
+        tmp = tmp_path_factory.mktemp("mutant")
+        path = tmp / "config.json"
+        path.write_text(json.dumps(doc))
+        res = _run(["bounds", "--config", str(path), "--out", str(tmp)])
+        assert res.exit_code in (0, 1, 2, 3), res.output
+
+
+class TestBoundsEdges:
+    @pytest.mark.parametrize("path,value", [
+        (("params", "lam"), 0.0),
+        (_G_AMPLITUDE, 0.0),
+    ])
+    def test_zero_coupling_or_cutoff_is_satisfied(self, tmp_path, path,
+                                                  value):
+        # the bound carries (lambda ||g||_q)^n: 0 from order 1 on
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        _set_path(doc, path, value)
+        cfg = tmp_path / "zero.json"
+        cfg.write_text(json.dumps(doc))
+        res = _run(["bounds", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "ALL SATISFIED" in res.output
+        with open(tmp_path / "bounds.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [(r["n"], r["bound"], r["satisfied"]) for r in rows] == [
+            ("0", "2.0", ""), ("1", "0.0", "True")]
+
+    def test_massless_bounds_are_config_error(self, tmp_path):
+        # the conditioning compares the massive Hadamard kernel with H0
+        doc = _mutated("params", "m", 0.0)
+        with pytest.raises(ConfigError, match="m = 0"):
+            parse_config(doc)
+        parse_config(dict(doc, bounds={"orders": []}))
+        cfg = tmp_path / "massless.json"
+        cfg.write_text(json.dumps(doc))
+        res = _run(["bounds", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+
+    @pytest.mark.parametrize("mu_ref", [
+        1e300,      # 4 mu_ref^2 overflows
+        1e-300,     # and underflows to 0
+        0.0,
+    ])
+    def test_log_kernel_scale_is_config_error(self, tmp_path, mu_ref):
+        cfg = tmp_path / "mu_ref.json"
+        cfg.write_text(json.dumps(_mutated("params", "mu_ref", mu_ref)))
+        res = _run(["bounds", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        assert f"mu_ref = {mu_ref!r}" in res.output
+        assert not (tmp_path / "bounds.csv").exists()
 
 
 class TestNumericFailures:

@@ -379,8 +379,8 @@ class TestQTable:
                 ker.build_q_table(params.with_(mu=1e308), 4, 4, 16)
 
     def test_spline_coeffs_filled_once(self, qtable, monkeypatch):
-        # more workers than cores and a short switch interval: a lost
-        # check-then-fill would prefilter the table more than once
+        # more workers than cores and a short switch interval: the table
+        # is prefiltered once, when it is made, and never by a read
         monkeypatch.setenv("WORKERS", "8")
         prefilter = ker._spline_coeffs
         calls = []
@@ -476,18 +476,6 @@ class TestQTable:
         path = str(tmp_path / "q.bin")
         ker.build_q_table(params, n_t=6, n_x=8, budget=36).save(path)
         assert ker.QTable.load(path).budget == 36
-
-    def test_version1_file_has_unknown_budget(self, qtable, tmp_path):
-        # version 1: the same layout without the budget double at byte 92
-        path = tmp_path / "q.bin"
-        qtable.save(str(path))
-        v2 = path.read_bytes()
-        path.write_bytes(v2[:4] + (1).to_bytes(4, "little") + v2[8:92]
-                         + v2[100:])
-        back = ker.QTable.load(str(path))
-        assert back.budget is None
-        assert np.array_equal(back.values, qtable.values)
-        assert back.params == qtable.params
 
     @pytest.mark.parametrize("budget", [-1.0, 2.5])
     def test_bad_budget_is_typed_error(self, qtable, tmp_path, budget):

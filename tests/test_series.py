@@ -142,8 +142,7 @@ class TestWorkers:
         sys.setswitchinterval(1e-6)
         try:
             ser.correlation_coefficient(1, c, "f1", "f2", 1024, 3)
-            ser.correlation_coefficient(1, c.with_hbar(0.05), "f1", "f2",
-                                        1024, 3)
+            ser.quantum_coefficient(1, 0.05, c, ["f1", "f2"], 1024, 3)
         finally:
             sys.setswitchinterval(interval)
         assert len(built) == 2 and len(set(built)) == 2
