@@ -34,7 +34,6 @@ from .errors import CancellationFailure, NegativeGrade, SingularCoincidence
 from .exact import CR_I, CR_ONE, COEFF_ONE, Coeff, CRat
 
 BASIS = ("Q", "H", "H0", "DeltaR", "DeltaA", "Delta", "Omega", "DeltaF", "DeltaAF")
-REAL_BASIS = ("Q", "H", "H0", "DeltaR", "DeltaA")
 
 _HALF_I = CRat.of(0, Fraction(1, 2))
 _REWRITE = {
@@ -124,7 +123,6 @@ class KernelExpr:
 
 KE_ZERO = KernelExpr()
 KE_Q = KernelExpr.of(("Q", 0, 1))
-KE_H = KernelExpr.of(("H", 0, 1))
 KE_DELTA_H = KernelExpr.of(("Delta", 1, 1))
 KE_OMEGA_H = KernelExpr.of(("Omega", 1, 1))
 KE_F_H = KernelExpr.of(("DeltaF", 1, 1))
@@ -671,45 +669,6 @@ def _all_subsets(it):
     items = list(it)
     for r in range(len(items) + 1):
         yield from (frozenset(c) for c in itertools.combinations(items, r))
-
-
-def bogoliubov_terms(n: int, m: int, legs: list[str] | None = None,
-                     deform_q: bool = True) -> list[Generator]:
-    """R_{n,m} applied to a product of m external legs, collected."""
-    if m < 1:
-        raise ValueError("m >= 1")
-    legs = legs or [f"f{k + 1}" for k in range(m)]
-    if len(legs) != m:
-        raise ValueError("need one leg smearing per external factor")
-    return collected_raw_list(bogoliubov_generators(n, legs, deform_q))
-
-
-def interacting_field_term_J(n: int, leg_name: str = "f") -> list[Generator]:
-    """Terms of J_n: the observable leg contracted into the left block."""
-    return _field_terms(n, leg_name, "left")
-
-
-def interacting_field_term_M(n: int, leg_name: str = "f") -> list[Generator]:
-    """Terms of M_n: the observable leg contracted into the right block."""
-    return _field_terms(n, leg_name, "right")
-
-
-def _field_terms(n: int, leg_name: str, side: str) -> list[Generator]:
-    """Collected terms of R_{n,1} whose leg attaches to the given block."""
-    return collected_raw_list(
-        [g for g in bogoliubov_generators(n, [leg_name])
-         if _leg_side(g, leg_name) == side])
-
-
-def _leg_side(g: Generator, leg_name: str) -> str | None:
-    for v, e, l in g.attached:
-        if l == leg_name:
-            _, hi = e.hbar_split()
-            if any(b == "Omega" for b, _, _ in hi.terms):
-                return "left"
-            if any(b in ("DeltaF", "DeltaAF") for b, _, _ in hi.terms):
-                return "right"
-    return None
 
 
 # ---------------------------------------------------------------------------

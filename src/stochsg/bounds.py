@@ -187,37 +187,6 @@ def qs_term_bound(n: int, p_hat: float, params: ker.ModelParams,
                        bound, computed_magnitude, satisfied)
 
 
-def field_term_bound(n: int, which: str, p_hat: float,
-                     params: ker.ModelParams, c_q: float,
-                     k_conditioning: float, g_norm_q: float,
-                     gtilde_norm_q: float,
-                     computed_magnitude: float | None = None) -> BoundReport:
-    """Bound on |(i lambda / hbar)^n J_n| (resp. M_n), with the modified
-    test-function norm ||g~||_Lq computed numerically."""
-    if which not in ("J", "M"):
-        raise ValueError("which must be 'J' or 'M'")
-    alpha = params.alpha
-    _check_p(alpha, p_hat)
-    q = p_hat / (p_hat - 1.0) if p_hat > 1.0 else math.inf
-    c_tilde = c_tilde_constant(params.mu, alpha, p_hat)
-    k_hbar = params.hbar * k_conditioning
-    rate = (2.0 * params.lam * math.exp(0.5 * params.a ** 2 * k_hbar)
-            / params.hbar)
-    if n == 0:
-        bound = 0.0
-    else:
-        bound = (n * 2.0 ** n / 2.0
-                 * (2.0 * params.mu) ** (n * alpha) * c_q ** (n * n)
-                 / math.factorial(n) ** (1.0 - 1.0 / p_hat)
-                 * rate ** n * g_norm_q ** (n - 1) * gtilde_norm_q
-                 * c_tilde ** (n / p_hat))
-    satisfied = None
-    if computed_magnitude is not None:
-        satisfied = bool(computed_magnitude <= bound)
-    return BoundReport(n, alpha, p_hat, q, c_q, k_conditioning, c_tilde,
-                       bound, computed_magnitude, satisfied)
-
-
 def tail_bound(n_from: int, p_hat: float, params: ker.ModelParams,
                c_q: float, k_conditioning: float, g_norm_q: float) -> float:
     """Sum of qs_term_bound values for n > n_from, stopped once a term

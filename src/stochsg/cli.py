@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import functools
 import json
+import math
 import os
 import sys
 
@@ -25,7 +26,8 @@ from . import kernels as ker
 from . import series as ser
 from . import spde_mc as mc
 from .config import RunConfig, check_seed, load_config
-from .errors import ConfigError, QTableFormatError, StochSGError
+from .errors import (ConfigError, NonFiniteValue, QTableFormatError,
+                     StochSGError)
 
 
 def _fmt(v) -> str:
@@ -94,7 +96,7 @@ def common_options(fn):
         except ConfigError as exc:
             click.echo(f"config error: {exc}", err=True)
             sys.exit(1)
-        except (StochSGError, FloatingPointError, ZeroDivisionError) as exc:
+        except (StochSGError, ArithmeticError) as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(2)
     return wrapper
@@ -226,6 +228,38 @@ def mc_cmd(config_path, out_dir, seed):
     click.echo(f"wrote {len(rows)} rows to mc.csv")
 
 
+def _finite(text: str | None) -> float | None:
+    try:
+        v = float(text)
+    except (TypeError, ValueError):
+        return None
+    return v if math.isfinite(v) else None
+
+
+def _read_rows(path: str, numbers: list[str]) -> list[dict]:
+    """The observable, order and the named number columns of each row of
+    an output CSV.  A missing column or cell, or a number cell that is not
+    a finite number, is a ConfigError naming the file, row and column."""
+    cols = ["observable", "order"] + numbers
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        for col in cols:
+            if col not in (reader.fieldnames or []):
+                raise ConfigError(f"{path}: no column {col!r}")
+        rows = []
+        for k, r in enumerate(reader, start=1):
+            row = {col: r[col] for col in cols}
+            row.update((col, _finite(r[col])) for col in numbers)
+            for col in cols:
+                if row[col] is None:
+                    what = ("missing" if r[col] is None
+                            else f"{r[col]!r} is not a finite number")
+                    raise ConfigError(f"{path} row {k} column {col!r}: "
+                                      f"{what}")
+            rows.append(row)
+    return rows
+
+
 @main.command("compare")
 @common_options
 @click.option("--strict", is_flag=True,
@@ -240,16 +274,15 @@ def compare(config_path, out_dir, seed, strict):
     for name in ("expectation.csv", "correlation.csv"):
         path = os.path.join(out_dir, name)
         if os.path.exists(path):
-            with open(path, newline="") as fh:
-                series_rows.extend(r for r in csv.DictReader(fh)
-                                   if float(r["hbar"]) == 0.0)
+            series_rows.extend(
+                r for r in _read_rows(path, ["value_re", "error", "hbar"])
+                if r["hbar"] == 0.0)
     mc_path = os.path.join(out_dir, "mc.csv")
     if not series_rows or not os.path.exists(mc_path):
         click.echo("compare needs coeff/corr and mc outputs", err=True)
         sys.exit(1)
-    with open(mc_path, newline="") as fh:
-        mc_rows = {(r["observable"], r["order"]): r
-                   for r in csv.DictReader(fh)}
+    mc_rows = {(r["observable"], r["order"]): r
+               for r in _read_rows(mc_path, ["mean", "stderr"])}
     out_rows = []
     worst = 0.0
     for r in series_rows:
@@ -257,16 +290,17 @@ def compare(config_path, out_dir, seed, strict):
         if key not in mc_rows:
             continue
         m = mc_rows[key]
-        dv = float(r["value_re"]) - float(m["mean"])
-        err = (float(r["error"]) ** 2 + float(m["stderr"]) ** 2) ** 0.5
+        dv = r["value_re"] - m["mean"]
+        err = (r["error"] ** 2 + m["stderr"] ** 2) ** 0.5
         z = abs(dv) / err if err > 0 else (0.0 if dv == 0 else float("inf"))
+        if math.isnan(z):   # both differences overflowed
+            raise NonFiniteValue(f"z-score of {key[0]} at order {key[1]} "
+                                 f"is not a number")
         worst = max(worst, z)
         out_rows.append({
             "observable": r["observable"], "order": r["order"],
-            "series_value": float(r["value_re"]),
-            "series_error": float(r["error"]),
-            "mc_mean": float(m["mean"]), "mc_stderr": float(m["stderr"]),
-            "z_score": z})
+            "series_value": r["value_re"], "series_error": r["error"],
+            "mc_mean": m["mean"], "mc_stderr": m["stderr"], "z_score": z})
     write_csv(os.path.join(out_dir, "compare.csv"), out_rows, COMPARE_HEADER)
     click.echo(f"compared {len(out_rows)} observables; max z = {worst!r}")
     if strict and worst > 3.0:

@@ -14,6 +14,7 @@ in the propagator (Q in particular) do not depend on the flag.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -203,6 +204,10 @@ def antifeynman(t, x, p: ModelParams, floor: float = LIGHTCONE_FLOOR,
 # smearing functions: finite mixtures of scaled C-infinity bumps
 # ---------------------------------------------------------------------------
 
+_MIN_RADIUS = math.sqrt(np.finfo(float).tiny)
+_MAX_RADIUS = math.sqrt(np.finfo(float).max)
+
+
 @dataclass(frozen=True)
 class BumpComponent:
     center: SpacetimePoint
@@ -210,8 +215,10 @@ class BumpComponent:
     amplitude: float = 1.0
 
     def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError(f"bump radius {self.radius} must be > 0")
+        # the profile divides by radius^2, which must be a normal float
+        if not _MIN_RADIUS <= self.radius <= _MAX_RADIUS:
+            raise ValueError(f"bump radius {self.radius} must be in "
+                             f"[{_MIN_RADIUS:.3g}, {_MAX_RADIUS:.3g}]")
 
 
 def _bump_profile(r2):
@@ -302,15 +309,16 @@ class SmearingFunction:
         gives the largest |f| at those nodes and at the bump centers.
         """
         gl_x, gl_w = np.polynomial.legendre.leggauss(n)
-        total = 0.0
+        top = 0.0
+        parts = []   # (|f|, weight) at each component's nodes
         for c in self.components:
             tt = c.center.t + c.radius * gl_x
             xx = c.center.x + c.radius * gl_x
             T, X = np.meshgrid(tt, xx, indexing="ij")
             f = np.abs(self(T, X))
+            top = max(top, float(f.max()))
             if q == np.inf:
-                total = max(total, float(f.max()),
-                            abs(float(self(c.center.t, c.center.x))))
+                top = max(top, abs(float(self(c.center.t, c.center.x))))
                 continue
             mine = np.abs(_component_value(c, T, X))
             every = sum(np.abs(_component_value(d, T, X))
@@ -318,8 +326,17 @@ class SmearingFunction:
             share = np.divide(mine, every, out=np.zeros_like(mine),
                               where=every > 0)
             W = np.outer(gl_w, gl_w) * c.radius ** 2
-            total += float(np.sum(W * share * f ** q))
-        return total if q == np.inf else total ** (1.0 / q)
+            parts.append((f, W * share))
+        if q == np.inf:
+            return top
+        # |f| / scale keeps the powers in range; scale is 1 whenever
+        # max|f|^q is a normal float, so such norms keep their bits
+        with np.errstate(over="ignore", under="ignore"):
+            power = np.float64(top) ** q
+        normal = top == 0.0 or np.finfo(float).tiny <= power < np.inf
+        scale = 1.0 if normal else math.ldexp(1.0, math.frexp(top)[1])
+        total = sum(float(np.sum(w * (f / scale) ** q)) for f, w in parts)
+        return scale * total ** (1.0 / q)
 
 
 # ---------------------------------------------------------------------------
@@ -684,12 +701,6 @@ def build_q_table(p: ModelParams, n_t: int = 64, n_x: int = 128,
 def gq_weight_arrays(t, x, p: ModelParams, table: QTable, g: SmearingFunction):
     """Dressed cutoff g_Q(z) = g(z) exp(-(a^2/2) Q(z, z)) at z = (t, x)."""
     return g(t, x) * np.exp(-0.5 * p.a ** 2 * table.diag(t, x))
-
-
-def gq_weight(z: SpacetimePoint, p: ModelParams, table: QTable,
-              g: SmearingFunction) -> float:
-    """g_Q at the single point z."""
-    return float(gq_weight_arrays(z.t, z.x, p, table, g))
 
 
 # ---------------------------------------------------------------------------

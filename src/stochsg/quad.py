@@ -153,8 +153,10 @@ def _run_lattice(spec: IntegrandSpec, n_points: int, shifts: np.ndarray,
 
 
 def _replicate_error(means: np.ndarray) -> float:
-    return float(np.std(means.real, ddof=1) ** 2
-                 + np.std(means.imag, ddof=1) ** 2) ** 0.5 / np.sqrt(N_SHIFTS)
+    # an overflow shows as a non-finite error, which evaluate_terms refuses
+    with np.errstate(over="ignore", invalid="ignore"):
+        var = np.std(means.real, ddof=1) ** 2 + np.std(means.imag, ddof=1) ** 2
+    return float(var) ** 0.5 / np.sqrt(N_SHIFTS)
 
 
 def integrate(spec: IntegrandSpec, budget: int, seed: int,

@@ -133,11 +133,6 @@ class EvalContext:
                 self._field_tables[leg_name] = tab
         return tab
 
-    def smeared_expr(self, expr: KernelExpr, leg_name: str, t, x):
-        """(E f)(z) for a kernel expression, hbar powers included."""
-        return _linear(_slot_parts(expr, self.params.hbar, graded=False),
-                       lambda b: self.smeared_kernel(b, leg_name, t, x))
-
     def scalar_pair(self, basis: str, p_name: str, q_name: str) -> QuadResult:
         """<f_p, K f_q> by tensor Gauss-Legendre with a two-resolution error,
         computed once per (basis, p, q)."""
@@ -228,9 +223,9 @@ def _slot_parts(expr: KernelExpr, hbar: float, graded: bool = True):
 
     A graded slot (an attached factor or scalar pair of a term) is taken
     over the real basis with its lowest hbar power factored out, since
-    alg.hbar_grade puts that power in the term's prefactor; otherwise (a
-    pair exponent, EvalContext.smeared_expr) expr is taken as it is.  A lone kernel of coefficient 1
-    enters unweighted (weight None), so real factors stay real.
+    alg.hbar_grade puts that power in the term's prefactor; a pair
+    exponent is taken as it is.  A lone kernel of coefficient 1 enters
+    unweighted (weight None), so real factors stay real.
     """
     low = expr.min_hbar() if graded else 0
     if graded:
@@ -492,20 +487,6 @@ def order1_correction_oracle(ctx: EvalContext, leg1: str, leg2: str,
     return qd.integrate(spec, budget, seed).scaled(p.lam)
 
 
-def modified_test_function(ctx: EvalContext, leg_name: str,
-                           interaction: str, kind: str = "J"):
-    """g~ = g_Q (Q + hbar omega) f (kind J) or g_Q (Q + hbar Delta_F) f (M)."""
-    expr = alg.KE_Q_OMEGA if kind == "J" else alg.KE_Q_F
-    g = ctx.smearings[interaction]
-    p = ctx.params
-
-    def fn(t, x):
-        return (ker.gq_weight_arrays(t, x, p, ctx.table, g)
-                * ctx.smeared_expr(expr, leg_name, t, x))
-
-    return fn
-
-
 def qs_term_magnitude(ctx: EvalContext, n: int, budget: int, seed: int,
                       p_hat: float = 1.5) -> QuadResult:
     """|[Gamma_Q S(lambda V_g)]_n| at phi = 0, coupling and 1/n! included."""
@@ -515,31 +496,3 @@ def qs_term_magnitude(ctx: EvalContext, n: int, budget: int, seed: int,
     res = evaluate_terms(ctx, gens, budget, seed, singular=n >= 2,
                          p_hat=p_hat)
     return QuadResult(abs(complex(res.value)), res.error, res.samples, seed)
-
-
-def field_term_magnitude(ctx: EvalContext, n: int, which: str, leg: str,
-                         budget: int, seed: int) -> QuadResult:
-    """|(i lambda/hbar)^n J_n| (resp. M_n) evaluated at phi = 0."""
-    if which == "J":
-        gens = alg.interacting_field_term_J(n, leg)
-    elif which == "M":
-        gens = alg.interacting_field_term_M(n, leg)
-    else:
-        raise ValueError("which must be 'J' or 'M'")
-    res = evaluate_terms(ctx, gens, budget, seed, singular=n >= 2)
-    val = complex(res.value) * ctx.params.lam ** n
-    return QuadResult(abs(val), res.error * ctx.params.lam ** n,
-                      res.samples, seed)
-
-
-def norm_lq_on_grid(fn, box, q: float, n: int = 96) -> float:
-    """L^q norm of a (possibly complex) function over a rectangle."""
-    tmin, tmax, xmin, xmax = box
-    gx, gw = np.polynomial.legendre.leggauss(n)
-    tt = 0.5 * (tmax + tmin) + 0.5 * (tmax - tmin) * gx
-    xx = 0.5 * (xmax + xmin) + 0.5 * (xmax - xmin) * gx
-    wt = 0.5 * (tmax - tmin) * gw
-    wx = 0.5 * (xmax - xmin) * gw
-    T, X = np.meshgrid(tt, xx, indexing="ij")
-    vals = np.abs(fn(T, X)) ** q
-    return float(np.einsum("i,j,ij->", wt, wx, vals)) ** (1.0 / q)

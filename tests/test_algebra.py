@@ -214,7 +214,7 @@ class TestQSTerm:
 
 class TestBogoliubov:
     def test_r01_is_free_leg(self):
-        graphs = A.bogoliubov_terms(0, 1, ["f"])
+        graphs = A.collected_raw_list(A.bogoliubov_generators(0, ["f"]))
         assert len(graphs) == 1
         g = graphs[0]
         assert g.free_legs == ("f",) and g.n_vertices == 0
@@ -226,19 +226,18 @@ class TestBogoliubov:
             assert total == n * 2 ** (n - 1)
 
     def test_j_and_m_split_r11(self):
-        J = A.interacting_field_term_J(1, "f")
-        M = A.interacting_field_term_M(1, "f")
-        assert len(J) == 2 and len(M) == 2  # one per charge sector
-        for t in J:
-            (v, e, l), = t.attached
-            assert e == A.KE_Q_OMEGA
-        for t in M:
-            (v, e, l), = t.attached
-            assert e == A.KE_Q_F
-
-    def test_j_weight_vanishes_at_zero_order(self):
-        assert A.interacting_field_term_J(0, "f") == []
-        assert A.interacting_field_term_M(0, "f") == []
+        # an attached R_{1,1} term carries (i/hbar) (-1)^(left size) / 2
+        # times the derivative factor i c a, so c Re(coeff) is +1/2 when
+        # the vertex is in the left block (J_1) and -1/2 in the right (M_1)
+        attached = [g for g in A.bogoliubov_generators(1, ["f"])
+                    if g.attached]
+        sides = []
+        for g in attached:
+            (v, e, l), = g.attached
+            left = g.charges[0] * g.coeff.crat.re > 0
+            assert e == (A.KE_Q_OMEGA if left else A.KE_Q_F)
+            sides.append(left)
+        assert sorted(sides) == [False, False, True, True]  # per charge
 
 
 class TestCancellation:
@@ -299,7 +298,8 @@ class TestGrading:
 
     def test_hbar_grade_through_term_graphs(self):
         # undeformed R_{1,1}: prefactor hbar^-1, leg attachment hbar^1
-        for t in A.bogoliubov_terms(1, 1, ["f"], deform_q=False):
+        for t in A.collected_raw_list(
+                A.bogoliubov_generators(1, ["f"], deform_q=False)):
             if not t.free_legs:
                 assert A.hbar_grade(t) == 0
 

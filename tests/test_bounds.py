@@ -126,36 +126,6 @@ class TestQSBound:
         assert all(r.satisfied is True for r in bounds)
 
 
-class TestFieldBound:
-    def test_order_zero_vanishes(self, params_alpha_half):
-        rep = bnd.field_term_bound(0, "J", 1.5, params_alpha_half, 1.1, 0.4,
-                                   0.5, 0.1)
-        assert rep.bound_value == 0.0
-
-    def test_j_and_m_satisfied(self, ctx_alpha_half, params_alpha_half,
-                               qtable_alpha_half, smearings):
-        c_q = bnd.c_q_constant(qtable_alpha_half, params_alpha_half.a,
-                               params_alpha_half.mu)
-        k_cond, _ = bnd.conditioning_constants(params_alpha_half, 256)
-        g_norm = smearings["g"].norm_lq(3.0)
-        for which in ("J", "M"):
-            gt = ser.modified_test_function(ctx_alpha_half, "f1", "g", which)
-            gt_norm = ser.norm_lq_on_grid(gt, smearings["g"].support_box(),
-                                          3.0)
-            for n in (1, 2):
-                mag = ser.field_term_magnitude(ctx_alpha_half, n, which,
-                                               "f1", 2048, 41 + n)
-                rep = bnd.field_term_bound(n, which, 1.5, params_alpha_half,
-                                           c_q, k_cond, g_norm, gt_norm,
-                                           mag.value)
-                assert rep.satisfied is True
-
-    def test_which_validation(self, params_alpha_half):
-        with pytest.raises(ValueError):
-            bnd.field_term_bound(1, "X", 1.5, params_alpha_half, 1.1, 0.4,
-                                 0.5, 0.1)
-
-
 class TestTail:
     def test_decreasing_in_start(self, params_alpha_half):
         p = params_alpha_half.with_(lam=1e-3)

@@ -222,6 +222,11 @@ class TestConfigRanges:
         ("mc", "mc", "seed", -1),
         ("mc", "mc", "seed", 2 ** 64),
         ("corr", "quad", "seed", -1),
+        # the bump profile divides by radius^2
+        ("corr", "smearings", "f1",
+         [{"center": [0.35, -0.25], "radius": 1e300, "amplitude": 1.0}]),
+        ("corr", "smearings", "f1",
+         [{"center": [0.35, -0.25], "radius": 1e-300, "amplitude": 1.0}]),
     ])
     def test_out_of_range_is_config_error(self, tmp_path, command, section,
                                           key, value):
@@ -317,6 +322,18 @@ class TestConfigRanges:
         assert "WORKERS" in res.output
 
 
+def _run_mutant(tmp_path_factory, command, doc, mutations):
+    """Run a stage on doc with the mutations applied: it must give an exit
+    code, never a traceback (which _run would raise)."""
+    for path, value in mutations:
+        _set_path(doc, path, value)
+    tmp = tmp_path_factory.mktemp("mutant")
+    path = tmp / "config.json"
+    path.write_text(json.dumps(doc))
+    res = _run([command, "--config", str(path), "--out", str(tmp)])
+    assert res.exit_code in (0, 1, 2, 3), res.output
+
+
 _SMEARING_NAMES = st.sampled_from(["f1", "f2", "g"])
 _MC_MUTATIONS = st.one_of(
     st.tuples(st.just(("mc", "dt")),
@@ -348,14 +365,8 @@ class TestMcMutants:
     def test_mc_stage_exits_cleanly(self, tmp_path_factory, mutations):
         # a mutated lattice, seed or smearing gives an exit code, never a
         # traceback (which _run would raise)
-        doc = _mutated("mc", "n_samples", 100)
-        for path, value in mutations:
-            _set_path(doc, path, value)
-        tmp = tmp_path_factory.mktemp("mutant")
-        path = tmp / "config.json"
-        path.write_text(json.dumps(doc))
-        res = _run(["mc", "--config", str(path), "--out", str(tmp)])
-        assert res.exit_code in (0, 1, 2, 3), res.output
+        _run_mutant(tmp_path_factory, "mc",
+                    _mutated("mc", "n_samples", 100), mutations)
 
 
 _G_AMPLITUDE = ("smearings", "g", 0, "amplitude")
@@ -384,13 +395,151 @@ class TestBoundsMutants:
     def test_bounds_stage_exits_cleanly(self, tmp_path_factory, mutations):
         # the zeros and overflows of the model, cutoff and bound settings
         # give an exit code, never a traceback (which _run would raise)
-        doc = json.loads(json.dumps(BASE_CONFIG))
-        for path, value in mutations:
-            _set_path(doc, path, value)
-        tmp = tmp_path_factory.mktemp("mutant")
-        path = tmp / "config.json"
-        path.write_text(json.dumps(doc))
-        res = _run(["bounds", "--config", str(path), "--out", str(tmp)])
+        _run_mutant(tmp_path_factory, "bounds",
+                    json.loads(json.dumps(BASE_CONFIG)), mutations)
+
+
+_SERIES_MUTATIONS = st.one_of(
+    st.tuples(st.tuples(st.just("params"), st.sampled_from(
+        ["m", "a", "hbar", "lam", "mu", "mu_ref", "chi_width", "t_switch"])),
+        st.sampled_from([0.0, 1e-300, 0.5, 3.0, 1e300, -1.0])),
+    st.tuples(st.tuples(st.just("smearings"), _SMEARING_NAMES, st.just(0),
+                        st.sampled_from(["amplitude", "radius"])),
+              st.sampled_from([0.0, 1e-300, 0.05, 2.0, 1e300, -1.0])),
+    st.tuples(st.tuples(st.just("qtable"),
+                        st.sampled_from(["n_t", "n_x", "budget"])),
+              st.sampled_from([0, 1, 4, 7, 12, 2.5])),
+    st.tuples(st.tuples(st.just("quad"),
+                        st.sampled_from(["leg_nodes", "pair_nodes"])),
+              st.sampled_from([0, 1, 3, 12])),
+    st.tuples(st.tuples(st.just("quad"), st.just("p_hat")),
+              st.sampled_from([1.0, 1.5, 1e300, 0.5])),
+    st.tuples(st.tuples(st.just("quantum_hbars"),),
+              st.sampled_from([[], [0.0], [1e-300], [0.1], [3.0], [1e300]])))
+
+
+class TestSeriesMutants:
+    @pytest.mark.parametrize("command", ["compute-q", "coeff", "corr"])
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(mutations=st.lists(_SERIES_MUTATIONS, min_size=1, max_size=3))
+    @example(mutations=[(("smearings", "f1", 0, "radius"), 1e300)])
+    @example(mutations=[(("smearings", "f1", 0, "radius"), 1e-300)])
+    @example(mutations=[(("smearings", "f1", 0, "amplitude"), 1e300)])
+    def test_series_stage_exits_cleanly(self, tmp_path_factory, command,
+                                        mutations):
+        # a mutated model, cutoff, table or quadrature gives an exit code,
+        # never a traceback (which _run would raise)
+        _run_mutant(tmp_path_factory, command,
+                    _mutated(None, "orders", [0]), mutations)
+
+
+class TestExpandMutants:
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.lists(st.one_of(
+        st.tuples(st.just(("expand", "order")),
+                  st.sampled_from([0, 1, 2, -1, 1.5, "2", None])),
+        st.tuples(st.just(("expand", "obs")),
+                  st.sampled_from(["field", "corr", "x", 1])),
+        st.tuples(st.just(("expand", "deformed")),
+                  st.sampled_from([True, False, "no", 0]))),
+        min_size=1, max_size=3))
+    def test_expand_stage_exits_cleanly(self, tmp_path_factory, mutations):
+        _run_mutant(tmp_path_factory, "expand",
+                    json.loads(json.dumps(BASE_CONFIG)), mutations)
+
+
+def _edit_csv(path, column, value):
+    """Set a column of the first data row to value; value None drops the
+    column and column None empties the file.  A column that an earlier
+    edit removed is left alone."""
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    if column is None:
+        rows = []
+    elif rows and column in rows[0]:
+        k = rows[0].index(column)
+        if value is None:
+            rows = [r[:k] + r[k + 1:] for r in rows]
+        elif len(rows) > 1:
+            rows[1][k] = value
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(rows)
+
+
+@pytest.fixture(scope="class")
+def compare_inputs(tmp_path_factory):
+    """The config and the order-0 series and MC outputs that compare
+    joins."""
+    out = tmp_path_factory.mktemp("compare_inputs")
+    doc = _mutated(None, "orders", [0])
+    doc["mc"]["n_samples"] = 100
+    cfg = out / "config.json"
+    cfg.write_text(json.dumps(doc))
+    for cmd in ("coeff", "corr", "mc"):
+        res = _run([cmd, "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 0, res.output
+    return out
+
+
+def _compare_edited(inputs, tmp, edits, *flags):
+    """compare on a copy of the inputs with the (file, column, value)
+    edits of _edit_csv applied."""
+    for name in ("expectation.csv", "correlation.csv", "mc.csv"):
+        (tmp / name).write_bytes((inputs / name).read_bytes())
+    for name, column, value in edits:
+        _edit_csv(tmp / name, column, value)
+    return _run(["compare", "--config", str(inputs / "config.json"),
+                 "--out", str(tmp), *flags])
+
+
+class TestCompareInputs:
+    @pytest.mark.parametrize("name,column,value,message", [
+        ("correlation.csv", "value_re", "x",
+         "row 1 column 'value_re': 'x' is not a finite number"),
+        ("correlation.csv", "hbar", None, "no column 'hbar'"),
+        ("correlation.csv", "value_re", "nan",
+         "row 1 column 'value_re': 'nan' is not a finite number"),
+        ("mc.csv", "stderr", "inf",
+         "row 1 column 'stderr': 'inf' is not a finite number"),
+        ("mc.csv", "mean", "1e999",
+         "row 1 column 'mean': '1e999' is not a finite number"),
+        ("expectation.csv", "order", None, "no column 'order'"),
+        ("mc.csv", None, None, "no column 'observable'"),
+    ])
+    def test_malformed_csv_is_config_error(self, compare_inputs, tmp_path,
+                                           name, column, value, message):
+        # a malformed cell must not read as a z-score of 0 (max(0.0, nan)
+        # is 0.0) or end in a traceback
+        res = _compare_edited(compare_inputs, tmp_path,
+                              [(name, column, value)], "--strict")
+        assert res.exit_code == 1, res.output
+        assert name in res.output and message in res.output
+        assert not (tmp_path / "compare.csv").exists()
+
+    def test_overflowing_z_score_is_numeric_failure(self, compare_inputs,
+                                                    tmp_path):
+        # every cell is finite, but the difference and the error overflow,
+        # and inf / inf must not read as max z = 0.0
+        res = _compare_edited(compare_inputs, tmp_path, [
+            ("correlation.csv", "value_re", "1.7e308"),
+            ("correlation.csv", "error", "1.3e154"),
+            ("mc.csv", "mean", "-1.7e308"),
+            ("mc.csv", "stderr", "1.3e154")], "--strict")
+        assert res.exit_code == 2, res.output
+        assert "z-score of corr:f1:f2 at order 0" in res.output
+
+    @settings(max_examples=10, deadline=None, derandomize=True)
+    @given(st.lists(st.tuples(
+        st.sampled_from(["expectation.csv", "correlation.csv", "mc.csv"]),
+        st.sampled_from([None, "observable", "order", "value_re", "error",
+                         "hbar", "mean", "stderr"]),
+        st.sampled_from([None, "", "x", "nan", "inf", "-inf", "1e308",
+                         "-1e308", "0", "-0.0", "1e-320"])),
+        min_size=1, max_size=3))
+    def test_compare_exits_cleanly(self, compare_inputs, tmp_path_factory,
+                                   edits):
+        res = _compare_edited(compare_inputs, tmp_path_factory.mktemp("csv"),
+                              edits, "--strict")
         assert res.exit_code in (0, 1, 2, 3), res.output
 
 
@@ -413,6 +562,20 @@ class TestBoundsEdges:
             rows = list(csv.DictReader(fh))
         assert [(r["n"], r["bound"], r["satisfied"]) for r in rows] == [
             ("0", "2.0", ""), ("1", "0.0", "True")]
+
+    def test_tiny_cutoff_is_satisfied(self, tmp_path):
+        # ||g||_q of a 1e-300 bump: |g|^q underflows unless it is scaled
+        doc = json.loads(json.dumps(BASE_CONFIG))
+        _set_path(doc, _G_AMPLITUDE, 1e-300)
+        cfg = tmp_path / "tiny.json"
+        cfg.write_text(json.dumps(doc))
+        res = _run(["bounds", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "ALL SATISFIED" in res.output
+        with open(tmp_path / "bounds.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [r["satisfied"] for r in rows] == ["", "True"]
+        assert float(rows[1]["bound"]) > float(rows[1]["measured"]) > 0
 
     def test_massless_bounds_are_config_error(self, tmp_path):
         # the conditioning compares the massive Hadamard kernel with H0

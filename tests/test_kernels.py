@@ -508,14 +508,16 @@ class TestGqWeight:
         table = self._flat_table(params.with_(a=0.0), 1.3)
         g = smearings["g"]
         z = SpacetimePoint(0.1, 0.0)
-        assert ker.gq_weight(z, params.with_(a=0.0), table, g) == \
+        assert float(ker.gq_weight_arrays(z.t, z.x, params.with_(a=0.0),
+                                          table, g)) == \
             pytest.approx(float(g(z.t, z.x)))
 
     def test_exponential_dressing(self, params):
         table = self._flat_table(params, 2.0)
         g = SmearingFunction.bump(0.0, 0.0, 0.5)
         z = SpacetimePoint(0.0, 0.0)   # g(0,0) = 1 at the bump peak
-        assert ker.gq_weight(z, params.with_(a=1.0), table, g) == \
+        assert float(ker.gq_weight_arrays(z.t, z.x, params.with_(a=1.0),
+                                          table, g)) == \
             pytest.approx(math.exp(-1.0))
 
     def test_dominated_by_g(self, params, qtable, smearings):
@@ -553,6 +555,14 @@ class TestSmearing:
         twice = SmearingFunction(f.components * 2)
         assert twice.norm_lq(3.0) / f.norm_lq(3.0) == pytest.approx(2.0,
                                                                     rel=1e-9)
+
+    @pytest.mark.parametrize("amplitude", [1e-300, 1e300])
+    def test_norm_is_homogeneous_at_extreme_amplitudes(self, amplitude):
+        # |f|^q under- or overflows unless it is scaled first
+        ref = SmearingFunction.bump(0.1, 0.0, 0.4).norm_lq(3.0)
+        f = SmearingFunction.bump(0.1, 0.0, 0.4, amplitude=amplitude)
+        assert f.norm_lq(3.0) == pytest.approx(amplitude * ref, rel=1e-12,
+                                               abs=0.0)
 
     def test_sup_norm(self):
         f = SmearingFunction.bump(0.0, 0.0, 0.5, amplitude=2.0)

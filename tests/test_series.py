@@ -291,12 +291,6 @@ class TestQSMagnitude:
 
 
 class TestModifiedTestFunctions:
-    def test_norms_finite_positive(self, ctx, smearings):
-        for kind in ("J", "M"):
-            fn = ser.modified_test_function(ctx, "f1", "g", kind)
-            norm = ser.norm_lq_on_grid(fn, smearings["g"].support_box(), 3.0)
-            assert np.isfinite(norm) and norm > 0
-
     def test_csv_row_shape(self, ctx):
         c = ser.correlation_coefficient(0, ctx, "f1", "f2", 2048, 19)
         row = c.csv_row()
