@@ -119,6 +119,7 @@ BOUNDS_HEADER = ["n", "alpha", "p", "q", "c_q_mu", "k_conditioning",
                  "c_tilde", "bound", "measured", "satisfied"]
 COMPARE_HEADER = ["observable", "order", "series_value", "series_error",
                   "mc_mean", "mc_stderr", "z_score"]
+MAX_EXPAND_ORDER = 4   # order 4 takes seconds; each further order ~7x more
 
 
 @main.command("compute-q")
@@ -324,6 +325,9 @@ def expand(config_path, out_dir, seed, order, obs):
     n = order if order is not None else cfg.expand.order
     if n < 0:
         raise ConfigError(f"expansion order {n} must be >= 0")
+    if n > MAX_EXPAND_ORDER:
+        raise ConfigError(f"expansion order {n} beyond {MAX_EXPAND_ORDER}: "
+                          f"each order costs about 7 times the one before")
     kind = obs if obs is not None else cfg.expand.obs
     m = 1 if kind == "field" else 2
     legs = [f"f{k + 1}" for k in range(m)]

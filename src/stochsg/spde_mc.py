@@ -14,7 +14,10 @@ index-addressable through a counter-based generator (Philox keyed by
 
 With dt = dx the leapfrog stencil propagates on the exact lattice light
 cone, which makes causality checks exact per sample, and lets the
-estimator solve only the cells in the light cones of its outputs.
+estimator compute only what its outputs read: noise and Psi_0 in the
+backward light cones of the legs and of the interaction, and the last
+hierarchy level through one adjoint field G^T f per leg, since a level
+enters the estimates only through <f, Psi_k> = <G^T f, src_k>.
 """
 
 from __future__ import annotations
@@ -100,29 +103,62 @@ def grid_for(params: ModelParams, smearings, dt: float,
 
 
 def sample_noise(grid: LatticeGrid, params: ModelParams, seed: int,
-                 realization: int,
-                 out: np.ndarray | None = None) -> np.ndarray:
+                 realization: int, out: np.ndarray | None = None,
+                 cells: np.ndarray | None = None) -> np.ndarray:
     """chi(t)-modulated white noise, N(0, 1/(dt dx)) per cell.
 
-    Drawn into ``out`` (a C-contiguous (n_t, n_x) float64 block) when given,
-    else into a new array; either way the array is returned.
+    Standard normals are drawn, in row-major order, for the flat cell
+    indices ``cells`` (see noise_cells), and every other cell is 0; without
+    ``cells`` every cell is drawn.  One Philox key per (seed, realization),
+    so a realization does not depend on which chunk or worker draws it.
+    Written into ``out`` (a C-contiguous (n_t, n_x) float64 block) when
+    given, else into a new array; either way the array is returned.
     """
     key = np.array([seed, realization], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
-    xi = rng.standard_normal((grid.n_t, grid.n_x), out=out)
+    pick = np.s_[:] if cells is None else cells
+    chi = _chi_cells(grid, params.t_switch, params.chi_width)[pick]
+    xi = rng.standard_normal(chi.shape)
     xi /= np.sqrt(grid.dt * grid.dx)
-    xi *= _chi_column(grid, params.t_switch, params.chi_width)
-    return xi
+    xi *= chi
+    if out is None:
+        out = np.zeros((grid.n_t, grid.n_x))
+    else:
+        out.fill(0.0)
+    out.reshape(-1)[pick] = xi
+    return out
 
 
 @functools.lru_cache(maxsize=8)
-def _chi_column(grid: LatticeGrid, t_switch: float,
-                chi_width: float) -> np.ndarray:
-    """chi on the time rows of the grid, a read-only (n_t, 1) column
+def _chi_cells(grid: LatticeGrid, t_switch: float,
+               chi_width: float) -> np.ndarray:
+    """chi at every cell of the grid, flat in row-major order and read-only,
     computed once per (grid, t_switch, chi_width) for every realization."""
-    col = chi_cutoff(grid.times, t_switch, chi_width)[:, None]
+    col = np.repeat(chi_cutoff(grid.times, t_switch, chi_width), grid.n_x)
     col.setflags(write=False)
     return col
+
+
+def noise_cells(grid: LatticeGrid, window: np.ndarray) -> np.ndarray:
+    """Flat row-major indices of the source cells that solve_linear reads
+    when it is limited to ``window`` (see light_cone_windows).
+
+    Psi row n + 1 reads the filtered source row n on its window, so source
+    row n is read on that window widened by one column on each side,
+    clipped to the grid; on a periodic lattice column 0 also reads column
+    n_x - 1 and column n_x - 1 reads column 0.  The last source row is
+    never read.
+    """
+    read = np.zeros((grid.n_t, grid.n_x), dtype=bool)
+    for n, (lo, hi) in enumerate(window[1:].tolist()):
+        if lo >= hi:
+            continue
+        read[n, max(lo - 1, 0):hi + 1] = True
+        if grid.boundary == "periodic" and lo == 0:
+            read[n, -1] = True
+        if grid.boundary == "periodic" and hi == grid.n_x:
+            read[n, 0] = True
+    return np.flatnonzero(read)
 
 
 def _nonzero_box(values: np.ndarray) -> tuple[int, int, int, int]:
@@ -149,36 +185,43 @@ def _clip_windows(lo: np.ndarray, hi: np.ndarray,
 
 
 def light_cone_windows(grid: LatticeGrid, leg_grids, g_grid: np.ndarray):
-    """Per-row column windows of the Psi_0 solve and of the Psi_1 / Psi_2
-    solves, each an (n_t, 2) int array of [lo, hi), empty where hi <= lo.
+    """Per-row column windows of the Psi_0 solve and of the Psi_1 solve,
+    each an (n_t, 2) int array of [lo, hi), empty where hi <= lo.
 
     A leapfrog cell at row n + 1 reads its neighbours at row n, its own
     cell at row n - 1 and the filtered source at row n, which spans three
-    source cells.  So Psi_0 is exact on the sampled legs and on g when it
-    is solved on the hull of their backward cones: the index box of the
-    non-zero cells of each, one cell wider per row back in time.  The
-    Psi_1 and Psi_2 sources vanish off g's box, so those fields vanish
-    outside its forward cone, which the filter widens by one cell and which
-    starts one row after g's first row; their window is the Psi_0 window
-    cut to that cone.  Every cell a windowed cell reads is then either in
+    source cells.  So a field is exact on a box when it is solved on the
+    box's backward cone: the box, one cell wider per row back in time.
+    Psi_0 is read on the sampled legs and on g, so it is solved on the hull
+    of their backward cones.  Psi_1 is read only on g's box, to build the
+    Psi_2 source.  Its source vanishes off g's box, so it vanishes outside
+    g's forward cone, which the filter widens by one cell and which starts
+    one row after g's first row; its window is g's backward cone cut to
+    that forward cone.  Every cell a windowed cell reads is then either in
     the window of its row or exactly zero.
     """
     rows = np.arange(grid.n_t)
-    lo = np.full(grid.n_t, grid.n_x)
-    hi = np.zeros(grid.n_t, dtype=int)
-    for _, n1, j0, j1 in map(_nonzero_box, [*leg_grids, g_grid]):
-        back = n1 - 1 - rows
-        lo = np.where(back >= 0, np.minimum(lo, j0 - back), lo)
-        hi = np.where(back >= 0, np.maximum(hi, j1 + back), hi)
-    psi0 = _clip_windows(lo, hi, grid)
-    n0, n1, j0, j1 = _nonzero_box(g_grid)
+
+    def backward(boxes):
+        lo = np.full(grid.n_t, grid.n_x)
+        hi = np.zeros(grid.n_t, dtype=int)
+        for _, n1, j0, j1 in boxes:
+            back = n1 - 1 - rows
+            lo = np.where(back >= 0, np.minimum(lo, j0 - back), lo)
+            hi = np.where(back >= 0, np.maximum(hi, j1 + back), hi)
+        return _clip_windows(lo, hi, grid)
+
+    g_box = _nonzero_box(g_grid)
+    psi0 = backward([*map(_nonzero_box, leg_grids), g_box])
+    n0, n1, j0, j1 = g_box
     if n0 == n1:
         return psi0, np.zeros_like(psi0)
     ahead = rows - n0
     cone = _clip_windows(np.where(ahead >= 1, j0 - ahead, grid.n_x),
                          np.where(ahead >= 1, j1 + ahead, 0), grid)
-    return psi0, np.stack([np.maximum(psi0[:, 0], cone[:, 0]),
-                           np.minimum(psi0[:, 1], cone[:, 1])], axis=1)
+    g_back = backward([g_box])
+    return psi0, np.stack([np.maximum(g_back[:, 0], cone[:, 0]),
+                           np.minimum(g_back[:, 1], cone[:, 1])], axis=1)
 
 
 def _stencil(row: np.ndarray, lo: int, hi: int, mid, first, last):
@@ -267,13 +310,47 @@ def solve_linear(source: np.ndarray, grid: LatticeGrid, m: float,
     return psi
 
 
+def adjoint_field(f_grid: np.ndarray, grid: LatticeGrid,
+                  m: float) -> np.ndarray:
+    """a = G^T f for the linear map G = solve_linear (whole rows), so that
+    sum(f * solve_linear(s)) == sum(a * s) for every source s, to rounding.
+
+    With K = 2 + dt^2 (d_xx - m^2), solve_linear is the recursion
+    psi_{n+1} = K psi_n - psi_{n-1} + r_n from psi_0 = 0, forced by
+    r_n = c_n dt^2 B s_n (B the binomial filter, c_0 = 1/2, else 1).  K and
+    B are symmetric under both boundaries, so the adjoint is the backward
+    sweep lam_n = f_n + K lam_{n+1} - lam_{n+2} from lam = 0 past the last
+    row, and a_n = c_n dt^2 B lam_{n+1}; the last source row is never read.
+    This is the discrete adjoint of Giles & Pierce, Flow Turb. Combust. 65
+    (2000).
+    """
+    periodic = grid.boundary == "periodic"
+    dt2 = grid.dt ** 2
+    mm = m * m
+    n_t, n_x = grid.n_t, grid.n_x
+    lam = np.zeros((n_t + 2, n_x))
+    for n in range(n_t - 1, 0, -1):
+        nxt = lam[n + 1]
+        acc = _laplacian(nxt, 0, n_x, grid.dx, periodic) - mm * nxt
+        lam[n] = f_grid[n] + 2.0 * nxt - lam[n + 2] + dt2 * acc
+    adj = np.zeros((n_t, n_x))
+    adj[:-1] = dt2 * _binomial_filter(lam[1:n_t], 0, n_x, periodic)
+    adj[0] *= 0.5
+    return adj
+
+
 def solve_hierarchy(psi0: np.ndarray, grid: LatticeGrid, params: ModelParams,
                     g_grid: np.ndarray, max_order: int = 2,
                     window: np.ndarray | None = None):
-    """Psi_1 (and Psi_2) driven by the sine-Gordon sources built from Psi_0.
+    """The sine-Gordon sources of Psi_1 .. Psi_max_order built from Psi_0,
+    each on the index box of g's non-zero cells (it is 0 elsewhere), with
+    shape (..., n1 - n0, j1 - j0).
 
-    The sources are evaluated on the index box of g's non-zero cells and
-    are 0 elsewhere; ``window`` is passed to solve_linear.
+    Only the levels below the last are solved: the estimates read the
+    last level through smeared values, <f, G s> = <G^T f, s>
+    (adjoint_field).  So at max_order 2 Psi_1 is solved, with ``window``
+    passed to solve_linear, to build the Psi_2 source; Psi_0 and Psi_1 must
+    be exact on g's box.
     """
     if max_order not in (1, 2):
         raise ValueError("max_order must be 1 or 2")
@@ -281,15 +358,13 @@ def solve_hierarchy(psi0: np.ndarray, grid: LatticeGrid, params: ModelParams,
     n0, n1, j0, j1 = _nonzero_box(g_grid)
     on_g = np.s_[..., n0:n1, j0:j1]
     g = g_grid[on_g]
-    src1 = np.zeros(psi0.shape)
-    src1[on_g] = SOURCE_SIGN * a * g * np.sin(a * psi0[on_g])
-    psi1 = solve_linear(src1, grid, params.m, window)
+    src1 = SOURCE_SIGN * a * g * np.sin(a * psi0[on_g])
     if max_order == 1:
-        return (psi1,)
-    src2 = np.zeros(psi0.shape)
-    src2[on_g] = SOURCE_SIGN * a * a * g * np.cos(a * psi0[on_g]) * psi1[on_g]
-    psi2 = solve_linear(src2, grid, params.m, window)
-    return psi1, psi2
+        return (src1,)
+    whole = np.zeros(psi0.shape)
+    whole[on_g] = src1
+    psi1 = solve_linear(whole, grid, params.m, window)
+    return src1, SOURCE_SIGN * a * a * g * np.cos(a * psi0[on_g]) * psi1[on_g]
 
 
 @dataclass(frozen=True)
@@ -302,8 +377,8 @@ class ObservableSpec:
     order: int
 
 
-def _smear(field: np.ndarray, f_grid: np.ndarray, cell: float) -> np.ndarray:
-    return np.sum(field * f_grid, axis=(-2, -1)) * cell
+def _smear(field: np.ndarray, weights: np.ndarray, cell: float) -> np.ndarray:
+    return np.sum(field * weights, axis=(-2, -1)) * cell
 
 
 def _per_sample_values(obs: ObservableSpec, smeared: dict) -> np.ndarray:
@@ -328,9 +403,13 @@ def estimate_correlator(observables, grid: LatticeGrid, params: ModelParams,
 
     Deterministic for fixed (grid, params, seed, n_samples): realizations are
     keyed individually and reduced in index order, independent of the worker
-    count.  Only the cells in the light cones of the smeared legs and of the
-    interaction are solved (light_cone_windows); every cell an estimate
-    reads takes the same float operations as in a whole-lattice solve.
+    count.  Only what an estimate reads is computed:
+    - noise on the cells the windowed Psi_0 solve reads (noise_cells);
+    - Psi_0 in the backward light cones of the legs and of the interaction
+      (light_cone_windows), smeared over each leg's index box;
+    - the last hierarchy level through one adjoint field per leg,
+      <f, Psi_k> = <G^T f, src_k> over g's box (adjoint_field), so orders
+      0-1 solve Psi_0 alone and order 2 solves Psi_1 only on g's box.
     Each McEstimate carries lambda^order so it is directly comparable with
     the series coefficients.
     """
@@ -347,22 +426,31 @@ def estimate_correlator(observables, grid: LatticeGrid, params: ModelParams,
     cell = grid.dt * grid.dx
 
     window0, window1 = light_cone_windows(grid, f_grids.values(), g_grid)
+    cells = noise_cells(grid, window0)
+    legs = {}
+    for name, f in f_grids.items():
+        n0, n1, j0, j1 = _nonzero_box(f)
+        legs[name] = (np.s_[..., n0:n1, j0:j1], f[n0:n1, j0:j1])
+    if max_order >= 1:
+        n0, n1, j0, j1 = _nonzero_box(g_grid)
+        adjoint_on_g = {name: adjoint_field(f, grid, params.m)[n0:n1, j0:j1]
+                        for name, f in f_grids.items()}
 
     def run_chunk(lo: int, hi: int):
         noise = np.empty((hi - lo, grid.n_t, grid.n_x))
         for i in range(hi - lo):
-            sample_noise(grid, params, seed, lo + i, out=noise[i])
+            sample_noise(grid, params, seed, lo + i, out=noise[i],
+                         cells=cells)
         psi0 = solve_linear(noise, grid, params.m, window0)
-        fields = {0: psi0}
-        if max_order >= 1:
-            hier = solve_hierarchy(psi0, grid, params, g_grid, max_order,
-                                   window1)
-            for k, f in enumerate(hier, start=1):
-                fields[k] = f
         smeared = {}
-        for name in leg_names:
-            for order, fld in fields.items():
-                smeared[(name, order)] = _smear(fld, f_grids[name], cell)
+        for name, (on_f, f) in legs.items():
+            smeared[(name, 0)] = _smear(psi0[on_f], f, cell)
+        if max_order >= 1:
+            sources = solve_hierarchy(psi0, grid, params, g_grid, max_order,
+                                      window1)
+            for name, adj in adjoint_on_g.items():
+                for k, src in enumerate(sources, start=1):
+                    smeared[(name, k)] = _smear(src, adj, cell)
         return {o.obs_id: _per_sample_values(o, smeared) for o in observables}
 
     parts = parallel_map(lambda lo: run_chunk(lo, min(lo + chunk, n_samples)),

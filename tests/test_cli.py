@@ -288,6 +288,7 @@ class TestConfigRanges:
         (["corr"], [4]),
         (["mc"], [3]),
         (["expand", "--order", "-1"], [0, 1]),
+        (["expand", "--order", "5"], [0, 1]),
     ])
     def test_stage_order_cap_is_config_error(self, tmp_path, command, orders):
         # each stage has its own cap, so parse_config accepts these
@@ -680,20 +681,21 @@ class TestCommands:
     # sha256 of each output on BASE_CONFIG with quantum_hbars [0.1],
     # recorded before the coefficient pipelines were folded into one routine;
     # correlation.csv and compare.csv re-recorded when the Q leg fields
-    # became tables with an error bound
+    # became tables with an error bound; mc.csv and compare.csv re-recorded
+    # when the MC drew noise only on the cells its Psi_0 solve reads
     PINNED_OUTPUTS = {
         "expectation.csv":
         "3c381b767d7854126f3a4a81b82bd008cdba6feeb843fcd5c9607a1239763308",
         "correlation.csv":
         "d358c83d8331a426bd57274a544596fc57bfa8e72014670f6695fc06ee870df4",
         "mc.csv":
-        "a73bd4cd1bf2247ef2ed4191dd7d524c2287c6647716d0a461715dea46e3fdb2",
+        "154349058e88cc9fa6741f685dbe6dba3dca99d6b87b922b58dab7f926755e5b",
         "bounds.csv":
         "c696e0cd8f0e03bb15f5f7596ea0d60e5060cc03e27f9a7ad801abd153a4c11f",
         "bounds.json":
         "329065d2fe84f353bbdb48340c4a1678413617503e7dcccecf6e6d534e2e9e71",
         "compare.csv":
-        "0113b5d0d120f225880ca3cffeff91e7902a6d29b30811a335e51e85ad5d9189",
+        "4c2bcf2b9409f4cf3ca850be361d85a90e477b6410bc317c7dfd53bf50cd1560",
     }
 
     def test_outputs_pinned(self, tmp_path):
@@ -707,10 +709,11 @@ class TestCommands:
                    for name in self.PINNED_OUTPUTS}
         assert digests == self.PINNED_OUTPUTS
 
-    # sha256 of mc.csv on BASE_CONFIG with orders [0, 1, 2], recorded
-    # before the MC solved only the light-cone cells of its outputs
+    # sha256 of mc.csv on BASE_CONFIG with orders [0, 1, 2], re-recorded
+    # when the MC drew noise only on the cells its Psi_0 solve reads and
+    # read the last hierarchy level through adjoint fields
     MC_ORDER2_SHA256 = \
-        "e40e404ce7dde175b58aa24d9b881bf88b85f87e1603053ae027de4ab07b4198"
+        "04b312cb824c74f72d94a9d07d7841cca3430a798d4e66e1c35c768e386fae6b"
 
     def test_mc_order2_pinned(self, tmp_path):
         cfg = tmp_path / "order2.json"
@@ -812,6 +815,17 @@ class TestCommands:
             outs.append({name: (out / name).read_bytes() for name in
                          ("correlation.csv", "expectation.csv", "qtable.bin")})
         assert outs[0] == outs[1]
+        # and the MC at every order it simulates
+        order2 = tmp / "order2.json"
+        order2.write_text(json.dumps(_mutated(None, "orders", [0, 1, 2])))
+        mcs = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("WORKERS", workers)
+            out = tmp / f"mc_workers{workers}"
+            res = _run(["mc", "--config", str(order2), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+            mcs.append((out / "mc.csv").read_bytes())
+        assert mcs[0] == mcs[1]
 
     def test_seed_override_changes_series(self, workdir):
         tmp, cfg = workdir

@@ -128,11 +128,11 @@ class TestHierarchy:
         psi0 = mc.solve_linear(noise, small_grid, params.m)
         g_grid = small_grid.sample(smearings["g"])
         p0 = params.with_(a=0.0)
-        psi1, psi2 = mc.solve_hierarchy(psi0, small_grid, p0, g_grid)
-        assert np.all(psi1 == 0.0) and np.all(psi2 == 0.0)
-        psi1, psi2 = mc.solve_hierarchy(psi0, small_grid, params,
+        src1, src2 = mc.solve_hierarchy(psi0, small_grid, p0, g_grid)
+        assert src1.size and np.all(src1 == 0.0) and np.all(src2 == 0.0)
+        src1, src2 = mc.solve_hierarchy(psi0, small_grid, params,
                                         np.zeros_like(g_grid))
-        assert np.all(psi1 == 0.0) and np.all(psi2 == 0.0)
+        assert np.all(src1 == 0.0) and np.all(src2 == 0.0)
 
     def test_noise_sign_flip_parity(self, params, small_grid, smearings):
         noise = mc.sample_noise(small_grid, params, seed=9, realization=0)
@@ -140,17 +140,36 @@ class TestHierarchy:
         psi0 = mc.solve_linear(noise, small_grid, params.m)
         psi0f = mc.solve_linear(-noise, small_grid, params.m)
         assert np.array_equal(psi0f, -psi0)
-        (psi1,) = mc.solve_hierarchy(psi0, small_grid, params, g_grid,
+        (src1,) = mc.solve_hierarchy(psi0, small_grid, params, g_grid,
                                      max_order=1)
-        (psi1f,) = mc.solve_hierarchy(psi0f, small_grid, params, g_grid,
+        (src1f,) = mc.solve_hierarchy(psi0f, small_grid, params, g_grid,
                                       max_order=1)
-        assert np.array_equal(psi1f, -psi1)
+        assert np.array_equal(src1f, -src1)
         f1 = small_grid.sample(smearings["f1"])
-        f2 = small_grid.sample(smearings["f2"])
+        n0, n1, j0, j1 = mc._nonzero_box(g_grid)
+        a2 = mc.adjoint_field(small_grid.sample(smearings["f2"]), small_grid,
+                              params.m)[n0:n1, j0:j1]
         cell = small_grid.dt * small_grid.dx
-        prod = np.sum(psi0 * f1) * np.sum(psi1 * f2) * cell ** 2
-        prodf = np.sum(psi0f * f1) * np.sum(psi1f * f2) * cell ** 2
+        prod = np.sum(psi0 * f1) * np.sum(src1 * a2) * cell ** 2
+        prodf = np.sum(psi0f * f1) * np.sum(src1f * a2) * cell ** 2
         assert prod == prodf  # even in the noise sign, per sample
+
+
+class TestAdjoint:
+    @pytest.mark.parametrize("boundary", mc.BOUNDARIES)
+    @pytest.mark.parametrize("n_x", [2, 3, 17])
+    @pytest.mark.parametrize("n_t", [2, 3, 12])
+    def test_adjoint_identity(self, params, boundary, n_x, n_t):
+        # <f, G s> = <G^T f, s> for random f and s, to rounding relative to
+        # the size of the terms summed
+        grid = mc.LatticeGrid(0.05, 0.05, n_t, n_x, 0.0, 0.0, boundary)
+        rng = np.random.default_rng(100 * n_t + n_x)
+        f, s = rng.standard_normal((2, n_t, n_x))
+        psi = mc.solve_linear(s, grid, params.m)
+        adj = mc.adjoint_field(f, grid, params.m)
+        lhs, rhs = np.sum(f * psi), np.sum(adj * s)
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(f * psi))
+        assert abs(lhs - rhs) <= 1e-12 * np.sum(np.abs(adj * s))
 
 
 def _reference_solve(source, grid, m):
@@ -216,16 +235,26 @@ class TestWindowedSolve:
         part0 = mc.solve_linear(source, grid, params.m, w0)
         assert np.array_equal(part0[:, in0], full0[:, in0])
         assert np.all(part0[:, ~in0] == 0.0)
+        # the windowed solve reads no source cell outside noise_cells
+        read = np.zeros(grid.n_t * grid.n_x, dtype=bool)
+        read[mc.noise_cells(grid, w0)] = True
+        read = read.reshape(grid.n_t, grid.n_x)
+        junk = np.where(read, source, rng.standard_normal(source.shape))
+        assert not read.all()
+        assert np.array_equal(
+            _bits(mc.solve_linear(junk, grid, params.m, w0)), _bits(part0))
+        # the sources on g's box, built from Psi_0 and Psi_1 solved on their
+        # windows, match those of whole-lattice solves
         full = mc.solve_hierarchy(full0, grid, params, g_grid)
         part = mc.solve_hierarchy(part0, grid, params, g_grid, window=w1)
         for f, p in zip(full, part):
-            assert np.array_equal(p[:, in1], f[:, in1])
-        # the premise: off g's forward cone Psi_1 and Psi_2 vanish exactly
-        _, cone = mc.light_cone_windows(grid, [np.ones_like(g_grid)], g_grid)
-        off = ~_inside(cone, (grid.n_t, grid.n_x))
-        assert off.any()
-        for f in full:
-            assert np.all(f[:, off] == 0.0)
+            assert np.array_equal(_bits(p), _bits(f))
+        n0, n1, j0, j1 = mc._nonzero_box(g_grid)
+        src1 = np.zeros(source.shape)
+        src1[:, n0:n1, j0:j1] = full[0]
+        psi1 = mc.solve_linear(src1, grid, params.m, w1)
+        assert np.array_equal(psi1[:, in1],
+                              mc.solve_linear(src1, grid, params.m)[:, in1])
         return w0
 
     @pytest.mark.parametrize("boundary", mc.BOUNDARIES)
@@ -327,3 +356,51 @@ class TestEstimator:
             mc.estimate_correlator([mc.ObservableSpec("c", "corr",
                                                       ("f1", "f2"), 0)],
                                    mc_grid, params, smearings, 50, 13)
+
+    def test_matches_direct_path(self, params, smearings, mc_grid):
+        # the adjoint path against whole solves of Psi_0, Psi_1 and Psi_2
+        # from the same noise, smeared over the whole lattice
+        obs = [mc.ObservableSpec(f"{kind}{n}", kind, legs, n)
+               for kind, legs in (("corr", ("f1", "f2")), ("expect", ("f1",)))
+               for n in range(3)]
+        n, seed = 150, 21
+        got = mc.estimate_correlator(obs, mc_grid, params, smearings, n, seed,
+                                     chunk=64)
+        want = _direct_estimates(obs, mc_grid, params, smearings, n, seed)
+        for o in obs:
+            g, w = got[o.obs_id], want[o.obs_id]
+            assert abs(g.mean - w[0]) <= 1e-12 * abs(w[0]), o.obs_id
+            assert abs(g.stderr - w[1]) <= 1e-12 * w[1], o.obs_id
+
+
+def _direct_estimates(obs, grid, params, smearings, n, seed):
+    """Means and standard errors of the observables by the direct path:
+    the estimator's noise draws, whole-lattice solves of every hierarchy
+    level, and smears over every cell."""
+    legs = [grid.sample(smearings[k]) for k in ("f1", "f2")]
+    g = grid.sample(smearings["g"])
+    window0, _ = mc.light_cone_windows(grid, legs, g)
+    cells = mc.noise_cells(grid, window0)
+    noise = np.stack([mc.sample_noise(grid, params, seed, r, cells=cells)
+                      for r in range(n)])
+    a = params.a
+    psi0 = mc.solve_linear(noise, grid, params.m)
+    psi1 = mc.solve_linear(mc.SOURCE_SIGN * a * g * np.sin(a * psi0), grid,
+                           params.m)
+    psi2 = mc.solve_linear(mc.SOURCE_SIGN * a * a * g * np.cos(a * psi0)
+                           * psi1, grid, params.m)
+    cell = grid.dt * grid.dx
+    s = {(name, k): np.sum(psi * leg, axis=(-2, -1)) * cell
+         for name, leg in zip(("f1", "f2"), legs)
+         for k, psi in enumerate((psi0, psi1, psi2))}
+    out = {}
+    for o in obs:
+        if o.kind == "expect":
+            vals = s[(o.legs[0], o.order)]
+        else:
+            vals = sum(s[(o.legs[0], k)] * s[(o.legs[1], o.order - k)]
+                       for k in range(o.order + 1))
+        lam_n = params.lam ** o.order
+        out[o.obs_id] = (np.mean(vals) * lam_n,
+                         np.std(vals, ddof=1) / np.sqrt(n) * abs(lam_n))
+    return out
