@@ -128,12 +128,6 @@ class Coeff:
 
     __rmul__ = __mul__
 
-    def __neg__(self) -> "Coeff":
-        return Coeff(-self.crat, self.a_pow, self.hbar_pow, self.lam_pow)
-
-    def is_zero(self) -> bool:
-        return self.crat.is_zero()
-
     def powers_key(self) -> tuple[int, int, int]:
         return (self.a_pow, self.hbar_pow, self.lam_pow)
 

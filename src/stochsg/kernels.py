@@ -279,18 +279,22 @@ class SmearingFunction:
     def is_nonnegative(self) -> bool:
         return all(c.amplitude >= 0 for c in self.components)
 
+    def _component_grids(self, n: int):
+        """(component, T, X, W) for each bump: the n x n tensor
+        Gauss-Legendre nodes over its box and their weights."""
+        gl_x, gl_w = np.polynomial.legendre.leggauss(n)
+        for c in self.components:
+            T, X = np.meshgrid(c.center.t + c.radius * gl_x,
+                               c.center.x + c.radius * gl_x, indexing="ij")
+            yield c, T, X, np.outer(gl_w, gl_w) * c.radius ** 2
+
     def weighted_nodes(self, n: int = 24) -> tuple[np.ndarray, np.ndarray]:
         """Gauss-Legendre nodes (k, 2) and weights including the f values.
 
         Sum_j w_j K(z - y_j) approximates the smeared kernel (K f)(z).
         """
-        gl_x, gl_w = np.polynomial.legendre.leggauss(n)
         pts, wts = [], []
-        for c in self.components:
-            tt = c.center.t + c.radius * gl_x
-            xx = c.center.x + c.radius * gl_x
-            T, X = np.meshgrid(tt, xx, indexing="ij")
-            W = np.outer(gl_w, gl_w) * c.radius ** 2
+        for c, T, X, W in self._component_grids(n):
             vals = _component_value(c, T, X)
             keep = vals != 0.0
             pts.append(np.stack([T[keep], X[keep]], axis=-1))
@@ -308,13 +312,9 @@ class SmearingFunction:
         |f|^q over its own box, so overlapping bumps count once; q = inf
         gives the largest |f| at those nodes and at the bump centers.
         """
-        gl_x, gl_w = np.polynomial.legendre.leggauss(n)
         top = 0.0
         parts = []   # (|f|, weight) at each component's nodes
-        for c in self.components:
-            tt = c.center.t + c.radius * gl_x
-            xx = c.center.x + c.radius * gl_x
-            T, X = np.meshgrid(tt, xx, indexing="ij")
+        for c, T, X, W in self._component_grids(n):
             f = np.abs(self(T, X))
             top = max(top, float(f.max()))
             if q == np.inf:
@@ -325,7 +325,6 @@ class SmearingFunction:
                         for d in self.components)
             share = np.divide(mine, every, out=np.zeros_like(mine),
                               where=every > 0)
-            W = np.outer(gl_w, gl_w) * c.radius ** 2
             parts.append((f, W * share))
         if q == np.inf:
             return top
@@ -708,8 +707,11 @@ def gq_weight_arrays(t, x, p: ModelParams, table: QTable, g: SmearingFunction):
 # ---------------------------------------------------------------------------
 
 def difference_kernel(symbol: str, p: ModelParams) -> Callable:
-    """Vectorized evaluator K(dt, dx) for a translation-invariant kernel,
-    with the retarded sign of the params' convention."""
+    """Vectorized evaluator K(dt, dx) of a translation-invariant kernel of
+    the real basis: H, H0, DeltaR or DeltaA, with the retarded sign of the
+    params' convention.  The composite kernels (Delta, Omega, DeltaF,
+    DeltaAF) are sums over this basis (algebra.KernelExpr.real_basis), so
+    any other symbol raises KeyError."""
     sign = p.retarded_sign
     if symbol == "H":
         return lambda dt, dx: hadamard(dt, dx, p, check=False)
@@ -719,12 +721,4 @@ def difference_kernel(symbol: str, p: ModelParams) -> Callable:
         return lambda dt, dx: retarded_massive(dt, dx, p.m, sign)
     if symbol == "DeltaA":
         return lambda dt, dx: advanced(dt, dx, p.m, sign)
-    if symbol == "Delta":
-        return lambda dt, dx: pauli_jordan(dt, dx, p.m, sign)
-    if symbol == "Omega":
-        return lambda dt, dx: wightman(dt, dx, p, check=False)
-    if symbol == "DeltaF":
-        return lambda dt, dx: feynman(dt, dx, p, check=False)
-    if symbol == "DeltaAF":
-        return lambda dt, dx: antifeynman(dt, dx, p, check=False)
     raise KeyError(f"unknown kernel symbol {symbol!r}")

@@ -14,10 +14,6 @@ class QuadResult:
     samples: int
     seed: int = 0
 
-    @property
-    def real(self) -> float:
-        return complex(self.value).real
-
     def __add__(self, other: "QuadResult") -> "QuadResult":
         return QuadResult(self.value + other.value,
                           (self.error ** 2 + other.error ** 2) ** 0.5,

@@ -57,9 +57,11 @@ class EvalContext:
 
     Every vertex weight is the smearing named ``interaction``, whatever the
     vertex's symbolic label; legs are looked up in ``smearings`` by name.
-    Every basis kernel is one two-point function (``kernel``).  Since every
-    vertex carries that weight, a Q-smeared leg field at a vertex is read
-    from a table over the interaction's support (``field_table``).
+    Terms are read over the real basis {Q, H, H0, DeltaR, DeltaA}, and each
+    real-basis kernel is one two-point function (``kernel``); the composite
+    kernels are labels of the algebra only.  Since every vertex carries that
+    weight, a Q-smeared leg field at a vertex is read from a table over the
+    interaction's support (``field_table``).
 
     One context serves every hbar of a run: ``evaluate_terms`` takes the
     hbar to evaluate at, and no table or memo of the context depends on it.
@@ -86,9 +88,9 @@ class EvalContext:
         self._pairs: dict[tuple[str, str, str], QuadResult] = {}
 
     def kernel(self, basis: str):
-        """K(t, x, t', x') of a basis kernel: Q is the table, every other
-        basis the difference kernel of (t - t', x - x') in the algebra's
-        sign convention."""
+        """K(t, x, t', x') of a real-basis kernel: Q is the table, H, H0,
+        DeltaR and DeltaA the difference kernel of (t - t', x - x') in the
+        algebra's sign convention."""
         if basis == "Q":
             return self.table.interp
         diff = ker.difference_kernel(basis, self._kernel_params)
@@ -153,15 +155,6 @@ class EvalContext:
                                             (2 * self.pair_nodes) ** 2)
         return res
 
-def _q_dressing_weight(expr: KernelExpr) -> float:
-    """Real Q coefficient of a dressing exponent (only Q dressings occur)."""
-    total = 0.0
-    for b, h, c in expr.terms:
-        if b != "Q" or h != 0:
-            raise ConfigError("only hbar^0 Q dressings are evaluable")
-        total += c.as_complex().real
-    return total
-
 
 class _BatchCache:
     """Memoizes table lookups and smeared fields within one point batch.
@@ -219,17 +212,17 @@ def _linear(parts, value):
 
 
 def _slot_parts(expr: KernelExpr, hbar: float, graded: bool = True):
-    """(weight, basis) parts of a kernel expression at finite hbar.
+    """(weight, basis) parts of a kernel expression at finite hbar, over the
+    real basis.
 
-    A graded slot (an attached factor or scalar pair of a term) is taken
-    over the real basis with its lowest hbar power factored out, since
-    alg.hbar_grade puts that power in the term's prefactor; a pair
-    exponent is taken as it is.  A lone kernel of coefficient 1 enters
-    unweighted (weight None), so real factors stay real.
+    A graded slot (an attached factor or scalar pair of a term) has its
+    lowest hbar power factored out, since alg.hbar_grade puts that power in
+    the term's prefactor; an exponent (a pair or a self-dressing) keeps
+    every power.  A lone kernel of coefficient 1 enters unweighted (weight
+    None), so real factors stay real.
     """
     low = expr.min_hbar() if graded else 0
-    if graded:
-        expr = expr.real_basis()
+    expr = expr.real_basis()
     if len(expr.terms) == 1 and expr.terms[0][1:] == (low, CR_ONE):
         return [(None, expr.terms[0][0])]
     return [(c.as_complex() * hbar ** (h - low), b) for b, h, c in expr.terms]
@@ -239,10 +232,12 @@ def _integrand(ctx: EvalContext, p: ker.ModelParams, term: alg.Generator):
     """Integrand ``fn(cache)`` of one term at the hbar, charge and coupling
     of ``p``.
 
-    The term is turned once into weighted factor lists: vertex weights,
-    exponentiated pairs, edge powers and attached smeared kernels, and
-    scalar pairs, whose product is folded into the complex prefactor, which
-    carries hbar to the term's grade (alg.hbar_grade).
+    The term is turned once into weighted factor lists over the real basis:
+    vertex weights with their self-dressings, exponentiated pairs, edge
+    powers and attached smeared kernels, and scalar pairs, whose product is
+    folded into the complex prefactor, which carries hbar to the term's
+    grade (alg.hbar_grade).  A pair (i, j) and a self-dressing (i, i) are
+    one exponent exp(scale * sum_b w_b K_b(z_i, z_j)).
 
     Scalar pairs and tabulated Q fields carry an error estimate.  fn returns
     (values, derivatives, higher): ``derivatives`` lists (key, delta,
@@ -253,8 +248,6 @@ def _integrand(ctx: EvalContext, p: ker.ModelParams, term: alg.Generator):
     factor returns ((), 0.0).
     """
     a = p.a
-    pair_parts = [(i, j, _slot_parts(e, p.hbar, graded=False))
-                  for (i, j), e in term.pair_exps]
     attached = [(v, l, _slot_parts(e, p.hbar)) for v, e, l in term.attached]
     scalars = [(pn, qn, _slot_parts(e, p.hbar))
                for e, pn, qn in term.scalar_pairs]
@@ -277,26 +270,27 @@ def _integrand(ctx: EvalContext, p: ker.ModelParams, term: alg.Generator):
     attached = [(v, l, parts, [unit(w) for w, b in parts if b == "Q"])
                 for v, l, parts in attached]
 
-    vertices = []
-    for i in range(term.n_vertices):
-        dress = None
-        if not term.dressings[i].is_zero():
-            dress = (-0.5 * (term.charges[i] * a) ** 2
-                     * _q_dressing_weight(term.dressings[i]))
-        vertices.append((i, dress))
-    exp_pairs = [(-term.charges[i] * term.charges[j] * a ** 2, i, j, parts)
-                 for i, j, parts in pair_parts]
+    # exponents (scale, i, j, parts); a vertex's self-dressing has i == j
+    dressings = {i: (-0.5 * (c * a) ** 2, i, i,
+                     _slot_parts(d, p.hbar, graded=False))
+                 for i, (c, d) in enumerate(zip(term.charges, term.dressings))
+                 if not d.is_zero()}
+    exp_pairs = [(-term.charges[i] * term.charges[j] * a ** 2, i, j,
+                  _slot_parts(e, p.hbar, graded=False))
+                 for (i, j), e in term.pair_exps]
 
     def fn(cache: _BatchCache):
+        def exponent(scale, i, j, parts):
+            return np.exp(scale * _linear(parts,
+                                          lambda b: cache.pair(b, i, j)))
         factors = []    # (pointwise value, its error parts)
-        for i, dress in vertices:
+        for i in range(term.n_vertices):
             w = cache.vertex_weight(i)
-            if dress is not None:
-                w = w * np.exp(dress * cache.pair("Q", i, i))
+            if i in dressings:
+                w = w * exponent(*dressings[i])
             factors.append((w, ()))
-        for scale, i, j, parts in exp_pairs:
-            factors.append((np.exp(scale * _linear(
-                parts, lambda b: cache.pair(b, i, j))), ()))
+        for e in exp_pairs:
+            factors.append((exponent(*e), ()))
         for i, j, b, h, pw in term.edges:
             factors.append((cache.pair(b, i, j) ** pw, ()))
         for v, l, parts, qw in attached:

@@ -709,6 +709,32 @@ class TestCommands:
                    for name in self.PINNED_OUTPUTS}
         assert digests == self.PINNED_OUTPUTS
 
+    # sha256 of each series output on BASE_CONFIG with orders [0, 1, 2],
+    # quantum_hbars [0.1] and bounds.orders [0, 1, 2]: the order-2 terms
+    # are the first with a pair exponent at finite hbar
+    ORDER2_QUANTUM_OUTPUTS = {
+        "expectation.csv":
+        "414f254a5f5ab27dff8c0c08c24e5050fec6a4fb853c4cb30f9b6b6c58a8c4e5",
+        "correlation.csv":
+        "25a1ee57bb7487d187c1a3096bd06faa9f9a915cd2346c985311aced36b1d722",
+        "bounds.csv":
+        "07e34f975ae1076d7de6e98c569506818f0b83258fd9749e9df4ebfa87797b33",
+    }
+
+    def test_order2_quantum_outputs_pinned(self, tmp_path):
+        config = _mutated(None, "orders", [0, 1, 2])
+        config["quantum_hbars"] = [0.1]
+        config["bounds"]["orders"] = [0, 1, 2]
+        cfg = tmp_path / "order2_quantum.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        for cmd in ("compute-q", "coeff", "corr", "bounds"):
+            res = _run([cmd, "--config", str(cfg), "--out", str(out)])
+            assert res.exit_code == 0, res.output
+        digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                   for name in self.ORDER2_QUANTUM_OUTPUTS}
+        assert digests == self.ORDER2_QUANTUM_OUTPUTS
+
     # sha256 of mc.csv on BASE_CONFIG with orders [0, 1, 2], re-recorded
     # when the MC drew noise only on the cells its Psi_0 solve reads and
     # read the last hierarchy level through adjoint fields

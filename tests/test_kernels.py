@@ -148,6 +148,9 @@ class TestPropagators:
         assert np.max(np.abs(dAF.real - h) / scale) < 1e-12
         assert np.max(np.abs(w.real - h) / scale) < 1e-12
         assert np.max(np.abs(w.imag - 0.5 * (dr - da)) / scale) < 1e-12
+        # the evaluator binds only the real basis: a composite is a sum
+        with pytest.raises(KeyError):
+            ker.difference_kernel("DeltaF", p)
 
     @given(st.floats(-3, 3, allow_nan=False), st.floats(-3, 3, allow_nan=False))
     @settings(max_examples=100, deadline=None)

@@ -204,10 +204,10 @@ class TestWorkerPool:
 class TestSmearedPairing:
     def test_antisymmetric_kernel_vanishes(self, params):
         f = ker.SmearingFunction.bump(0.3, 0.0, 0.25, name="f")
-        delta = ker.difference_kernel("Delta", params)
 
         def kernel(t, x, tp, xp):
-            return delta(t - tp, x - xp)
+            return ker.pauli_jordan(t - tp, x - xp, params.m,
+                                    params.retarded_sign)
         r = smeared_pairing(kernel, f, f, 8192, 3)
         assert abs(r.value) <= 3 * r.error + 1e-12
 

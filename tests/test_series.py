@@ -166,6 +166,23 @@ class TestKernelBinding:
         assert np.array_equal(ctx.smeared_kernel("DeltaA", "f1", t, x),
                               leg_first)
 
+    def test_evaluator_requests_only_real_basis_kernels(
+            self, params, qtable, smearings, monkeypatch):
+        # at finite hbar the algebra writes pair exponents and attached
+        # factors with composite kernels (DeltaF, Omega, DeltaAF)
+        difference_kernel = ker.difference_kernel
+        requested = set()
+
+        def recorder(symbol, p):
+            requested.add(symbol)
+            return difference_kernel(symbol, p)
+        monkeypatch.setattr(ker, "difference_kernel", recorder)
+        c = ser.EvalContext(params, qtable, smearings, leg_nodes=12,
+                            pair_nodes=12)
+        ser.quantum_coefficient(2, 0.1, c, ["f1", "f2"], 1024, 5)
+        ser.qs_term_magnitude(c, 2, 1024, 6)
+        assert requested and requested <= {"H", "H0", "DeltaR", "DeltaA"}
+
 
 class TestNonFinite:
     def test_nan_table_entry_is_refused(self, params, qtable, smearings):
