@@ -27,7 +27,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from fractions import Fraction
 
 from .errors import CancellationFailure, NegativeGrade, SingularCoincidence
@@ -1000,18 +1000,7 @@ class TermGraph:
     multiplicity: int = 1
 
     def to_json_dict(self) -> dict:
-        return {
-            "vertices": [dict(v) for v in self.vertices],
-            "edges": [dict(e) for e in self.edges],
-            "coeff_num": self.coeff_num,
-            "coeff_den": self.coeff_den,
-            "i_power": self.i_power,
-            "hbar_degree": self.hbar_degree,
-            "a_power": self.a_power,
-            "lam_power": self.lam_power,
-            "multiplicity": self.multiplicity,
-            "external": list(self.external),
-        }
+        return asdict(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), sort_keys=True)

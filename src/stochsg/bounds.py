@@ -144,9 +144,9 @@ def c_tilde_constant(mu: float, alpha: float, p_hat: float) -> float:
 def _check_p(alpha: float, p_hat: float):
     if alpha >= 1.0:
         raise InvalidExponent(f"alpha = {alpha} >= 1")
-    if p_hat < MIN_P_HAT or p_hat >= 1.0 / alpha:
-        raise InvalidExponent(
-            f"p = {p_hat} outside [1, 1/alpha) = [1, {1.0 / alpha})")
+    if p_hat < MIN_P_HAT or alpha * p_hat >= 1.0:
+        raise InvalidExponent(f"p = {p_hat} outside [1, 1/alpha): "
+                              f"alpha * p = {alpha * p_hat}")
 
 
 def _log_qs_bound(n: int, p_hat: float, params: ker.ModelParams,

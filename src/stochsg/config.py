@@ -167,6 +167,7 @@ def _check_ranges(qtable: QTableConfig, quad: QuadConfig, mcc: McConfig,
              f"qtable.interp must be one of {ker.INTERP_METHODS}")
     _require(quad.budget >= qd.MIN_BUDGET,
              f"quad.budget must be >= {qd.MIN_BUDGET}")
+    _require(quad.p_hat >= 0, "quad.p_hat must be >= 0")
     _require(min(quad.leg_nodes, quad.pair_nodes) >= ker.MIN_SMEARING_NODES,
              "quad.leg_nodes and quad.pair_nodes must be >= "
              f"{ker.MIN_SMEARING_NODES}")
@@ -277,7 +278,7 @@ def parse_config(doc: dict) -> RunConfig:
                               f"{alpha} >= 1")
         # orders >= 2 integrate the |z^2|^(-alpha) pair with exponent
         # alpha * p_hat, which the quadrature needs below 1
-        if max(orders) >= 2 and _outside_p_range(alpha, quadc.p_hat):
+        if max(orders) >= 2 and alpha * quadc.p_hat >= 1.0:
             raise ConfigError(f"quad.p_hat = {quadc.p_hat} >= 1/alpha = "
                               f"{1.0 / alpha} at quantum hbar = {h}")
     if boundsc.orders:
@@ -287,15 +288,10 @@ def parse_config(doc: dict) -> RunConfig:
         if params.alpha >= 1.0:
             raise ConfigError(
                 f"bounds requested with alpha = {params.alpha} >= 1")
-        if _outside_p_range(params.alpha, boundsc.p_hat):
+        if params.alpha * boundsc.p_hat >= 1.0:
             raise ConfigError(f"bounds.p_hat = {boundsc.p_hat} >= 1/alpha = "
                               f"{1.0 / params.alpha}")
         if params.m == 0:
             raise ConfigError("bounds requested with m = 0: the "
                               "conditioning needs a massive model")
     return cfg
-
-
-def _outside_p_range(alpha: float, p_hat: float) -> bool:
-    """p_hat >= 1/alpha, in both of the forms the numeric layers test."""
-    return alpha > 0 and (p_hat >= 1.0 / alpha or alpha * p_hat >= 1.0)

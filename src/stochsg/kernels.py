@@ -105,11 +105,6 @@ def chi_cutoff(t, T: float, width: float = 1.0):
 # propagator kernels, all as functions of the difference z = (t, x)
 # ---------------------------------------------------------------------------
 
-def retarded_massless(t, x, sign: float = -1.0):
-    """sign * 1/2 on the closed future cone, 0 elsewhere."""
-    return np.where(in_future_cone(t, x), 0.5 * sign, 0.0)
-
-
 def retarded_massive(t, x, m: float, sign: float = -1.0):
     """sign * 1/2 * J0(m sqrt(t^2 - x^2)) on the closed future cone."""
     if m < 0:

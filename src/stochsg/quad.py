@@ -111,9 +111,6 @@ def _map_points(r: np.ndarray, spec: IntegrandSpec, p_hat: float):
             if sp.i >= k:
                 raise ValueError("singular pair base must precede dependent")
             beta = sp.alpha * p_hat
-            if not 0.0 <= beta < 1.0:
-                raise InvalidExponent(
-                    f"importance exponent alpha*p_hat = {beta} outside [0, 1)")
             du, wu = _power_map(r[:, 2 * k], beta, 2.0 * mu)
             dv, wv = _power_map(r[:, 2 * k + 1], beta, 2.0 * mu)
             u[:, k] = u[:, sp.i] + du
@@ -172,10 +169,10 @@ def integrate(spec: IntegrandSpec, budget: int, seed: int,
     if budget < MIN_BUDGET:
         raise ValueError(f"budget must be >= {MIN_BUDGET}")
     for sp in spec.singular_pairs:
-        if sp.alpha * p_hat >= 1.0:
+        if not 0.0 <= sp.alpha * p_hat < 1.0:
             raise InvalidExponent(
-                f"alpha * p_hat = {sp.alpha * p_hat} >= 1 for pair "
-                f"({sp.i},{sp.j})")
+                f"alpha * p_hat = {sp.alpha * p_hat} outside [0, 1) for "
+                f"pair ({sp.i},{sp.j})")
     n_points = 1 << int(np.ceil(np.log2(budget)))
     rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
     shifts = rng.random((N_SHIFTS, 2 * spec.n_vertices))

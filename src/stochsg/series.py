@@ -13,8 +13,8 @@ hierarchy with source sign s = -1; see the sign note in spde_mc.
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, replace
+from functools import partial
 
 import numpy as np
 
@@ -59,16 +59,15 @@ class EvalContext:
     vertex's symbolic label; legs are looked up in ``smearings`` by name.
     Terms are read over the real basis {Q, H, H0, DeltaR, DeltaA}, and each
     real-basis kernel is one two-point function (``kernel``); the composite
-    kernels are labels of the algebra only.  Since every vertex carries that
-    weight, a Q-smeared leg field at a vertex is read from a table over the
-    interaction's support (``field_table``).
+    kernels are labels of the algebra only.  A leg field (K f)(z) and its
+    local error bound come from ``field``, the one place that decides how
+    a field is computed.
 
     One context serves every hbar of a run: ``evaluate_terms`` takes the
     hbar to evaluate at, and no table or memo of the context depends on it.
-    Quadrature shifts evaluate integrands on several threads at once, so
-    the memos they reach are safe to fill concurrently: a field table is
-    built once under a lock, and the node memo keeps the first value
-    stored (``dict.setdefault``).
+    Every field and node set an integral reads is built on the calling
+    thread before the quadrature starts, so the quadrature threads only
+    read the memos.
     """
 
     def __init__(self, params: ker.ModelParams, table: ker.QTable,
@@ -83,8 +82,7 @@ class EvalContext:
         self.pair_nodes = pair_nodes
         self._kernel_params = params.with_(sign_convention=ALGEBRA_CONVENTION)
         self._node_cache: dict[tuple[str, int], tuple] = {}
-        self._field_tables: dict[str, ker.FieldTable] = {}
-        self._field_lock = threading.Lock()
+        self._fields: dict[tuple[str, str], tuple] = {}
         self._pairs: dict[tuple[str, str, str], QuadResult] = {}
 
     def kernel(self, basis: str):
@@ -97,11 +95,10 @@ class EvalContext:
         return lambda t, x, tp, xp: diff(t - tp, x - xp)
 
     def nodes(self, leg_name: str, order: int | None = None):
-        order = order or self.leg_nodes
-        key = (leg_name, order)
+        key = (leg_name, order or self.leg_nodes)
         if key not in self._node_cache:
-            f = self.smearings[leg_name]
-            self._node_cache.setdefault(key, f.weighted_nodes(order))
+            self._node_cache[key] = self.smearings[leg_name].weighted_nodes(
+                key[1])
         return self._node_cache[key]
 
     # -- pointwise building blocks -----------------------------------------
@@ -115,15 +112,15 @@ class EvalContext:
                                   pts[None, :, 0], pts[None, :, 1])
         return np.sum(w * vals, axis=-1)
 
-    def field_table(self, leg_name: str) -> ker.FieldTable:
-        """(Q f)(z) of a leg, tabulated once over the interaction's support
-        box from the direct sums of smeared_kernel, one quadrature batch of
-        grid nodes at a time.  Nodes of the padded grid are clipped to the
-        region where the Q table covers every pairing with the leg's
-        nodes."""
-        with self._field_lock:
-            tab = self._field_tables.get(leg_name)
-            if tab is None:
+    def field(self, basis: str, leg_name: str):
+        """(field, bound) of the leg field (K f)(z), built once.  Q is
+        tabulated over the interaction's support from smeared_kernel, a
+        quadrature batch of nodes at a time (clipped to where the Q table
+        covers every pairing with the leg's nodes), with its local error
+        bound; H, H0, DeltaR and DeltaA are direct node sums (bound None)."""
+        key = (basis, leg_name)
+        if key not in self._fields:
+            if basis == "Q":
                 tg, dg = self.table.time_grid, self.table.space_offset_grid
                 leg_box = self.smearings[leg_name].support_box()
                 domain = (tg[0], tg[-1], dg[0] + leg_box[3],
@@ -132,8 +129,12 @@ class EvalContext:
                     lambda t, x: self.smeared_kernel("Q", leg_name, t, x),
                     self.smearings[self.interaction].support_box(), domain,
                     self.table.spline_order, qd.MIN_BUDGET)
-                self._field_tables[leg_name] = tab
-        return tab
+                self._fields[key] = (tab, tab.bound)
+            else:
+                self.nodes(leg_name)
+                self._fields[key] = (
+                    partial(self.smeared_kernel, basis, leg_name), None)
+        return self._fields[key]
 
     def scalar_pair(self, basis: str, p_name: str, q_name: str) -> QuadResult:
         """<f_p, K f_q> by tensor Gauss-Legendre with a two-resolution error,
@@ -160,10 +161,8 @@ class _BatchCache:
     """Memoizes table lookups and smeared fields within one point batch.
 
     Terms of a summed integrand share vertices, so the kernel values at
-    vertex pairs (the diagonal Q included) and the smeared leg fields are
-    computed once per batch.  Q fields are read from the context's field
-    tables; the discontinuous retarded and the Hadamard fields are direct
-    node sums.
+    vertex pairs (the diagonal Q included) and the leg fields at vertices
+    are computed once per batch, the fields through ``EvalContext.field``.
     """
 
     def __init__(self, ctx: EvalContext, pts: np.ndarray):
@@ -183,17 +182,14 @@ class _BatchCache:
             basis)(self.t[:, i], self.x[:, i], self.t[:, j], self.x[:, j]))
 
     def smeared(self, basis: str, leg: str, v: int):
-        def compute():
-            if basis == "Q":
-                return self.ctx.field_table(leg)(self.t[:, v], self.x[:, v])
-            return self.ctx.smeared_kernel(basis, leg, self.t[:, v],
-                                           self.x[:, v])
-        return self._memo(("smear", basis, leg, v), compute)
+        """(K f)(z_v) of a leg."""
+        return self._memo(("smear", basis, leg, v), lambda: self.ctx.field(
+            basis, leg)[0](self.t[:, v], self.x[:, v]))
 
-    def field_bound(self, leg: str, v: int):
-        """Local error bound of the tabulated Q field of a leg at vertex v."""
-        return self._memo(("bound", leg, v), lambda: self.ctx.field_table(
-            leg).bound(self.t[:, v], self.x[:, v]))
+    def field_bound(self, basis: str, leg: str, v: int):
+        """Local error bound of a leg field at vertex v."""
+        return self._memo(("bound", basis, leg, v), lambda: self.ctx.field(
+            basis, leg)[1](self.t[:, v], self.x[:, v]))
 
     def vertex_weight(self, i: int):
         """The interaction smearing at vertex i."""
@@ -202,11 +198,10 @@ class _BatchCache:
 
 
 def _linear(parts, value):
-    """Sum of weight * value(x) over the (weight, x) parts; a weight of None
-    means the factor enters unweighted, so real factors stay real."""
+    """Sum of weight * value(x) over the (weight, x) parts."""
     total = None
     for w, x in parts:
-        v = value(x) if w is None else w * value(x)
+        v = w * value(x)
         total = v if total is None else total + v
     return total
 
@@ -218,13 +213,13 @@ def _slot_parts(expr: KernelExpr, hbar: float, graded: bool = True):
     A graded slot (an attached factor or scalar pair of a term) has its
     lowest hbar power factored out, since alg.hbar_grade puts that power in
     the term's prefactor; an exponent (a pair or a self-dressing) keeps
-    every power.  A lone kernel of coefficient 1 enters unweighted (weight
-    None), so real factors stay real.
+    every power.  A lone kernel of coefficient 1 has the real weight 1.0,
+    so real factors stay real.
     """
     low = expr.min_hbar() if graded else 0
     expr = expr.real_basis()
     if len(expr.terms) == 1 and expr.terms[0][1:] == (low, CR_ONE):
-        return [(None, expr.terms[0][0])]
+        return [(1.0, expr.terms[0][0])]
     return [(c.as_complex() * hbar ** (h - low), b) for b, h, c in expr.terms]
 
 
@@ -239,21 +234,19 @@ def _integrand(ctx: EvalContext, p: ker.ModelParams, term: alg.Generator):
     grade (alg.hbar_grade).  A pair (i, j) and a self-dressing (i, i) are
     one exponent exp(scale * sum_b w_b K_b(z_i, z_j)).
 
-    Scalar pairs and tabulated Q fields carry an error estimate.  fn returns
-    (values, derivatives, higher): ``derivatives`` lists (key, delta,
-    d values / d factor) for each such factor, keyed by what shares its
-    error (the pair, or the leg field at a vertex), so that terms sharing a
-    factor add their derivatives before the bound delta applies; ``higher``
-    bounds the products of two or more such errors.  A term without such a
-    factor returns ((), 0.0).
+    Scalar pairs and the leg fields that EvalContext.field bounds carry an
+    error estimate.  fn returns (values, derivatives, higher):
+    ``derivatives`` lists (key, delta, d values / d part) for each such
+    part, keyed by what shares its error (the pair, or the leg field at a
+    vertex), so that terms sharing a part add their derivatives before the
+    bound delta applies; ``higher`` bounds the products of two or more such
+    errors.  A term without such a part returns ((), 0.0).  Every scalar
+    pair and leg field is resolved here, so fn only reads the memos.
     """
     a = p.a
     attached = [(v, l, _slot_parts(e, p.hbar)) for v, e, l in term.attached]
     scalars = [(pn, qn, _slot_parts(e, p.hbar))
                for e, pn, qn in term.scalar_pairs]
-
-    def unit(w):
-        return 1.0 if w is None else w
 
     grade = alg.hbar_grade(term)
     rest = replace(term.coeff, hbar_pow=grade).value(p.a, p.hbar, p.lam)
@@ -264,10 +257,11 @@ def _integrand(ctx: EvalContext, p: ker.ModelParams, term: alg.Generator):
         value = _linear([(w, r) for w, b, r in pairs],
                         lambda r: complex(r.value))
         coeff *= value
-        constants.append((value, [(("pair", b, pn, qn), unit(w), r.error)
+        constants.append((value, [(("pair", b, pn, qn), w, r.error)
                                   for w, b, r in pairs]))
-    # the weights of the tabulated Q field in each attached factor
-    attached = [(v, l, parts, [unit(w) for w, b in parts if b == "Q"])
+    # the parts of each attached factor whose leg field carries a bound
+    attached = [(v, l, parts, [(w, b) for w, b in parts
+                               if ctx.field(b, l)[1] is not None])
                 for v, l, parts in attached]
 
     # exponents (scale, i, j, parts); a vertex's self-dressing has i == j
@@ -293,10 +287,9 @@ def _integrand(ctx: EvalContext, p: ker.ModelParams, term: alg.Generator):
             factors.append((exponent(*e), ()))
         for i, j, b, h, pw in term.edges:
             factors.append((cache.pair(b, i, j) ** pw, ()))
-        for v, l, parts, qw in attached:
-            errs = ()
-            if qw:
-                errs = [(("field", l, v), sum(qw), cache.field_bound(l, v))]
+        for v, l, parts, bounded in attached:
+            errs = [(("field", b, l, v), w, cache.field_bound(b, l, v))
+                    for w, b in bounded]
             factors.append((_linear(
                 parts, lambda b: cache.smeared(b, l, v)), errs))
         out = np.full(cache.t.shape[0], coeff, dtype=complex)
@@ -477,6 +470,8 @@ def order1_correction_oracle(ctx: EvalContext, leg1: str, leg2: str,
             out[live] = s * p.a ** 2 * gq[live] * term
         return out
 
+    for leg in (leg1, leg2):
+        ctx.nodes(leg)   # loaded here, so the quadrature threads only read
     spec = qd.IntegrandSpec(1, fn, mu=p.mu)
     return qd.integrate(spec, budget, seed).scaled(p.lam)
 

@@ -224,33 +224,28 @@ def light_cone_windows(grid: LatticeGrid, leg_grids, g_grid: np.ndarray):
                            np.minimum(g_back[:, 1], cone[:, 1])], axis=1)
 
 
-def _stencil(row: np.ndarray, lo: int, hi: int, mid, first, last):
-    """A three-point stencil of ``row`` on the columns [lo, hi): ``mid`` of
-    the slices (left, centre, right) for the interior columns, ``first``
-    and ``last`` of the row for the edge columns 0 and n_x - 1."""
-    a, b = max(lo, 1), min(hi, row.shape[-1] - 1)
-    out = mid(row[..., a - 1:b - 1], row[..., a:b], row[..., a + 1:b + 1])
-    if a == lo and b == hi:
-        return out
-    parts = [first(row)[..., None]] if lo < a else []
-    parts.append(out)
-    if hi > b:
-        parts.append(last(row)[..., None])
-    return np.concatenate(parts, axis=-1)
+def _neighbours(row: np.ndarray, lo: int, hi: int, periodic: bool):
+    """(left, centre, right) columns of ``row`` around the columns [lo, hi);
+    past an edge column the neighbour wraps round when periodic and is a
+    0.0 column otherwise."""
+    def edge(j):
+        return row[..., [j]] if periodic else np.zeros_like(row[..., :1])
+    left, right = row[..., max(lo - 1, 0):hi - 1], row[..., lo + 1:hi + 1]
+    if lo == 0:
+        left = np.concatenate([edge(-1), left], axis=-1)
+    if hi == row.shape[-1]:
+        right = np.concatenate([right, edge(0)], axis=-1)
+    return left, row[..., lo:hi], right
 
 
 def _laplacian(cur: np.ndarray, lo: int, hi: int, dx: float,
                periodic: bool) -> np.ndarray:
     """Discrete d_xx of ``cur`` on the columns [lo, hi)."""
+    l, c, r = _neighbours(cur, lo, hi, periodic)
     if periodic:
-        return _stencil(cur, lo, hi, lambda l, c, r: l - 2.0 * c + r,
-                        lambda x: x[..., -1] - 2.0 * x[..., 0] + x[..., 1],
-                        lambda x: x[..., -2] - 2.0 * x[..., -1] + x[..., 0]
-                        ) / dx ** 2
+        return (l - 2.0 * c + r) / dx ** 2
     # zero-Dirichlet edges: the pad keeps reflections outside probe cones
-    return _stencil(cur, lo, hi, lambda l, c, r: r - 2.0 * c + l,
-                    lambda x: x[..., 1] - 2.0 * x[..., 0],
-                    lambda x: x[..., -2] - 2.0 * x[..., -1]) / dx ** 2
+    return (r - 2.0 * c + l) / dx ** 2
 
 
 def _binomial_filter(row: np.ndarray, lo: int, hi: int,
@@ -265,14 +260,8 @@ def _binomial_filter(row: np.ndarray, lo: int, hi: int,
     smooth sources only at second order.  Off a Dirichlet edge the
     neighbour is 0.0, added as such so that edge cells round alike.
     """
-    def wrap(x, j):
-        return x[..., j] if periodic else 0.0
-    return _stencil(row, lo, hi,
-                    lambda l, c, r: 0.25 * l + 0.5 * c + 0.25 * r,
-                    lambda x: (0.25 * wrap(x, -1) + 0.5 * x[..., 0]
-                               + 0.25 * x[..., 1]),
-                    lambda x: (0.25 * x[..., -2] + 0.5 * x[..., -1]
-                               + 0.25 * wrap(x, 0)))
+    l, c, r = _neighbours(row, lo, hi, periodic)
+    return 0.25 * l + 0.5 * c + 0.25 * r
 
 
 def solve_linear(source: np.ndarray, grid: LatticeGrid, m: float,

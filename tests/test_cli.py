@@ -227,6 +227,8 @@ class TestConfigRanges:
          [{"center": [0.35, -0.25], "radius": 1e300, "amplitude": 1.0}]),
         ("corr", "smearings", "f1",
          [{"center": [0.35, -0.25], "radius": 1e-300, "amplitude": 1.0}]),
+        # the importance map samples |d|^(-alpha p_hat), alpha p_hat >= 0
+        ("corr", "quad", "p_hat", -1.0),
     ])
     def test_out_of_range_is_config_error(self, tmp_path, command, section,
                                           key, value):

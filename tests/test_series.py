@@ -1,5 +1,4 @@
-import sys
-import time
+import threading
 
 import numpy as np
 import pytest
@@ -81,10 +80,10 @@ class TestFieldTables:
         live = smearings["g"](t, x) > 0
         t, x = t[live][:2000], x[live][:2000]
         assert t.size == 2000
-        tab = ctx.field_table(leg)
+        field, field_bound = ctx.field("Q", leg)
         direct = ctx.smeared_kernel("Q", leg, t, x)
-        err = np.abs(tab(t, x) - direct)
-        bound = tab.bound(t, x)
+        err = np.abs(field(t, x) - direct)
+        bound = field_bound(t, x)
         assert np.all(err <= bound)
         assert 0 < np.max(bound) <= 1e-3 * np.max(np.abs(direct))
 
@@ -104,7 +103,7 @@ class TestFieldTables:
         ctx0 = ser.EvalContext(params, qtable, smearings)
         ser.quantum_coefficient(0, 0.1, ctx0, ["f1", "f2"], 1024, 7)
         ser.quantum_coefficient(1, 0.05, ctx0, ["f1", "f2"], 1024, 7)
-        assert set(ctx0._field_tables) == {"f1", "f2"}
+        assert {("Q", "f1"), ("Q", "f2")} <= set(ctx0._fields)
         assert ("Q", "f1", "f2") in ctx0._pairs
 
 
@@ -127,26 +126,33 @@ class TestWorkers:
     @pytest.mark.parametrize("workers", ["2", "8"])
     def test_field_tables_built_once(self, params, qtable, smearings,
                                      monkeypatch, workers):
+        # once per leg, and on the calling thread: every field table and
+        # node set is built before the pool starts, so the quadrature
+        # threads only read the context's memos
         monkeypatch.setenv("WORKERS", workers)
         tabulate = ker.tabulate_field
-        built = []
+        weighted_nodes = ker.SmearingFunction.weighted_nodes
+        built, threads = [], []
 
         def counted(fn, box, domain, *args):
             built.append(domain)
-            # hold the build open so that a second shift asks meanwhile
-            time.sleep(0.2)
+            threads.append(threading.current_thread())
             return tabulate(fn, box, domain, *args)
+
+        def nodes(self, *args):
+            threads.append(threading.current_thread())
+            return weighted_nodes(self, *args)
         monkeypatch.setattr(ker, "tabulate_field", counted)
+        monkeypatch.setattr(ker.SmearingFunction, "weighted_nodes", nodes)
         c = ser.EvalContext(params, qtable, smearings)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            ser.correlation_coefficient(1, c, "f1", "f2", 1024, 3)
-            ser.quantum_coefficient(1, 0.05, c, ["f1", "f2"], 1024, 3)
-        finally:
-            sys.setswitchinterval(interval)
+        ser.correlation_coefficient(1, c, "f1", "f2", 1024, 3)
+        ser.quantum_coefficient(1, 0.05, c, ["f1", "f2"], 1024, 3)
+        ser.order1_correction_oracle(ser.EvalContext(params, qtable,
+                                                     smearings),
+                                     "f1", "f2", "g", 1024, 3)
+        assert threads and all(t is threading.main_thread()
+                               for t in threads)
         assert len(built) == 2 and len(set(built)) == 2
-        assert set(c._field_tables) == {"f1", "f2"}
 
 
 class TestKernelBinding:
