@@ -29,14 +29,15 @@ from .errors import (ConfigError, DegenerateConfiguration, GridTooCoarse,
                      InvalidExponent, OutOfDomain, StochSGError)
 
 MIN_GRID_N = 256
+MAX_GRID_N = 4096   # the doubled grid's FFT: 8192^2 complex128, 1 GiB
 MIN_P_HAT = 1.0
 _TAIL_REL_FLOOR = 1e-16   # tail_bound stops below this share of its sum
 _TAIL_MAX_N = 400
 
 
 def valid_grid_n(grid_n: int) -> bool:
-    """Conditioning grids are powers of two, at least MIN_GRID_N."""
-    return grid_n >= MIN_GRID_N and not grid_n & (grid_n - 1)
+    """Conditioning grids are powers of two in [MIN_GRID_N, MAX_GRID_N]."""
+    return MIN_GRID_N <= grid_n <= MAX_GRID_N and not grid_n & (grid_n - 1)
 
 
 @dataclass(frozen=True)
@@ -94,7 +95,8 @@ def conditioning_constants(p: ker.ModelParams, grid_n: int = 256,
     if the scale 4 mu_ref^2 of H0 is not a positive finite number.
     """
     if not valid_grid_n(grid_n):
-        raise ValueError(f"grid_n must be a power of two >= {MIN_GRID_N}")
+        raise ValueError(f"grid_n must be a power of two in "
+                         f"[{MIN_GRID_N}, {MAX_GRID_N}]")
     if kernel_pair is None:
         if p.m <= 0:
             raise ValueError("conditioning requires a massive model")

@@ -99,6 +99,9 @@ def common_options(fn):
         except (StochSGError, ArithmeticError) as exc:
             click.echo(f"numeric failure: {exc}", err=True)
             sys.exit(2)
+        except MemoryError as exc:
+            click.echo(f"numeric failure: out of memory: {exc}", err=True)
+            sys.exit(2)
     return wrapper
 
 

@@ -159,18 +159,25 @@ def _check_ranges(qtable: QTableConfig, quad: QuadConfig, mcc: McConfig,
     _require(min(hbars, default=0.0) >= 0, "quantum_hbars must be >= 0")
     _require(bool(orders) or not hbars,
              "quantum_hbars needs at least one entry in orders")
-    _require(qtable.budget >= ker.MIN_Q_BUDGET,
-             f"qtable.budget must be >= {ker.MIN_Q_BUDGET}")
+    _require(ker.MIN_Q_BUDGET <= qtable.budget <= ker.MAX_Q_BUDGET,
+             f"qtable.budget must be in [{ker.MIN_Q_BUDGET}, "
+             f"{ker.MAX_Q_BUDGET}]")
     _require(min(qtable.n_t, qtable.n_x) >= ker.MIN_TABLE_NODES,
              f"qtable.n_t and qtable.n_x must be >= {ker.MIN_TABLE_NODES}")
+    _require(qtable.n_t ** 2 * qtable.n_x <= ker.MAX_TABLE_ENTRIES,
+             f"qtable.n_t^2 * qtable.n_x must be <= {ker.MAX_TABLE_ENTRIES}")
     _require(qtable.interp in ker.INTERP_METHODS,
              f"qtable.interp must be one of {ker.INTERP_METHODS}")
-    _require(quad.budget >= qd.MIN_BUDGET,
-             f"quad.budget must be >= {qd.MIN_BUDGET}")
+    _require(qd.MIN_BUDGET <= quad.budget <= qd.MAX_BUDGET,
+             f"quad.budget must be in [{qd.MIN_BUDGET}, {qd.MAX_BUDGET}]")
     _require(quad.p_hat >= 0, "quad.p_hat must be >= 0")
-    _require(min(quad.leg_nodes, quad.pair_nodes) >= ker.MIN_SMEARING_NODES,
-             "quad.leg_nodes and quad.pair_nodes must be >= "
-             f"{ker.MIN_SMEARING_NODES}")
+    _require(ker.MIN_SMEARING_NODES <= quad.leg_nodes <= ker.MAX_LEG_NODES,
+             f"quad.leg_nodes must be in [{ker.MIN_SMEARING_NODES}, "
+             f"{ker.MAX_LEG_NODES}]")
+    _require(ker.MIN_SMEARING_NODES <= quad.pair_nodes
+             <= ker.MAX_PAIR_NODES,
+             f"quad.pair_nodes must be in [{ker.MIN_SMEARING_NODES}, "
+             f"{ker.MAX_PAIR_NODES}]")
     check_seed(quad.seed, "quad.seed")
     check_seed(mcc.seed, "mc.seed")
     _require(mcc.dt > 0, "mc.dt must be > 0")
@@ -181,7 +188,8 @@ def _check_ranges(qtable: QTableConfig, quad: QuadConfig, mcc: McConfig,
     _require(mcc.boundary in mc.BOUNDARIES,
              f"mc.boundary must be one of {mc.BOUNDARIES}")
     _require(bnd.valid_grid_n(boundsc.grid_n),
-             f"bounds.grid_n must be a power of two >= {bnd.MIN_GRID_N}")
+             f"bounds.grid_n must be a power of two in [{bnd.MIN_GRID_N}, "
+             f"{bnd.MAX_GRID_N}]")
     _require(boundsc.p_hat >= bnd.MIN_P_HAT,
              f"bounds.p_hat must be >= {bnd.MIN_P_HAT}")
 

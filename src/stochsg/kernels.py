@@ -438,8 +438,18 @@ def covariance_q(z: SpacetimePoint, zp: SpacetimePoint, p: ModelParams,
 # ---------------------------------------------------------------------------
 
 MIN_TABLE_NODES = 4
+MAX_TABLE_ENTRIES = 2 ** 28     # n_t^2 n_x: 2 GiB of float64
 MIN_Q_BUDGET = 1
+# a pool task reads _Q_CHUNK x round(sqrt(budget))^2 inner nodes: at most
+# 2 GiB of float64
+MAX_Q_BUDGET = 2 ** 15
 MIN_SMEARING_NODES = 1  # Gauss-Legendre nodes per axis of weighted_nodes
+# The largest arrays read n^2 nodes per point, and a Q read stacks three
+# coordinates for each: the order-1 oracle's Q leg sums at the default
+# 4096 quadrature points (1.5 GiB at 128 nodes per axis) and a scalar
+# pair's (2n)^2 x (2n)^2 node matrix (1.9 GiB at 48).
+MAX_LEG_NODES = 128
+MAX_PAIR_NODES = 48
 INTERP_METHODS = ("linear", "cubic")
 _Q_CHUNK = 8192     # table entries per pool task
 _QTBL_MAGIC = b"QTBL"

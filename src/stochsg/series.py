@@ -163,12 +163,15 @@ class _BatchCache:
     Terms of a summed integrand share vertices, so the kernel values at
     vertex pairs (the diagonal Q included) and the leg fields at vertices
     are computed once per batch, the fields through ``EvalContext.field``.
+    ``weights`` (N, n) holds the interaction smearing at each vertex.
     """
 
-    def __init__(self, ctx: EvalContext, pts: np.ndarray):
+    def __init__(self, ctx: EvalContext, pts: np.ndarray,
+                 weights: np.ndarray):
         self.ctx = ctx
         self.t = pts[:, :, 0]
         self.x = pts[:, :, 1]
+        self.weights = weights
         self._store: dict = {}
 
     def _memo(self, key: tuple, compute):
@@ -193,8 +196,7 @@ class _BatchCache:
 
     def vertex_weight(self, i: int):
         """The interaction smearing at vertex i."""
-        g = self.ctx.smearings[self.ctx.interaction]
-        return self._memo(("w", i), lambda: g(self.t[:, i], self.x[:, i]))
+        return self.weights[:, i]
 
 
 def _linear(parts, value):
@@ -323,21 +325,34 @@ def _sum_spec(ctx: EvalContext, integrands, n_vertices: int,
     """The summed integrand of terms with n_vertices vertices, with the
     |z_0 - z_1|^(-2 alpha) pair mapped if alpha is given.  Its envelope is
     the first-order error sum_key delta |sum of the derivatives| plus the
-    higher-order bounds."""
+    higher-order bounds.
+
+    Every term carries the interaction smearing of each vertex as a factor,
+    so the terms are evaluated only on the live rows, where every vertex
+    lies in supp g; value and envelope are exactly 0 on the other rows.
+    A non-finite term value at a dead row (an overflow far from supp g)
+    therefore contributes 0 rather than making evaluate_terms raise."""
+    g = ctx.smearings[ctx.interaction]
+
     def fn(pts):
-        cache = _BatchCache(ctx, pts)
-        total = np.zeros(pts.shape[0], dtype=complex)
-        envelope = np.zeros(pts.shape[0])
+        weights = g(pts[:, :, 0], pts[:, :, 1])
+        live = np.all(weights != 0.0, axis=1)
+        cache = _BatchCache(ctx, pts[live], weights[live])
+        total = np.zeros(cache.t.shape[0], dtype=complex)
+        envelope = np.zeros(cache.t.shape[0])
         derivatives: dict[tuple, list] = {}
-        for g in integrands:
-            out, parts, higher = g(cache)
+        for term in integrands:
+            out, parts, higher = term(cache)
             total = total + out
             for key, delta, d in parts:
                 derivatives.setdefault(key, [delta, 0.0])[1] += d
             envelope += higher
         for delta, d in derivatives.values():
             envelope += delta * np.abs(d)
-        return total, envelope
+        value = np.zeros(pts.shape[0], dtype=complex)
+        bound = np.zeros(pts.shape[0])
+        value[live], bound[live] = total, envelope
+        return value, bound
     pairs = ()
     if alpha is not None and n_vertices >= 2:
         pairs = (qd.SingularPair(0, 1, alpha),)

@@ -229,6 +229,13 @@ class TestConfigRanges:
          [{"center": [0.35, -0.25], "radius": 1e-300, "amplitude": 1.0}]),
         # the importance map samples |d|^(-alpha p_hat), alpha p_hat >= 0
         ("corr", "quad", "p_hat", -1.0),
+        # sizes whose arrays cannot be allocated
+        ("corr", "quad", "leg_nodes", 100000),
+        ("corr", "quad", "pair_nodes", 100000),
+        ("corr", "quad", "budget", 2 ** 40),
+        ("compute-q", "qtable", "n_t", 100000),
+        ("bounds", "bounds", "grid_n", 2 ** 40),
+        ("compute-q", "qtable", "budget", 2 ** 40),
     ])
     def test_out_of_range_is_config_error(self, tmp_path, command, section,
                                           key, value):
@@ -278,6 +285,19 @@ class TestConfigRanges:
         except ConfigError:
             return
         assert all(math.isfinite(x) for x in _reals(cfg))
+
+    def test_out_of_memory_is_numeric_failure(self, workdir, monkeypatch):
+        # a combination of sizes no single limit refuses can still run out
+        # of memory: exit 2 with a message, no traceback
+        tmp, cfg = workdir
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError("Unable to allocate 74.5 GiB")
+        monkeypatch.setattr(ker, "build_q_table", exhausted)
+        res = _run(["compute-q", "--config", cfg, "--out", str(tmp)])
+        assert res.exit_code == 2
+        assert "numeric failure: out of memory" in res.output
+        assert "Traceback" not in res.output
 
     def test_quantum_hbars_need_an_order(self, tmp_path):
         bad = _mutated(None, "orders", [])

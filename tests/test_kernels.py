@@ -1,9 +1,8 @@
 import math
 import os
 import struct
-import sys
 import tempfile
-import time
+import threading
 import warnings
 
 import numpy as np
@@ -385,27 +384,22 @@ class TestQTable:
                 ker.build_q_table(params.with_(mu=1e308), 4, 4, 16)
 
     def test_spline_coeffs_filled_once(self, qtable, monkeypatch):
-        # more workers than cores and a short switch interval: the table
-        # is prefiltered once, when it is made, and never by a read
+        # the table is prefiltered once, on the thread that makes it, and
+        # never by a read, however many pool threads read it
         monkeypatch.setenv("WORKERS", "8")
         prefilter = ker._spline_coeffs
         calls = []
 
         def counted(values, order):
-            calls.append(order)
-            time.sleep(0.05)
+            calls.append((order, threading.current_thread()))
             return prefilter(values, order)
         monkeypatch.setattr(ker, "_spline_coeffs", counted)
         fresh = ker.QTable(qtable.time_grid, qtable.space_offset_grid,
                            qtable.values, qtable.params)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            got = ker.parallel_map(
-                lambda k: fresh.interp(0.1, 0.0, 0.2, 0.1), range(8))
-        finally:
-            sys.setswitchinterval(interval)
-        assert calls == [3]
+        assert calls == [(3, threading.main_thread())]
+        got = ker.parallel_map(
+            lambda k: fresh.interp(0.1, 0.0, 0.2, 0.1), range(8))
+        assert len(calls) == 1
         assert all(g == qtable.interp(0.1, 0.0, 0.2, 0.1) for g in got)
 
     def test_nodes_reproduced(self, params, qtable):

@@ -155,6 +155,103 @@ class TestWorkers:
         assert len(built) == 2 and len(set(built)) == 2
 
 
+def _two_leg_spec(ctx, hbar):
+    """The summed order-2 integrand of the two-leg coefficient at hbar, as
+    evaluate_terms builds it, with its parts for an unmasked evaluation."""
+    if hbar == 0.0:
+        p, alpha = ctx.params, None
+        terms = alg.classical_term(2, 2, ["f1", "f2"])
+    else:
+        p = ctx.params.with_(hbar=hbar)
+        alpha = p.alpha
+        terms = alg.collected_raw_list(
+            alg.bogoliubov_generators(2, ["f1", "f2"]))
+    fns = [ser._integrand(ctx, p, t) for t in terms
+           if not t.free_legs and t.n_vertices == 2]
+    return ser._sum_spec(ctx, fns, 2, alpha), fns
+
+
+class TestLiveRows:
+    @pytest.mark.parametrize("hbar", [0.0, 0.1])
+    def test_live_rows_match_unmasked_evaluation(self, ctx, smearings, hbar):
+        # the terms evaluated on every row of a batch give the same bits
+        # on the rows where both vertices lie in supp g, and 0 elsewhere
+        spec, fns = _two_leg_spec(ctx, hbar)
+        assert bool(spec.singular_pairs) == (hbar > 0)
+        r = qd._lattice_points(1024, 4, np.full(4, 0.3))
+        pts, _ = qd._map_points(r, spec, 1.5)
+        value, envelope = spec.fn(pts)
+
+        weights = smearings["g"](pts[:, :, 0], pts[:, :, 1])
+        cache = ser._BatchCache(ctx, pts, weights)
+        total, bound, derivatives = 0.0, 0.0, {}
+        for fn in fns:
+            out, parts, higher = fn(cache)
+            total = total + out
+            bound = bound + higher
+            for key, delta, d in parts:
+                derivatives.setdefault(key, [delta, 0.0])[1] += d
+        for delta, d in derivatives.values():
+            bound = bound + delta * np.abs(d)
+
+        live = np.all(weights != 0.0, axis=1)
+        assert 0 < live.sum() < live.size
+        assert np.array_equal(value[live], total[live])
+        assert np.array_equal(envelope[live], bound[live])
+        assert np.any(envelope[live] > 0)
+        assert np.all(value[~live] == 0.0) and np.all(envelope[~live] == 0.0)
+
+    def test_kernels_read_only_live_rows(self, params, qtable, smearings,
+                                         monkeypatch):
+        # every H, DeltaR and DeltaA evaluation inside a batch gets the
+        # batch's live rows, not the 1024 rows of the lattice
+        monkeypatch.setenv("WORKERS", "1")
+        c = ser.EvalContext(params, qtable, smearings, leg_nodes=12,
+                            pair_nodes=12)
+        ser.quantum_coefficient(2, 0.1, c, ["f1", "f2"], 1024, 5)
+        events = []   # ("batch", live rows) and (kernel, rows read)
+
+        class Recording(ser._BatchCache):
+            def __init__(self, ctx, pts, *weights):
+                events.append(("batch", len(pts)))
+                super().__init__(ctx, pts, *weights)
+
+        difference_kernel = ker.difference_kernel
+
+        def recorder(symbol, p):
+            diff = difference_kernel(symbol, p)
+
+            def recorded(dt, dx):
+                events.append((symbol, np.shape(dt)[0]))
+                return diff(dt, dx)
+            return recorded
+        monkeypatch.setattr(ser, "_BatchCache", Recording)
+        monkeypatch.setattr(ker, "difference_kernel", recorder)
+        ser.quantum_coefficient(2, 0.1, c, ["f1", "f2"], 1024, 5)
+
+        batches = [n for kind, n in events if kind == "batch"]
+        assert batches and max(batches) < 1024
+        assert {kind for kind, _ in events} >= {"H", "DeltaR", "DeltaA"}
+        live = None
+        for kind, n in events:
+            if kind == "batch":
+                live = n
+            else:
+                assert n == live
+
+    def test_vanishing_interaction(self, params, qtable, smearings):
+        # every row is dead: orders 1 and 2 read 0 with error 0
+        sm = dict(smearings)
+        sm["g"] = ker.SmearingFunction.bump(0.0, 0.0, 0.5, amplitude=0.0,
+                                            name="g")
+        c = ser.EvalContext(params, qtable, sm)
+        for n in (1, 2):
+            for hbar in (0.0, 0.1):
+                r = ser.quantum_coefficient(n, hbar, c, ["f1", "f2"], 1024,
+                                            7).value
+                assert r.value == 0.0 and r.error == 0.0
+
+
 class TestKernelBinding:
     def test_q_is_the_table(self, ctx, qtable):
         assert ctx.kernel("Q") == qtable.interp
