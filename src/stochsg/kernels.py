@@ -22,8 +22,6 @@ from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy import ndimage
-from scipy.special import j0 as _j0, k0 as _k0, y0 as _y0
 
 from .errors import (ConfigError, EvalOnLightcone, NonFiniteValue,
                      OutOfDomain, QTableFormatError)
@@ -107,6 +105,7 @@ def chi_cutoff(t, T: float, width: float = 1.0):
 
 def retarded_massive(t, x, m: float, sign: float = -1.0):
     """sign * 1/2 * J0(m sqrt(t^2 - x^2)) on the closed future cone."""
+    from scipy.special import j0 as _j0
     if m < 0:
         raise ValueError("mass must be nonnegative")
     inside = in_future_cone(t, x)
@@ -151,6 +150,7 @@ def hadamard_massive(t, x, m: float, floor: float = LIGHTCONE_FLOOR,
     Spacelike separation gives K0 of a real argument; timelike separation
     uses Re K0(i m s) = -(pi/2) Y0(m s).
     """
+    from scipy.special import k0 as _k0, y0 as _y0
     if m <= 0:
         raise ValueError("hadamard_massive needs m > 0; use hadamard_massless")
     if check:
@@ -363,6 +363,7 @@ def _gl_nodes(lo, hi, n):
 
 def _q_segment(t, x, tp, xp, p: ModelParams, lo, hi, n_outer: int, n_inner: int):
     """Integral of chi^2 * Delta^R Delta^R over t-hat in [lo, hi], vectorized."""
+    from scipy.special import j0 as _j0
     th, wout = _gl_nodes(lo, hi, n_outer)              # (..., n_outer)
     chi2 = chi_cutoff(th, p.t_switch, p.chi_width) ** 2
     dt1 = t[..., None] - th
@@ -444,14 +445,23 @@ MIN_Q_BUDGET = 1
 # 2 GiB of float64
 MAX_Q_BUDGET = 2 ** 15
 MIN_SMEARING_NODES = 1  # Gauss-Legendre nodes per axis of weighted_nodes
-# The largest arrays read n^2 nodes per point, and a Q read stacks three
-# coordinates for each: the order-1 oracle's Q leg sums at the default
-# 4096 quadrature points (1.5 GiB at 128 nodes per axis) and a scalar
-# pair's (2n)^2 x (2n)^2 node matrix (1.9 GiB at 48).
+# The largest arrays hold one float64 per (point, node): the H, H0, DeltaR
+# and DeltaA node sums of the evaluator and the order-1 oracle's
+# smeared_adv at the default 4096 quadrature points (0.5 GiB at 128^2
+# nodes of a one-bump leg), and a non-Q scalar pair's (2n)^2 x (2n)^2 node
+# matrix (0.6 GiB at 48).  Q node sums go through QTable.leg_sum, whose
+# arrays _LEG_SUM_BLOCK bounds.
 MAX_LEG_NODES = 128
 MAX_PAIR_NODES = 48
 INTERP_METHODS = ("linear", "cubic")
 _Q_CHUNK = 8192     # table entries per pool task
+# float64 entries per array of a QTable.leg_sum block (8 MiB).  The tap
+# arrays, (queries, taps, node positions, taps), stay within it; the
+# coefficients summed over the node taps, (n_t, node positions, n_x),
+# exceed it only when one position does: n_t * n_x <= MAX_TABLE_ENTRIES /
+# MIN_TABLE_NODES = 2^26 entries (0.5 GiB) at any table shape the config
+# accepts
+_LEG_SUM_BLOCK = 2 ** 20
 _QTBL_MAGIC = b"QTBL"
 _QTBL_VERSION = 2
 _QTBL_HEAD = 20 + 80    # "<4sIIII", then 10 float64
@@ -462,18 +472,49 @@ def _spline_coeffs(values: np.ndarray, order: int) -> np.ndarray:
     """Prefiltered tensor B-spline coefficients of gridded values."""
     if order == 1:
         return values
+    from scipy import ndimage
     return ndimage.spline_filter(values, order=order, mode="mirror")
 
 
 def _spline_read(coeffs: np.ndarray, coords, order: int) -> np.ndarray:
     """The spline with prefiltered ``coeffs`` at fractional grid
     coordinates, one array per axis, each clipped to the grid."""
+    from scipy import ndimage
     coords = np.stack([np.clip(c, 0, n - 1)
                        for c, n in zip(coords, coeffs.shape)])
     shape = coords.shape[1:]
     out = ndimage.map_coordinates(coeffs, coords.reshape(len(coords), -1),
                                   order=order, mode="mirror", prefilter=False)
     return out.reshape(shape)
+
+
+def _grid_coords(v, grid: np.ndarray) -> np.ndarray:
+    """Fractional coordinates of v on a uniform grid; OutOfDomain where v
+    lies beyond either end by more than 1e-9 of a cell."""
+    c = (np.asarray(v, dtype=float) - grid[0]) / (grid[1] - grid[0])
+    if np.any(c < -1e-9) or np.any(c > len(grid) - 1 + 1e-9):
+        raise OutOfDomain("Q table query outside the tabulated box")
+    return c
+
+
+def _spline_taps(c, n: int, order: int):
+    """(indices, weights), each (..., order + 1): the taps of the tensor
+    B-spline along one axis of n nodes at grid coordinates c, clipped to the
+    grid and mirrored at its ends as in _spline_read."""
+    c = np.clip(c, 0, n - 1)
+    base = np.floor(c)
+    x = c - base
+    if order == 1:
+        w = np.stack([1.0 - x, x], axis=-1)
+    else:
+        z = 1.0 - x
+        w0 = z * z * z / 6.0
+        w1 = (x * x * (x - 2.0) * 3.0 + 4.0) / 6.0
+        w2 = (z * z * (z - 2.0) * 3.0 + 4.0) / 6.0
+        w = np.stack([w0, w1, w2, 1.0 - w0 - w1 - w2], axis=-1)
+        base -= 1
+    idx = np.abs(base.astype(np.intp)[..., None] + np.arange(order + 1))
+    return np.where(idx > n - 1, 2 * (n - 1) - idx, idx), w
 
 
 @dataclass
@@ -505,19 +546,59 @@ class QTable:
         """Q(z, z') with z = (t, x), z' = (tp, xp); raises OutOfDomain."""
         t, x, tp, xp = np.broadcast_arrays(*map(np.asarray, (t, x, tp, xp)))
         tg, dg = self.time_grid, self.space_offset_grid
-        st = tg[1] - tg[0]
-        sd = dg[1] - dg[0]
-        it = (np.asarray(t, dtype=float) - tg[0]) / st
-        jt = (np.asarray(tp, dtype=float) - tg[0]) / st
-        kd = (np.asarray(x, dtype=float) - np.asarray(xp, dtype=float)
-              - dg[0]) / sd
-        eps = 1e-9
-        if (np.any(it < -eps) or np.any(it > len(tg) - 1 + eps)
-                or np.any(jt < -eps) or np.any(jt > len(tg) - 1 + eps)
-                or np.any(kd < -eps) or np.any(kd > len(dg) - 1 + eps)):
-            raise OutOfDomain("Q table query outside the tabulated box")
-        return _spline_read(self._coeffs, (it, jt, kd),
-                            self.spline_order)
+        coords = (_grid_coords(t, tg), _grid_coords(tp, tg),
+                  _grid_coords(np.asarray(x, dtype=float)
+                               - np.asarray(xp, dtype=float), dg))
+        return _spline_read(self._coeffs, coords, self.spline_order)
+
+    def leg_sum(self, t, x, pts, w):
+        """sum_j w_j Q((t, x), y_j) over the rows y_j of ``pts``: the spline
+        of interp summed over the nodes, raising OutOfDomain where interp
+        would at some (query, node) pair.
+
+        The node-time taps and weights are contracted with the spline
+        coefficients once per distinct node position x_j, so each query
+        reads 16 of those sums per distinct x_j instead of 64 taps per node
+        (4 and 8 for the linear spline).  Queries and positions go in
+        blocks of at most _LEG_SUM_BLOCK entries per array."""
+        t, x = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.asarray(x, dtype=float))
+        shape, t, x = t.shape, t.ravel(), x.ravel()
+        tg, dg = self.time_grid, self.space_offset_grid
+        n_t, n_x, order = len(tg), len(dg), self.spline_order
+        it = _grid_coords(t, tg)
+        jt = _grid_coords(pts[:, 0], tg)
+        node_x, col = np.unique(pts[:, 1], return_inverse=True)
+        nidx, nw = _spline_taps(jt, n_t, order)
+        nw = nw * w[:, None]
+        k = order + 1
+        per_block = max(1, min(node_x.size,
+                               _LEG_SUM_BLOCK // (n_t * n_x)))
+        rows = max(1, _LEG_SUM_BLOCK // (k * k * per_block))
+        out = np.zeros(t.size)
+        for m0 in range(0, node_x.size, per_block):
+            mb = min(per_block, node_x.size - m0)
+            mine = (col >= m0) & (col < m0 + mb)
+            # taps[q, m]: node weight at node-time tap q and offset m
+            taps = np.bincount(
+                (nidx[mine] * mb + (col[mine] - m0)[:, None]).ravel(),
+                nw[mine].ravel(), n_t * mb).reshape(n_t, mb)
+            # summed[p, m, r] = sum_q coeffs[p, q, r] taps[q, m]
+            summed = np.matmul(taps.T, self._coeffs).ravel()
+            for lo in range(0, t.size, rows):
+                sl = slice(lo, lo + rows)
+                kd = _grid_coords(x[sl, None] - node_x[m0:m0 + mb], dg)
+                ridx, rw = _spline_taps(kd, n_x, order)
+                ridx += np.arange(mb)[:, None] * n_x
+                pidx, pw = _spline_taps(it[sl], n_t, order)
+                vals = summed[(pidx * (mb * n_x))[:, :, None, None]
+                              + ridx[:, None]]
+                # the offset and time taps of each (query, x_j) first,
+                # then a pairwise sum over the x_j
+                per_x = np.einsum("irs,is->ir", np.einsum(
+                    "isru,iru->irs", vals, rw), pw)
+                out[sl] += np.sum(per_x, axis=1)
+        return out.reshape(shape)
 
     def diag(self, t, x):
         return self.interp(t, x, t, x)
@@ -623,6 +704,7 @@ def tabulate_field(fn, box: tuple[float, float, float, float],
     the mirror-boundary spline lie outside the box.  fn is evaluated on at
     most ``batch`` nodes at a time, at node coordinates clipped to
     ``domain``, the box in which fn is defined."""
+    from scipy import ndimage
     cells = FIELD_NODES - 1 - 2 * FIELD_PAD
     k = np.arange(-FIELD_PAD, FIELD_NODES - FIELD_PAD)
     st = (box[1] - box[0]) / cells

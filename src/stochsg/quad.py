@@ -22,8 +22,9 @@ from .results import QuadResult
 N_SHIFTS = 8
 _KOROBOV_A = 1664525  # odd, so coprime with power-of-two lattice sizes
 MIN_BUDGET = 1 << 10
-# the order-1 oracle's Q read at the default 24^2 leg nodes per point
-# stacks 3 x 2^17 x 576 float64: 1.7 GiB
+# the H, H0, DeltaR and DeltaA node sums (the evaluator's and the order-1
+# oracle's smeared_adv) hold 2^17 x 576 float64 at the default 24^2 leg
+# nodes per point: 0.56 GiB
 MAX_BUDGET = 1 << 17
 _POWER_FLOOR = 1e-10  # smallest |d| the power map samples, over its half
 

@@ -103,14 +103,21 @@ class EvalContext:
 
     # -- pointwise building blocks -----------------------------------------
 
-    def smeared_kernel(self, basis: str, leg_name: str, t, x):
-        """(K f)(z) = sum_j w_j K(z, y_j) for a single basis kernel."""
-        pts, w = self.nodes(leg_name)
+    def node_sum(self, basis: str, t, x, pts, w):
+        """sum_j w_j K(z, y_j) at z = (t, x) over the rows y_j of ``pts``:
+        Q contracts the table's spline once per node set
+        (QTable.leg_sum), the other kernels are summed node by node."""
+        if basis == "Q":
+            return self.table.leg_sum(t, x, pts, w)
         t = np.asarray(t, dtype=float)
         x = np.asarray(x, dtype=float)
         vals = self.kernel(basis)(t[..., None], x[..., None],
                                   pts[None, :, 0], pts[None, :, 1])
         return np.sum(w * vals, axis=-1)
+
+    def smeared_kernel(self, basis: str, leg_name: str, t, x):
+        """(K f)(z) = sum_j w_j K(z, y_j) for a single basis kernel."""
+        return self.node_sum(basis, t, x, *self.nodes(leg_name))
 
     def field(self, basis: str, leg_name: str):
         """(field, bound) of the leg field (K f)(z), built once.  Q is
@@ -145,10 +152,8 @@ class EvalContext:
 
         def val(order):
             ppts, pw = self.nodes(p_name, order)
-            qpts, qw = self.nodes(q_name, order)
-            mat = self.kernel(basis)(ppts[:, None, 0], ppts[:, None, 1],
-                                     qpts[None, :, 0], qpts[None, :, 1])
-            return complex(pw @ mat @ qw)
+            return complex(pw @ self.node_sum(basis, ppts[:, 0], ppts[:, 1],
+                                              *self.nodes(q_name, order)))
         fine = val(2 * self.pair_nodes)
         coarse = val(self.pair_nodes)
         err = abs(fine - coarse) + 1e-15 * abs(fine)

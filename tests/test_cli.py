@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import os
+import subprocess
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -704,12 +706,15 @@ class TestCommands:
     # recorded before the coefficient pipelines were folded into one routine;
     # correlation.csv and compare.csv re-recorded when the Q leg fields
     # became tables with an error bound; mc.csv and compare.csv re-recorded
-    # when the MC drew noise only on the cells its Psi_0 solve reads
+    # when the MC drew noise only on the cells its Psi_0 solve reads;
+    # correlation.csv and compare.csv re-recorded when Q node sums began to
+    # contract the spline once per node set (values move by 2e-16
+    # relative, errors by 6e-14)
     PINNED_OUTPUTS = {
         "expectation.csv":
         "3c381b767d7854126f3a4a81b82bd008cdba6feeb843fcd5c9607a1239763308",
         "correlation.csv":
-        "d358c83d8331a426bd57274a544596fc57bfa8e72014670f6695fc06ee870df4",
+        "63684edf08187734589c10d4eba312f4847b2913b0a145565e34f4857d85ea5a",
         "mc.csv":
         "154349058e88cc9fa6741f685dbe6dba3dca99d6b87b922b58dab7f926755e5b",
         "bounds.csv":
@@ -717,7 +722,7 @@ class TestCommands:
         "bounds.json":
         "329065d2fe84f353bbdb48340c4a1678413617503e7dcccecf6e6d534e2e9e71",
         "compare.csv":
-        "4c2bcf2b9409f4cf3ca850be361d85a90e477b6410bc317c7dfd53bf50cd1560",
+        "0659dafdc4f04fdfc97497047687e37ab84f733c24c1352928cbfac3dcd7a985",
     }
 
     def test_outputs_pinned(self, tmp_path):
@@ -733,12 +738,15 @@ class TestCommands:
 
     # sha256 of each series output on BASE_CONFIG with orders [0, 1, 2],
     # quantum_hbars [0.1] and bounds.orders [0, 1, 2]: the order-2 terms
-    # are the first with a pair exponent at finite hbar
+    # are the first with a pair exponent at finite hbar; expectation.csv
+    # and correlation.csv re-recorded when Q node sums began to contract
+    # the spline once per node set (each complex value moves by 2.1e-15 of
+    # its modulus or less)
     ORDER2_QUANTUM_OUTPUTS = {
         "expectation.csv":
-        "414f254a5f5ab27dff8c0c08c24e5050fec6a4fb853c4cb30f9b6b6c58a8c4e5",
+        "c4ca08f1fca80b71b16e488d186c7d76623f45b15283028c3082e29fa67d9099",
         "correlation.csv":
-        "25a1ee57bb7487d187c1a3096bd06faa9f9a915cd2346c985311aced36b1d722",
+        "c12cc5c5892c6d17c673aa928b3efb0d979680be386a63112aa7f8fba428aa75",
         "bounds.csv":
         "07e34f975ae1076d7de6e98c569506818f0b83258fd9749e9df4ebfa87797b33",
     }
@@ -770,6 +778,31 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         text = (tmp_path / "mc.csv").read_bytes()
         assert hashlib.sha256(text).hexdigest() == self.MC_ORDER2_SHA256
+
+    def test_mc_compare_expand_do_not_load_scipy(self, workdir):
+        # each stage is a fresh process: the three that call no scipy
+        # function must not pay for importing it
+        tmp, cfg = workdir
+        out = str(tmp / "out")
+        for cmd in ("coeff", "corr"):
+            assert _run([cmd, "--config", cfg, "--out", out]).exit_code == 0
+        script = (
+            "import sys\n"
+            "from stochsg.cli import main\n"
+            "for cmd in ('mc', 'compare', 'expand'):\n"
+            "    main([cmd, '--config', sys.argv[1], '--out', sys.argv[2]],\n"
+            "         standalone_mode=False)\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] == 'scipy'))\n")
+        src = os.path.dirname(os.path.dirname(ker.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        res = subprocess.run([sys.executable, "-c", script, cfg, out],
+                             capture_output=True, text=True, env=env)
+        assert res.returncode == 0, res.stderr
+        assert res.stdout.splitlines()[-1] == "[]"
+        assert (tmp / "out" / "compare.csv").exists()
+        assert (tmp / "out" / "expand_order2_field.json").exists()
 
     @pytest.mark.parametrize("leg2", ["f2", "g"])
     def test_interaction_is_bound_by_name(self, workdir, leg2):

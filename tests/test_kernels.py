@@ -497,6 +497,97 @@ class TestQTable:
             ker.build_q_table(params, n_t=3, n_x=8)
 
 
+def _interp_sum(table, t, x, pts, w):
+    """sum_j w_j Q((t, x), y_j) read pointwise through QTable.interp."""
+    return np.sum(w * table.interp(t[..., None], x[..., None],
+                                   pts[:, 0], pts[:, 1]), axis=-1)
+
+
+# a two-bump mixture whose node times and offsets form no single tensor grid
+TWO_BUMPS = SmearingFunction((
+    ker.BumpComponent(SpacetimePoint(0.3, -0.2), 0.15),
+    ker.BumpComponent(SpacetimePoint(-0.1, 0.33), 0.21, -0.7)))
+
+
+class TestLegSum:
+    @pytest.fixture(scope="class", params=["cubic", "linear"])
+    def table(self, request, qtable):
+        return ker.QTable(qtable.time_grid, qtable.space_offset_grid,
+                          qtable.values, qtable.params, request.param)
+
+    @staticmethod
+    def _queries(table, pts):
+        rng = np.random.default_rng(4)
+        mu, two_mu = table.time_grid[-1], table.space_offset_grid[-1]
+        # t = +-mu, then just past it, within interp's tolerance
+        edges = [-mu, mu, -mu - 5e-12, mu + 5e-12, -mu, mu]
+        t = np.concatenate([rng.uniform(-mu, mu, 300), edges])
+        # the last two reach both ends of the offset grid
+        x = np.concatenate([rng.uniform(-0.4, 0.4, 304),
+                            [pts[:, 1].max() - two_mu,
+                             pts[:, 1].min() + two_mu]])
+        return t, x
+
+    @pytest.mark.parametrize("leg,nodes", [
+        (SmearingFunction.bump(0.35, -0.25, 0.18), 12),
+        (TWO_BUMPS, 12),
+        (SmearingFunction.bump(0.35, -0.25, 0.18), 1),
+        (TWO_BUMPS, 1)], ids=["one-bump", "two-bumps", "one-node",
+                              "two-nodes"])
+    def test_matches_pointwise_sum(self, table, leg, nodes):
+        pts, w = leg.weighted_nodes(nodes)
+        t, x = self._queries(table, pts)
+        want = _interp_sum(table, t, x, pts, w)
+        got = table.leg_sum(t, x, pts, w)
+        scale = np.max(np.abs(want))
+        assert scale > 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-13,
+                                   atol=1e-13 * scale)
+
+    def test_blocks_do_not_change_the_sum(self, table, monkeypatch):
+        # blocks of a few offsets and queries give the one-block sum
+        pts, w = TWO_BUMPS.weighted_nodes(8)
+        t, x = self._queries(table, pts)
+        whole = table.leg_sum(t, x, pts, w)
+        n_cells = len(table.time_grid) * len(table.space_offset_grid)
+        monkeypatch.setattr(ker, "_LEG_SUM_BLOCK", 3 * n_cells)
+        np.testing.assert_allclose(table.leg_sum(t, x, pts, w), whole,
+                                   rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(whole)))
+
+    def test_shape_and_empty_leg(self, table):
+        pts, w = TWO_BUMPS.weighted_nodes(6)
+        t = np.linspace(-0.5, 0.5, 12).reshape(3, 4)
+        got = table.leg_sum(t, 0.1, pts, w)
+        assert got.shape == (3, 4)
+        np.testing.assert_allclose(
+            got, _interp_sum(table, t, np.full_like(t, 0.1), pts, w),
+            rtol=1e-13, atol=1e-13 * np.max(np.abs(got)))
+        empty = SmearingFunction.bump(0.0, 0.0, 0.2, 0.0).weighted_nodes(6)
+        assert np.array_equal(table.leg_sum(t, 0.1, *empty), np.zeros((3, 4)))
+
+    @pytest.mark.parametrize("t,x,center,raises", [
+        (0.2, 0.0, 0.3, False),
+        (1.5, 0.0, 0.3, True),
+        (1.0 + 1e-12, 0.0, 0.3, False),   # within interp's tolerance
+        (0.2, 1.95, 0.3, True),
+        (0.2, 2.5, 0.3, True),
+        (0.2, -2.5, 0.3, True),
+        (0.2, 0.0, 0.95, True),           # the leg's nodes pass t = mu
+        (0.2, 0.0, -0.95, True),
+    ])
+    def test_out_of_domain_exactly_when_interp(self, table, t, x, center,
+                                               raises):
+        pts, w = SmearingFunction.bump(center, 0.0, 0.2).weighted_nodes(8)
+        t, x = np.array([0.0, t]), np.array([0.0, x])
+        for read in (_interp_sum, type(table).leg_sum):
+            if raises:
+                with pytest.raises(OutOfDomain):
+                    read(table, t, x, pts, w)
+            else:
+                read(table, t, x, pts, w)
+
+
 class TestGqWeight:
     def _flat_table(self, params, value):
         tg = np.linspace(-1, 1, 5)

@@ -107,6 +107,28 @@ class TestFieldTables:
         assert ("Q", "f1", "f2") in ctx0._pairs
 
 
+class TestNodeSums:
+    @pytest.mark.parametrize("basis", ["Q", "H", "DeltaR"])
+    def test_pair_and_field_match_pointwise_reads(self, ctx, basis):
+        # Q sums go through QTable.leg_sum, the other kernels node by node;
+        # both give the pointwise kernel summed over the nodes
+        kernel = ctx.kernel(basis)
+        ppts, pw = ctx.nodes("f1", 12)
+        qpts, qw = ctx.nodes("f2", 12)
+        mat = kernel(ppts[:, None, 0], ppts[:, None, 1], qpts[:, 0],
+                     qpts[:, 1])
+        want = pw @ mat @ qw
+        got = pw @ ctx.node_sum(basis, ppts[:, 0], ppts[:, 1], qpts, qw)
+        assert abs(got - want) <= 1e-13 * abs(want)
+        t, x = np.linspace(-0.4, 0.4, 9), np.linspace(0.3, -0.3, 9)
+        pts, w = ctx.nodes("f2")
+        field = ctx.smeared_kernel(basis, "f2", t, x)
+        direct = np.sum(w * kernel(t[:, None], x[:, None], pts[:, 0],
+                                   pts[:, 1]), axis=-1)
+        np.testing.assert_allclose(field, direct, rtol=1e-13,
+                                   atol=1e-13 * np.max(np.abs(direct)))
+
+
 class TestWorkers:
     def test_results_do_not_depend_on_workers(self, params, qtable,
                                               smearings, monkeypatch):
