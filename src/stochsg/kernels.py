@@ -383,31 +383,28 @@ def _q_segment(t, x, tp, xp, p: ModelParams, lo, hi, n_outer: int, n_inner: int)
 
 
 def _q_values(t, x, tp, xp, p: ModelParams, n_outer: int, n_inner: int):
-    """Q(z, z') for arrays of point pairs, by nested Gauss-Legendre."""
+    """Q(z, z') for arrays of point pairs, by nested Gauss-Legendre.
+
+    Entries with t* <= T are exactly 0 and are never integrated; the outer
+    integral is split at the end of the chi ramp, and its tail runs only
+    on the entries that reach past the ramp."""
     t, x, tp, xp = np.broadcast_arrays(*map(np.asarray, (t, x, tp, xp)))
-    t = t.astype(float); x = x.astype(float)
-    tp = tp.astype(float); xp = xp.astype(float)
+    shape = t.shape
+    t, x, tp, xp = (v.astype(float).ravel() for v in (t, x, tp, xp))
     ustar = np.minimum(t - x, tp - xp)
     vstar = np.minimum(t + x, tp + xp)
     tstar = 0.5 * (ustar + vstar)
-    T = p.t_switch
-    out = np.zeros(t.shape)
-    active = tstar > T
-    if not np.any(active):
-        return out
-    ts = np.where(active, tstar, T)
-    # split the outer integral at the end of the chi ramp
-    ramp_end = np.minimum(ts, T + p.chi_width)
-    val = _q_segment(t, x, tp, xp, p, np.full_like(ts, T), ramp_end,
-                     n_outer, n_inner)
-    tail = ts > T + p.chi_width
-    if np.any(tail):
-        val = val + np.where(
-            tail,
-            _q_segment(t, x, tp, xp, p, np.full_like(ts, T + p.chi_width),
-                       ts, n_outer, n_inner),
-            0.0)
-    return np.where(active, val, 0.0)
+    T, T_end = p.t_switch, p.t_switch + p.chi_width
+    live = np.flatnonzero(tstar > T)
+    tail = np.flatnonzero(tstar > T_end)    # a subset of live: chi_width > 0
+    out = np.zeros(t.size)
+    for rows, lo, hi in ((live, T, np.minimum(tstar, T_end)),
+                         (tail, T_end, tstar)):
+        if rows.size:
+            out[rows] += _q_segment(t[rows], x[rows], tp[rows], xp[rows], p,
+                                    np.full(rows.size, lo), hi[rows],
+                                    n_outer, n_inner)
+    return out.reshape(shape)
 
 
 def covariance_q(z: SpacetimePoint, zp: SpacetimePoint, p: ModelParams,
@@ -441,20 +438,23 @@ def covariance_q(z: SpacetimePoint, zp: SpacetimePoint, p: ModelParams,
 MIN_TABLE_NODES = 4
 MAX_TABLE_ENTRIES = 2 ** 28     # n_t^2 n_x: 2 GiB of float64
 MIN_Q_BUDGET = 1
-# a pool task reads _Q_CHUNK x round(sqrt(budget))^2 inner nodes: at most
-# 2 GiB of float64
+# a table entry integrates over round(sqrt(budget))^2 inner nodes, so the
+# budget bounds the build time; the arrays of a pool task stay within
+# _Q_BLOCK floats at any budget
 MAX_Q_BUDGET = 2 ** 15
 MIN_SMEARING_NODES = 1  # Gauss-Legendre nodes per axis of weighted_nodes
-# The largest arrays hold one float64 per (point, node): the H, H0, DeltaR
-# and DeltaA node sums of the evaluator and the order-1 oracle's
-# smeared_adv at the default 4096 quadrature points (0.5 GiB at 128^2
-# nodes of a one-bump leg), and a non-Q scalar pair's (2n)^2 x (2n)^2 node
-# matrix (0.6 GiB at 48).  Q node sums go through QTable.leg_sum, whose
-# arrays _LEG_SUM_BLOCK bounds.
+# The largest array holds one float64 per (point, node) of the order-1
+# oracle's smeared_adv at the default 4096 quadrature points (0.5 GiB at
+# 128^2 nodes of a one-bump leg).  Every node sum of the evaluator, scalar
+# pairs included, works in blocks (Q through QTable.leg_sum, the other
+# kernels through EvalContext.node_sum), so for it the node limits bound
+# time: a non-Q scalar pair reads (2n)^4 kernel values, 85M at 48.
 MAX_LEG_NODES = 128
 MAX_PAIR_NODES = 48
 INTERP_METHODS = ("linear", "cubic")
-_Q_CHUNK = 8192     # table entries per pool task
+# float64 entries per (entries, outer nodes, inner nodes) array of a
+# build_q_table pool task (2 MiB): a task takes _Q_BLOCK // n^2 entries
+_Q_BLOCK = 2 ** 18
 # float64 entries per array of a QTable.leg_sum block (8 MiB).  The tap
 # arrays, (queries, taps, node positions, taps), stay within it; the
 # coefficients summed over the node taps, (n_t, node positions, n_x),
@@ -755,9 +755,10 @@ def build_q_table(p: ModelParams, n_t: int = 64, n_x: int = 128,
                   budget: int = 256, interp_method: str = "cubic") -> QTable:
     """Tabulate Q(t, t', x - x') over D_mu x D_mu.
 
-    Chunks of entries are independent, so they run on the thread pool of
-    parallel_map; the output is deterministic either way.  NonFiniteValue
-    if the grid span, a grid node or an entry is not finite.
+    Blocks of entries are independent, so they run on the thread pool of
+    parallel_map, each within _Q_BLOCK inner nodes; the output is
+    deterministic either way.  NonFiniteValue if the grid span, a grid node
+    or an entry is not finite.
     """
     if n_t < MIN_TABLE_NODES or n_x < MIN_TABLE_NODES:
         raise ValueError(f"n_t and n_x must be >= {MIN_TABLE_NODES}")
@@ -769,15 +770,16 @@ def build_q_table(p: ModelParams, n_t: int = 64, n_x: int = 128,
     T, TP, D = np.meshgrid(tgrid, tgrid, dgrid, indexing="ij")
     t = T.ravel(); tp = TP.ravel(); d = D.ravel()
     vals = np.empty(t.shape)
+    per_task = max(1, _Q_BLOCK // (n * n))
 
     def fill(lo: int):
-        sl = slice(lo, lo + _Q_CHUNK)
+        sl = slice(lo, lo + per_task)
         # an overflow shows as a non-finite entry, refused below
         with np.errstate(over="ignore", invalid="ignore"):
             vals[sl] = _q_values(t[sl], d[sl], tp[sl], np.zeros_like(d[sl]),
                                  p, n, n)
 
-    parallel_map(fill, range(0, t.size, _Q_CHUNK))
+    parallel_map(fill, range(0, t.size, per_task))
     if not all(np.isfinite(x).all() for x in (tgrid, dgrid, vals)):
         raise NonFiniteValue(f"Q table with a non-finite node or entry at {p}")
     values = vals.reshape(n_t, n_t, n_x)

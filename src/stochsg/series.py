@@ -28,6 +28,12 @@ from .results import QuadResult
 
 ALGEBRA_CONVENTION = "paper"
 MAX_ORDER = 3   # highest classical order a coefficient pipeline evaluates
+# (point, node) pairs per block of a direct node sum (512 KiB per array).
+# Blocks of 2^20 pairs map every kernel temporary afresh and fault its
+# pages in on each call: a 1024 x 576 DeltaR sum took 7.6 ms against
+# 4.0 ms at 2^16 (two threads on a 2-vCPU Xeon); a block of points gives
+# each point's sum bit for bit
+_NODE_SUM_BLOCK = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -106,14 +112,23 @@ class EvalContext:
     def node_sum(self, basis: str, t, x, pts, w):
         """sum_j w_j K(z, y_j) at z = (t, x) over the rows y_j of ``pts``:
         Q contracts the table's spline once per node set
-        (QTable.leg_sum), the other kernels are summed node by node."""
+        (QTable.leg_sum), the other kernels are summed node by node, in
+        blocks of query points of at most _NODE_SUM_BLOCK (point, node)
+        pairs."""
         if basis == "Q":
             return self.table.leg_sum(t, x, pts, w)
-        t = np.asarray(t, dtype=float)
-        x = np.asarray(x, dtype=float)
-        vals = self.kernel(basis)(t[..., None], x[..., None],
-                                  pts[None, :, 0], pts[None, :, 1])
-        return np.sum(w * vals, axis=-1)
+        t, x = np.broadcast_arrays(np.asarray(t, dtype=float),
+                                   np.asarray(x, dtype=float))
+        shape, t, x = t.shape, t.ravel(), x.ravel()
+        kernel = self.kernel(basis)
+        rows = max(1, _NODE_SUM_BLOCK // max(1, len(w)))
+        out = np.empty(t.size)
+        for lo in range(0, t.size, rows):
+            sl = slice(lo, lo + rows)
+            vals = kernel(t[sl, None], x[sl, None], pts[None, :, 0],
+                          pts[None, :, 1])
+            out[sl] = np.sum(w * vals, axis=-1)
+        return out.reshape(shape)
 
     def smeared_kernel(self, basis: str, leg_name: str, t, x):
         """(K f)(z) = sum_j w_j K(z, y_j) for a single basis kernel."""

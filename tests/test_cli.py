@@ -709,8 +709,11 @@ class TestCommands:
     # when the MC drew noise only on the cells its Psi_0 solve reads;
     # correlation.csv and compare.csv re-recorded when Q node sums began to
     # contract the spline once per node set (values move by 2e-16
-    # relative, errors by 6e-14)
+    # relative, errors by 6e-14); qtable.bin recorded before the build
+    # skipped the entries with t* <= T and ran in blocks of inner nodes
     PINNED_OUTPUTS = {
+        "qtable.bin":
+        "90aaf7d9dec513fbc04bfbe02a51cbc78fb8e37553ed1c770a37236d638fd37d",
         "expectation.csv":
         "3c381b767d7854126f3a4a81b82bd008cdba6feeb843fcd5c9607a1239763308",
         "correlation.csv":

@@ -3,6 +3,7 @@ import os
 import struct
 import tempfile
 import threading
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -302,6 +303,113 @@ class TestCovarianceQ:
         b = ker.covariance_q(z, zp, params.with_(sign_convention="green"),
                              budget=300)
         assert a.value == b.value
+
+
+def _mixed_pairs(p: ModelParams):
+    """Point pairs (t, x, tp, xp) and their meet time t*, holding entries
+    with t* <= T, with T < t* <= T + chi_width and with t* past the ramp."""
+    rng = np.random.default_rng(12)
+    t, x, tp, xp = rng.uniform(-1.0, 1.0, (4, 90))
+    tstar = 0.5 * (np.minimum(t - x, tp - xp) + np.minimum(t + x, tp + xp))
+    T, T_end = p.t_switch, p.t_switch + p.chi_width
+    for rows in (tstar <= T, (tstar > T) & (tstar <= T_end), tstar > T_end):
+        assert np.count_nonzero(rows) >= 5
+    return (t, x, tp, xp), tstar
+
+
+class TestQValues:
+    # t_switch -0.6 and chi_width 0.8 put the three kinds of entry in the
+    # batch in comparable numbers
+    @pytest.fixture(params=[0.5, 0.0], ids=["massive", "massless"])
+    def p(self, request, params):
+        return params.with_(m=request.param, chi_width=0.8)
+
+    def test_batch_equals_one_entry_at_a_time(self, p):
+        pairs, _ = _mixed_pairs(p)
+        batch = ker._q_values(*pairs, p, 8, 8)
+        single = np.array([
+            ker._q_values(*(v[i:i + 1] for v in pairs), p, 8, 8)[0]
+            for i in range(len(pairs[0]))])
+        assert batch.tobytes() == single.tobytes()
+
+    def test_inactive_entries_are_exact_zeros(self, p):
+        pairs, tstar = _mixed_pairs(p)
+        got = ker._q_values(*pairs, p, 8, 8)
+        dead = got[tstar <= p.t_switch]
+        assert np.array_equal(dead, np.zeros_like(dead))
+        assert not np.any(np.signbit(dead))
+        assert np.all(got[tstar > p.t_switch] != 0.0)
+
+    def test_segments_see_only_their_rows(self, p, monkeypatch):
+        # the ramp integrates the entries with t* > T, the tail only those
+        # with t* > T + chi_width
+        pairs, tstar = _mixed_pairs(p)
+        segment = ker._q_segment
+        seen = {}
+
+        def counted(t, x, tp, xp, p, lo, hi, n_outer, n_inner):
+            seen.setdefault(float(lo[0]), []).append(t.copy())
+            return segment(t, x, tp, xp, p, lo, hi, n_outer, n_inner)
+        monkeypatch.setattr(ker, "_q_segment", counted)
+        ker._q_values(*pairs, p, 8, 8)
+        T, T_end = p.t_switch, p.t_switch + p.chi_width
+        assert sorted(seen) == sorted([T, T_end])
+        for lo, rows in ((T, tstar > T), (T_end, tstar > T_end)):
+            [t] = seen[lo]
+            assert np.array_equal(t, pairs[0][rows])
+
+    def test_all_inactive_batch_never_integrates(self, params, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("integrated an entry with t* <= T")
+        monkeypatch.setattr(ker, "_q_segment", refuse)
+        t = np.full((2, 3), params.t_switch - 0.1)
+        got = ker._q_values(t, 0.0, t, 0.0, params, 8, 8)
+        assert got.shape == (2, 3)
+        assert np.array_equal(got, np.zeros((2, 3)))
+
+
+class TestBuildQTable:
+    def test_workers_do_not_change_the_table(self, params, monkeypatch):
+        tables = []
+        for workers in ("1", "2"):
+            monkeypatch.setenv("WORKERS", workers)
+            tables.append(ker.build_q_table(params, 8, 12, 36).values)
+        assert tables[0].tobytes() == tables[1].tobytes()
+
+    @pytest.mark.parametrize("entries", [1, 7])
+    def test_task_size_does_not_change_the_table(self, params, monkeypatch,
+                                                 entries):
+        # budget 36 integrates over 6 x 6 inner nodes per entry; 7 entries
+        # per task leave a shorter last task
+        monkeypatch.setenv("WORKERS", "2")
+        whole = ker.build_q_table(params, 6, 8, 36).values
+        monkeypatch.setattr(ker, "_Q_BLOCK", entries * 36)
+        tasks = []
+        parallel_map = ker.parallel_map
+
+        def counted(fn, items):
+            items = list(items)
+            tasks.append(len(items))
+            return parallel_map(fn, items)
+        monkeypatch.setattr(ker, "parallel_map", counted)
+        blocked = ker.build_q_table(params, 6, 8, 36).values
+        assert tasks == [-(-6 * 6 * 8 // entries)]
+        assert blocked.tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("shape,budget", [
+        ((24, 48), 256),                        # the conftest table
+        ((4, 4), ker.MAX_Q_BUDGET)])            # 181^2 inner nodes per entry
+    def test_traced_peak_is_bounded(self, params, monkeypatch, shape, budget):
+        # each pool thread holds one task of at most _Q_BLOCK inner nodes
+        # per array: about 14 MiB of temporaries per thread
+        monkeypatch.setenv("WORKERS", "2")
+        tracemalloc.start()
+        try:
+            ker.build_q_table(params, *shape, budget)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20
 
 
 @st.composite

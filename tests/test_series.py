@@ -128,6 +128,31 @@ class TestNodeSums:
         np.testing.assert_allclose(field, direct, rtol=1e-13,
                                    atol=1e-13 * np.max(np.abs(direct)))
 
+    @pytest.mark.parametrize("basis", ["H", "H0", "DeltaR", "DeltaA"])
+    def test_direct_sums_in_blocks_of_rows(self, ctx, basis, monkeypatch):
+        # blocks of 3 query rows give the one-block sums bit for bit, and no
+        # kernel call sees more than _NODE_SUM_BLOCK (point, node) pairs
+        rng = np.random.default_rng(6)
+        t, x = rng.uniform(-0.4, 0.4, (2, 4, 5))
+        pts, w = ctx.nodes("f2")
+        whole = ctx.node_sum(basis, t, x, pts, w)
+        difference_kernel = ker.difference_kernel
+        sizes = []
+
+        def sized(symbol, p):
+            k = difference_kernel(symbol, p)
+
+            def read(dt, dx):
+                sizes.append(np.broadcast(dt, dx).size)
+                return k(dt, dx)
+            return read
+        monkeypatch.setattr(ker, "difference_kernel", sized)
+        monkeypatch.setattr(ser, "_NODE_SUM_BLOCK", 3 * len(w))
+        blocked = ctx.node_sum(basis, t, x, pts, w)
+        assert blocked.shape == (4, 5)
+        assert blocked.tobytes() == whole.tobytes()
+        assert sizes == [3 * len(w)] * 6 + [2 * len(w)]
+
 
 class TestWorkers:
     def test_results_do_not_depend_on_workers(self, params, qtable,
