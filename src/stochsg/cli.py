@@ -136,11 +136,39 @@ def compute_q(config_path, out_dir, seed):
                f"max Q = {float(table.values.max())!r}")
 
 
+def _check_series_inputs(cfg: RunConfig, kind: str) -> None:
+    """ConfigError for an order the series does not evaluate, or a leg of
+    the observables of one kind that the Q table cannot read: its time
+    extent leaves [-mu, mu], or the x-extents of its observable's legs
+    span more than the 2 mu of the table's offsets.  mc evaluates such
+    legs, so parse_config accepts them."""
+    for n in cfg.orders:
+        if n > ser.MAX_ORDER:
+            raise ConfigError(f"series order {n} outside "
+                              f"[0, {ser.MAX_ORDER}]")
+    mu = cfg.params.mu
+    for obs in cfg.observables:
+        if obs.kind != kind:
+            continue
+        boxes = [cfg.smearings[l].support_box() for l in obs.legs]
+        for leg, (t0, t1, _, _) in zip(obs.legs, boxes):
+            if t0 < -mu or t1 > mu:
+                raise ConfigError(
+                    f"leg {leg!r} spans t in [{t0!r}, {t1!r}], outside the "
+                    f"Q table's time range [-mu, mu] = [{-mu!r}, {mu!r}]")
+        span = max(b[3] for b in boxes) - min(b[2] for b in boxes)
+        if span > 2 * mu:
+            raise ConfigError(
+                f"legs {list(obs.legs)} span {span!r} in x, beyond the Q "
+                f"table's offsets 2 mu = {2 * mu!r}")
+
+
 def _series_csv(config_path, out_dir, seed, kind: str, name: str) -> None:
     """Per-order classical coefficients of the observables of one kind,
     then the coefficient of the highest order at each configured quantum
     hbar, written to ``name``."""
     cfg = _load(config_path, out_dir, seed)
+    _check_series_inputs(cfg, kind)
     ctx = _context(cfg, out_dir)
     points = ([(n, 0.0) for n in cfg.orders]
               + [(max(cfg.orders), h) for h in cfg.quantum_hbars])

@@ -443,25 +443,25 @@ MIN_Q_BUDGET = 1
 # _Q_BLOCK floats at any budget
 MAX_Q_BUDGET = 2 ** 15
 MIN_SMEARING_NODES = 1  # Gauss-Legendre nodes per axis of weighted_nodes
-# The largest array holds one float64 per (point, node) of the order-1
-# oracle's smeared_adv at the default 4096 quadrature points (0.5 GiB at
-# 128^2 nodes of a one-bump leg).  Every node sum of the evaluator, scalar
-# pairs included, works in blocks (Q through QTable.leg_sum, the other
-# kernels through EvalContext.node_sum), so for it the node limits bound
-# time: a non-Q scalar pair reads (2n)^4 kernel values, 85M at 48.
+# Every node sum, scalar pairs and the order-1 oracle included, works in
+# blocks (Q through QTable.leg_sum, the other kernels through
+# EvalContext.node_sum), so the node limits bound time: a direct leg field
+# reads n^2 kernel values per quadrature point (16384 at 128), a non-Q
+# scalar pair (2n)^4, 85M at 48.
 MAX_LEG_NODES = 128
 MAX_PAIR_NODES = 48
 INTERP_METHODS = ("linear", "cubic")
 # float64 entries per (entries, outer nodes, inner nodes) array of a
 # build_q_table pool task (2 MiB): a task takes _Q_BLOCK // n^2 entries
 _Q_BLOCK = 2 ** 18
-# float64 entries per array of a QTable.leg_sum block (8 MiB).  The tap
+# float64 entries per array of a QTable.leg_sum block (2 MiB).  The tap
 # arrays, (queries, taps, node positions, taps), stay within it; the
 # coefficients summed over the node taps, (n_t, node positions, n_x),
 # exceed it only when one position does: n_t * n_x <= MAX_TABLE_ENTRIES /
 # MIN_TABLE_NODES = 2^26 entries (0.5 GiB) at any table shape the config
-# accepts
-_LEG_SUM_BLOCK = 2 ** 20
+# accepts.  A field table's 65^2 queries go in one call: at 2^20 entries
+# the example corr stage peaked at 89 MB RSS against 74 MB at 2^18
+_LEG_SUM_BLOCK = 2 ** 18
 _QTBL_MAGIC = b"QTBL"
 _QTBL_VERSION = 2
 _QTBL_HEAD = 20 + 80    # "<4sIIII", then 10 float64
@@ -583,8 +583,10 @@ class QTable:
             taps = np.bincount(
                 (nidx[mine] * mb + (col[mine] - m0)[:, None]).ravel(),
                 nw[mine].ravel(), n_t * mb).reshape(n_t, mb)
-            # summed[p, m, r] = sum_q coeffs[p, q, r] taps[q, m]
-            summed = np.matmul(taps.T, self._coeffs).ravel()
+            # summed[p, m, r] = sum_q coeffs[p, q, r] taps[q, m], in a
+            # fixed order (no BLAS, whose kernel the CPU picks)
+            summed = np.stack([np.einsum("qm,qr->mr", taps, c)
+                               for c in self._coeffs]).ravel()
             for lo in range(0, t.size, rows):
                 sl = slice(lo, lo + rows)
                 kd = _grid_coords(x[sl, None] - node_x[m0:m0 + mb], dg)
@@ -698,12 +700,12 @@ class FieldTable:
 
 def tabulate_field(fn, box: tuple[float, float, float, float],
                    domain: tuple[float, float, float, float],
-                   order: int, batch: int) -> FieldTable:
+                   order: int) -> FieldTable:
     """Tabulate fn(t, x) over box = (tmin, tmax, xmin, xmax), padded by
     FIELD_PAD cells per side, so that the first-order accurate edge cells of
-    the mirror-boundary spline lie outside the box.  fn is evaluated on at
-    most ``batch`` nodes at a time, at node coordinates clipped to
-    ``domain``, the box in which fn is defined."""
+    the mirror-boundary spline lie outside the box.  fn is evaluated once,
+    on the node grid, at node coordinates clipped to ``domain``, the box in
+    which fn is defined."""
     from scipy import ndimage
     cells = FIELD_NODES - 1 - 2 * FIELD_PAD
     k = np.arange(-FIELD_PAD, FIELD_NODES - FIELD_PAD)
@@ -712,9 +714,7 @@ def tabulate_field(fn, box: tuple[float, float, float, float],
     T, X = np.meshgrid(np.clip(box[0] + st * k, domain[0], domain[1]),
                        np.clip(box[2] + sx * k, domain[2], domain[3]),
                        indexing="ij")
-    t, x = T.ravel(), X.ravel()
-    vals = np.concatenate([fn(t[lo:lo + batch], x[lo:lo + batch])
-                           for lo in range(0, t.size, batch)]).reshape(T.shape)
+    vals = fn(T, X)
     half = np.arange(FIELD_NODES) / 2.0
     I, J = np.meshgrid(half, half, indexing="ij")
     coarse = _spline_read(_spline_coeffs(vals[::2, ::2], order), (I, J), order)

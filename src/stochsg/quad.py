@@ -22,9 +22,9 @@ from .results import QuadResult
 N_SHIFTS = 8
 _KOROBOV_A = 1664525  # odd, so coprime with power-of-two lattice sizes
 MIN_BUDGET = 1 << 10
-# the order-1 oracle's smeared_adv holds 2^17 x 576 float64 at the default
-# 24^2 leg nodes per point: 0.56 GiB (the evaluator's node sums work in
-# blocks)
+# bounds time: every (point, node) array of a node sum is a block, so the
+# arrays left grow with the points alone (an order-2 correlation at 2^17
+# points peaked at 43 MiB traced, two workers)
 MAX_BUDGET = 1 << 17
 _POWER_FLOOR = 1e-10  # smallest |d| the power map samples, over its half
 

@@ -136,10 +136,10 @@ class EvalContext:
 
     def field(self, basis: str, leg_name: str):
         """(field, bound) of the leg field (K f)(z), built once.  Q is
-        tabulated over the interaction's support from smeared_kernel, a
-        quadrature batch of nodes at a time (clipped to where the Q table
-        covers every pairing with the leg's nodes), with its local error
-        bound; H, H0, DeltaR and DeltaA are direct node sums (bound None)."""
+        tabulated over the interaction's support from one smeared_kernel
+        call (at nodes clipped to where the Q table covers every pairing
+        with the leg's nodes), with its local error bound; H, H0, DeltaR
+        and DeltaA are direct node sums (bound None)."""
         key = (basis, leg_name)
         if key not in self._fields:
             if basis == "Q":
@@ -150,7 +150,7 @@ class EvalContext:
                 tab = ker.tabulate_field(
                     lambda t, x: self.smeared_kernel("Q", leg_name, t, x),
                     self.smearings[self.interaction].support_box(), domain,
-                    self.table.spline_order, qd.MIN_BUDGET)
+                    self.table.spline_order)
                 self._fields[key] = (tab, tab.bound)
             else:
                 self.nodes(leg_name)
@@ -167,8 +167,8 @@ class EvalContext:
 
         def val(order):
             ppts, pw = self.nodes(p_name, order)
-            return complex(pw @ self.node_sum(basis, ppts[:, 0], ppts[:, 1],
-                                              *self.nodes(q_name, order)))
+            return complex(np.sum(pw * self.node_sum(
+                basis, ppts[:, 0], ppts[:, 1], *self.nodes(q_name, order))))
         fine = val(2 * self.pair_nodes)
         coarse = val(self.pair_nodes)
         err = abs(fine - coarse) + 1e-15 * abs(fine)
@@ -476,21 +476,15 @@ def order1_correction_oracle(ctx: EvalContext, leg1: str, leg2: str,
     Based on the Gaussian identity E[X sin(aY)] = a Cov(X, Y)
     exp(-a^2 Var(Y)/2) for centered jointly Gaussian (X, Y):
 
-        s a^2 [ int f2(x') D^R(x' - y) Q(f1, y) g_Q(y) + (f1 <-> f2) ]
+        a^2 [ int (Delta^A f2)(y) (Q f1)(y) g_Q(y) dy + (f1 <-> f2) ]
 
-    with D^R the params-convention retarded kernel and the single ledger
-    sign s = +1 ("paper") / -1 ("green"); the product s * D^R is convention
-    independent.
+    with Delta^A bound as the evaluator binds it (the "paper" retarded
+    sign), which makes the product convention independent.  Every leg
+    sum is the evaluator's smeared_kernel; the Q sums are direct, not its
+    field tables, so the oracle checks the tables.
     """
     p = ctx.params
-    s = 1.0 if p.sign_convention == "paper" else -1.0
     g = ctx.smearings[interaction]
-    ret = ker.difference_kernel("DeltaR", p)
-
-    def smeared_adv(leg_name, t, x):
-        pts, w = ctx.nodes(leg_name)
-        vals = ret(pts[None, :, 0] - t[..., None], pts[None, :, 1] - x[..., None])
-        return np.sum(w * vals, axis=-1)
 
     def fn(pts):
         t, x = pts[:, 0, 0], pts[:, 0, 1]
@@ -500,9 +494,9 @@ def order1_correction_oracle(ctx: EvalContext, leg1: str, leg2: str,
         if np.any(live):
             tt, xx = t[live], x[live]
             q1, q2 = (ctx.smeared_kernel("Q", l, tt, xx) for l in (leg1, leg2))
-            term = (q1 * smeared_adv(leg2, tt, xx)
-                    + q2 * smeared_adv(leg1, tt, xx))
-            out[live] = s * p.a ** 2 * gq[live] * term
+            a1, a2 = (ctx.smeared_kernel("DeltaA", l, tt, xx)
+                      for l in (leg1, leg2))
+            out[live] = p.a ** 2 * gq[live] * (q1 * a2 + q2 * a1)
         return out
 
     for leg in (leg1, leg2):

@@ -111,8 +111,9 @@ def sample_noise(grid: LatticeGrid, params: ModelParams, seed: int,
     indices ``cells`` (see noise_cells), and every other cell is 0; without
     ``cells`` every cell is drawn.  One Philox key per (seed, realization),
     so a realization does not depend on which chunk or worker draws it.
-    Written into ``out`` (a C-contiguous (n_t, n_x) float64 block) when
-    given, else into a new array; either way the array is returned.
+    Written into ``out`` (a zeroed C-contiguous (n_t, n_x) float64 block)
+    when given, of which only the drawn cells are written, else into a new
+    array; either way the array is returned.
     """
     key = np.array([seed, realization], dtype=np.uint64)
     rng = np.random.Generator(np.random.Philox(key=key))
@@ -123,8 +124,6 @@ def sample_noise(grid: LatticeGrid, params: ModelParams, seed: int,
     xi *= chi
     if out is None:
         out = np.zeros((grid.n_t, grid.n_x))
-    else:
-        out.fill(0.0)
     out.reshape(-1)[pick] = xi
     return out
 
@@ -426,7 +425,7 @@ def estimate_correlator(observables, grid: LatticeGrid, params: ModelParams,
                         for name, f in f_grids.items()}
 
     def run_chunk(lo: int, hi: int):
-        noise = np.empty((hi - lo, grid.n_t, grid.n_x))
+        noise = np.zeros((hi - lo, grid.n_t, grid.n_x))
         for i in range(hi - lo):
             sample_noise(grid, params, seed, lo + i, out=noise[i],
                          cells=cells)

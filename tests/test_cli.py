@@ -4,6 +4,7 @@ import hashlib
 import json
 import math
 import os
+import platform
 import subprocess
 import sys
 
@@ -17,6 +18,7 @@ from stochsg.cli import main
 from stochsg.config import parse_config
 from stochsg.errors import ConfigError
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 BASE_CONFIG = {
     "params": {"m": 0.5, "a": 1.0, "hbar": 0.1, "lam": 0.5, "mu": 1.0,
@@ -321,6 +323,59 @@ class TestConfigRanges:
         res = _run(command + ["--config", str(path), "--out", str(tmp_path)])
         assert res.exit_code == 1
         assert "order" in res.output
+
+    @pytest.mark.parametrize("command", ["coeff", "corr"])
+    @pytest.mark.parametrize("change,message", [
+        # f1 reaches t = 1.03, past the Q table's t = mu = 1
+        ({"smearings": {"f1": [{"center": [0.85, -0.25], "radius": 0.18,
+                                "amplitude": 1.0}]}}, "leg 'f1'"),
+        ({"orders": [0, 4], "quad": {"budget": 1024}}, "series order 4"),
+    ])
+    def test_series_inputs_refused_before_the_table(self, tmp_path, command,
+                                                    change, message):
+        # refused before the Q table is built, so no qtable.bin is written
+        with open(os.path.join(ROOT, "configs", "example.json")) as fh:
+            config = json.load(fh)
+        for key, value in change.items():
+            if isinstance(value, dict):
+                config[key].update(value)
+            else:
+                config[key] = value
+        path = tmp_path / "refused.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        res = _run([command, "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1
+        assert message in res.output
+        assert not (out / "qtable.bin").exists()
+
+    def test_legs_past_the_table_are_simulated(self, tmp_path):
+        # the lattice MC needs no Q table, so it evaluates the leg that
+        # coeff and corr refuse (on a small lattice)
+        with open(os.path.join(ROOT, "configs", "example.json")) as fh:
+            config = json.load(fh)
+        config["smearings"]["f1"][0]["center"] = [0.85, -0.25]
+        config["mc"] = BASE_CONFIG["mc"]
+        path = tmp_path / "past.json"
+        path.write_text(json.dumps(config))
+        res = _run(["mc", "--config", str(path), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+
+    @pytest.mark.parametrize("x2,refused", [(0.9, False), (1.25, True)])
+    def test_correlation_legs_within_the_table_offsets(self, tmp_path, x2,
+                                                       refused):
+        # f1 spans x in [-0.98, -0.62]; f2 ending beyond x = 1.02 puts a
+        # pair of their nodes more than 2 mu apart, which Q(f1, f2) reads
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["smearings"]["f1"][0].update(center=[0.0, -0.8], radius=0.18)
+        config["smearings"]["f2"][0].update(center=[0.0, x2], radius=0.07)
+        config["orders"] = [0]
+        path = tmp_path / "wide.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        res = _run(["corr", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == (1 if refused else 0), res.output
+        assert (out / "qtable.bin").exists() != refused
 
     @pytest.mark.parametrize("section,key,value,message", [
         ("params", "t_switch", 1e308, "t_switch"),
@@ -710,14 +765,17 @@ class TestCommands:
     # correlation.csv and compare.csv re-recorded when Q node sums began to
     # contract the spline once per node set (values move by 2e-16
     # relative, errors by 6e-14); qtable.bin recorded before the build
-    # skipped the entries with t* <= T and ran in blocks of inner nodes
+    # skipped the entries with t* <= T and ran in blocks of inner nodes;
+    # correlation.csv and compare.csv re-recorded when every node sum
+    # became a fixed-order numpy reduction (two errors move by 2.8e-14
+    # relative or less, no value moves)
     PINNED_OUTPUTS = {
         "qtable.bin":
         "90aaf7d9dec513fbc04bfbe02a51cbc78fb8e37553ed1c770a37236d638fd37d",
         "expectation.csv":
         "3c381b767d7854126f3a4a81b82bd008cdba6feeb843fcd5c9607a1239763308",
         "correlation.csv":
-        "63684edf08187734589c10d4eba312f4847b2913b0a145565e34f4857d85ea5a",
+        "7af371354283f5e0d0b7eaf9a76b505d59b1e19e3d7307ab0def3bb985b5a1ee",
         "mc.csv":
         "154349058e88cc9fa6741f685dbe6dba3dca99d6b87b922b58dab7f926755e5b",
         "bounds.csv":
@@ -725,7 +783,7 @@ class TestCommands:
         "bounds.json":
         "329065d2fe84f353bbdb48340c4a1678413617503e7dcccecf6e6d534e2e9e71",
         "compare.csv":
-        "0659dafdc4f04fdfc97497047687e37ab84f733c24c1352928cbfac3dcd7a985",
+        "f86ce417bb63127910488d23a9b39589d73dafde092a8b8f3d4d512c1c0e2bb0",
     }
 
     def test_outputs_pinned(self, tmp_path):
@@ -744,12 +802,13 @@ class TestCommands:
     # are the first with a pair exponent at finite hbar; expectation.csv
     # and correlation.csv re-recorded when Q node sums began to contract
     # the spline once per node set (each complex value moves by 2.1e-15 of
-    # its modulus or less)
+    # its modulus or less), and again when every node sum became a
+    # fixed-order numpy reduction (1.7e-16 of the modulus or less)
     ORDER2_QUANTUM_OUTPUTS = {
         "expectation.csv":
-        "c4ca08f1fca80b71b16e488d186c7d76623f45b15283028c3082e29fa67d9099",
+        "a3725fa2349086e5437f65e2245e45d0c2681aa55bdc29a1dd0880c82caf564d",
         "correlation.csv":
-        "c12cc5c5892c6d17c673aa928b3efb0d979680be386a63112aa7f8fba428aa75",
+        "0bd2ce232a865724a4061c00d400efdaa04916fafead9ae37d8be1389c762a14",
         "bounds.csv":
         "07e34f975ae1076d7de6e98c569506818f0b83258fd9749e9df4ebfa87797b33",
     }
@@ -910,6 +969,52 @@ class TestCommands:
             assert res.exit_code == 0, res.output
             mcs.append((out / "mc.csv").read_bytes())
         assert mcs[0] == mcs[1]
+
+    # OpenBLAS kernel of each CPU flag in /proc/cpuinfo ("pni" is how
+    # Linux lists SSE3); forcing a kernel the CPU lacks dies of SIGILL
+    BLAS_KERNELS = {"pni": "Prescott", "sse3": "Prescott",
+                    "avx": "Sandybridge", "avx2": "Haswell",
+                    "avx512f": "SkylakeX"}
+
+    @pytest.mark.skipif(
+        not (sys.platform.startswith("linux")
+             and platform.machine() in ("x86_64", "AMD64")),
+        reason="OpenBLAS kernels are selected per x86-64 CPU on Linux")
+    def test_correlation_bytes_do_not_depend_on_blas_kernel(self, tmp_path):
+        # every node sum is a fixed-order numpy reduction, so the CPU's
+        # BLAS kernel cannot move a bit of correlation.csv
+        with open("/proc/cpuinfo") as fh:
+            flags = next((line.split(":", 1)[1].split() for line in fh
+                          if line.startswith("flags")), [])
+        kernels = sorted({self.BLAS_KERNELS[f] for f in flags
+                          if f in self.BLAS_KERNELS})
+        if len(kernels) < 2:
+            pytest.skip(f"only {kernels} among the OpenBLAS kernels")
+        with open(os.path.join(ROOT, "configs", "example.json")) as fh:
+            config = json.load(fh)
+        config["quad"]["budget"] = 1024
+        cfg = tmp_path / "example.json"
+        cfg.write_text(json.dumps(config))
+        runs = {kernel: subprocess.Popen(
+            [sys.executable, "-m", "stochsg.cli", "corr", "--config",
+             str(cfg), "--out", str(tmp_path / kernel), "--seed", "1"],
+            env=dict(os.environ, OPENBLAS_CORETYPE=kernel,
+                     PYTHONPATH=os.path.join(ROOT, "src")),
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+            for kernel in kernels}
+        digests = {}
+        try:
+            for kernel, proc in runs.items():
+                _, err = proc.communicate(timeout=120)
+                assert proc.returncode == 0, (kernel, err)
+                digests[kernel] = hashlib.sha256(
+                    (tmp_path / kernel / "correlation.csv").read_bytes()
+                ).hexdigest()
+        finally:
+            for proc in runs.values():
+                proc.kill()
+                proc.wait()
+        assert len(set(digests.values())) == 1, digests
 
     def test_seed_override_changes_series(self, workdir):
         tmp, cfg = workdir

@@ -107,6 +107,23 @@ class TestFieldTables:
         assert ("Q", "f1", "f2") in ctx0._pairs
 
 
+def _kernel_call_sizes(monkeypatch) -> list:
+    """The list to which every later difference-kernel call appends the
+    number of (point, node) pairs it reads."""
+    difference_kernel = ker.difference_kernel
+    sizes = []
+
+    def sized(symbol, p):
+        k = difference_kernel(symbol, p)
+
+        def read(dt, dx):
+            sizes.append(np.broadcast(dt, dx).size)
+            return k(dt, dx)
+        return read
+    monkeypatch.setattr(ker, "difference_kernel", sized)
+    return sizes
+
+
 class TestNodeSums:
     @pytest.mark.parametrize("basis", ["Q", "H", "DeltaR"])
     def test_pair_and_field_match_pointwise_reads(self, ctx, basis):
@@ -136,17 +153,7 @@ class TestNodeSums:
         t, x = rng.uniform(-0.4, 0.4, (2, 4, 5))
         pts, w = ctx.nodes("f2")
         whole = ctx.node_sum(basis, t, x, pts, w)
-        difference_kernel = ker.difference_kernel
-        sizes = []
-
-        def sized(symbol, p):
-            k = difference_kernel(symbol, p)
-
-            def read(dt, dx):
-                sizes.append(np.broadcast(dt, dx).size)
-                return k(dt, dx)
-            return read
-        monkeypatch.setattr(ker, "difference_kernel", sized)
+        sizes = _kernel_call_sizes(monkeypatch)
         monkeypatch.setattr(ser, "_NODE_SUM_BLOCK", 3 * len(w))
         blocked = ctx.node_sum(basis, t, x, pts, w)
         assert blocked.shape == (4, 5)
@@ -362,12 +369,32 @@ class TestOracle:
 
     def test_sign_convention_invariance(self, params, qtable, smearings):
         green = params.with_(sign_convention="green")
-        # Q is convention independent, so the same table applies
+        # Q is convention independent, so the same table applies, and both
+        # contexts bind DeltaA in the algebra's convention: the same bits
         ctx_g = ser.EvalContext(green, qtable, smearings)
         ctx_p = ser.EvalContext(params, qtable, smearings)
         rg = ser.order1_correction_oracle(ctx_g, "f1", "f2", "g", 2048, 12)
         rp = ser.order1_correction_oracle(ctx_p, "f1", "f2", "g", 2048, 12)
-        assert complex(rg.value) == pytest.approx(complex(rp.value), rel=1e-12)
+        assert rp.value != 0.0
+        assert (rg.value, rg.error) == (rp.value, rp.error)
+
+    def test_leg_sums_in_blocks(self, params, qtable, smearings,
+                                monkeypatch):
+        # the DeltaA legs are the evaluator's node sums: no kernel call
+        # sees more than _NODE_SUM_BLOCK (point, node) pairs, and the block
+        # size does not move a bit of the value
+        whole = ser.order1_correction_oracle(
+            ser.EvalContext(params, qtable, smearings), "f1", "f2", "g",
+            1024, 13)
+        block = 3 * max(len(smearings[l].weighted_nodes()[1])
+                        for l in ("f1", "f2"))
+        sizes = _kernel_call_sizes(monkeypatch)
+        monkeypatch.setattr(ser, "_NODE_SUM_BLOCK", block)
+        blocked = ser.order1_correction_oracle(
+            ser.EvalContext(params, qtable, smearings), "f1", "f2", "g",
+            1024, 13)
+        assert sizes and max(sizes) <= block
+        assert (blocked.value, blocked.error) == (whole.value, whole.error)
 
 
 class TestQuantum:

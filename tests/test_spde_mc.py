@@ -61,6 +61,25 @@ class TestNoise:
         b = mc.sample_noise(small_grid, params, seed=5, realization=7)
         assert not np.array_equal(a1, b)
 
+    def test_writes_only_the_drawn_cells(self, params, small_grid):
+        # a given block keeps every cell that is not drawn, so callers
+        # zero it once
+        shape = (small_grid.n_t, small_grid.n_x)
+        cells = np.arange(5, shape[0] * shape[1], 3)
+        fresh = mc.sample_noise(small_grid, params, seed=9, realization=2,
+                                cells=cells)
+        garbage = np.random.default_rng(0).normal(size=shape)
+        block = garbage.copy()
+        out = mc.sample_noise(small_grid, params, seed=9, realization=2,
+                              out=block, cells=cells)
+        assert out is block
+        drawn = np.zeros(block.size, dtype=bool)
+        drawn[cells] = True
+        drawn = drawn.reshape(shape)
+        assert np.array_equal(block[drawn], fresh[drawn])
+        assert np.array_equal(block[~drawn], garbage[~drawn])
+        assert np.all(fresh[~drawn] == 0.0)
+
 
 class TestSolver:
     def test_zero_noise(self, small_grid):
