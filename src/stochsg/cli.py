@@ -198,11 +198,33 @@ def corr(config_path, out_dir, seed):
     _series_csv(config_path, out_dir, seed, "correlation", "correlation.csv")
 
 
+def _check_bounds_inputs(cfg: RunConfig) -> None:
+    """ConfigError for a model the bound constants do not cover:
+    alpha = a^2 hbar / (4 pi) outside (0, 1), alpha * bounds.p_hat >= 1, or
+    a massless model.  Only the bounds stage needs these, so parse_config
+    accepts them."""
+    if not cfg.bounds.orders:
+        return
+    alpha, p_hat = cfg.params.alpha, cfg.bounds.p_hat
+    if alpha == 0:
+        raise ConfigError("bounds requested with alpha = a^2 hbar / "
+                          "(4 pi) = 0")
+    if alpha >= 1.0:
+        raise ConfigError(f"bounds requested with alpha = {alpha} >= 1")
+    if alpha * p_hat >= 1.0:
+        raise ConfigError(f"bounds.p_hat = {p_hat} >= 1/alpha = "
+                          f"{1.0 / alpha}")
+    if cfg.params.m == 0:
+        raise ConfigError("bounds requested with m = 0: the "
+                          "conditioning needs a massive model")
+
+
 @main.command("bounds")
 @common_options
 def bounds_cmd(config_path, out_dir, seed):
     """Convergence-bound reports (CSV and JSON)."""
     cfg = _load(config_path, out_dir, seed)
+    _check_bounds_inputs(cfg)
     ctx = _context(cfg, out_dir)
     p = cfg.params
     c_q = bnd.c_q_constant(ctx.table, p.a, p.mu)

@@ -289,17 +289,4 @@ def parse_config(doc: dict) -> RunConfig:
         if max(orders) >= 2 and alpha * quadc.p_hat >= 1.0:
             raise ConfigError(f"quad.p_hat = {quadc.p_hat} >= 1/alpha = "
                               f"{1.0 / alpha} at quantum hbar = {h}")
-    if boundsc.orders:
-        if params.alpha == 0:
-            raise ConfigError("bounds requested with alpha = a^2 hbar / "
-                              "(4 pi) = 0")
-        if params.alpha >= 1.0:
-            raise ConfigError(
-                f"bounds requested with alpha = {params.alpha} >= 1")
-        if params.alpha * boundsc.p_hat >= 1.0:
-            raise ConfigError(f"bounds.p_hat = {boundsc.p_hat} >= 1/alpha = "
-                              f"{1.0 / params.alpha}")
-        if params.m == 0:
-            raise ConfigError("bounds requested with m = 0: the "
-                              "conditioning needs a massive model")
     return cfg

@@ -443,9 +443,8 @@ MIN_Q_BUDGET = 1
 # _Q_BLOCK floats at any budget
 MAX_Q_BUDGET = 2 ** 15
 MIN_SMEARING_NODES = 1  # Gauss-Legendre nodes per axis of weighted_nodes
-# Every node sum, scalar pairs and the order-1 oracle included, works in
-# blocks (Q through QTable.leg_sum, the other kernels through
-# EvalContext.node_sum), so the node limits bound time: a direct leg field
+# No node sum holds more than one block of (query, node) pairs or one table
+# slice per node position, so the node limits bound time: a direct leg field
 # reads n^2 kernel values per quadrature point (16384 at 128), a non-Q
 # scalar pair (2n)^4, 85M at 48.
 MAX_LEG_NODES = 128
@@ -454,14 +453,6 @@ INTERP_METHODS = ("linear", "cubic")
 # float64 entries per (entries, outer nodes, inner nodes) array of a
 # build_q_table pool task (2 MiB): a task takes _Q_BLOCK // n^2 entries
 _Q_BLOCK = 2 ** 18
-# float64 entries per array of a QTable.leg_sum block (2 MiB).  The tap
-# arrays, (queries, taps, node positions, taps), stay within it; the
-# coefficients summed over the node taps, (n_t, node positions, n_x),
-# exceed it only when one position does: n_t * n_x <= MAX_TABLE_ENTRIES /
-# MIN_TABLE_NODES = 2^26 entries (0.5 GiB) at any table shape the config
-# accepts.  A field table's 65^2 queries go in one call: at 2^20 entries
-# the example corr stage peaked at 89 MB RSS against 74 MB at 2^18
-_LEG_SUM_BLOCK = 2 ** 18
 _QTBL_MAGIC = b"QTBL"
 _QTBL_VERSION = 2
 _QTBL_HEAD = 20 + 80    # "<4sIIII", then 10 float64
@@ -499,8 +490,8 @@ def _grid_coords(v, grid: np.ndarray) -> np.ndarray:
 
 def _spline_taps(c, n: int, order: int):
     """(indices, weights), each (..., order + 1): the taps of the tensor
-    B-spline along one axis of n nodes at grid coordinates c, clipped to the
-    grid and mirrored at its ends as in _spline_read."""
+    B-spline along one axis of n nodes at grid coordinates c, clipped and
+    mirrored as in _spline_read: the node-time taps of QTable.leg_sum."""
     c = np.clip(c, 0, n - 1)
     base = np.floor(c)
     x = c - base
@@ -552,54 +543,32 @@ class QTable:
         return _spline_read(self._coeffs, coords, self.spline_order)
 
     def leg_sum(self, t, x, pts, w):
-        """sum_j w_j Q((t, x), y_j) over the rows y_j of ``pts``: the spline
-        of interp summed over the nodes, raising OutOfDomain where interp
-        would at some (query, node) pair.
-
-        The node-time taps and weights are contracted with the spline
-        coefficients once per distinct node position x_j, so each query
-        reads 16 of those sums per distinct x_j instead of 64 taps per node
-        (4 and 8 for the linear spline).  Queries and positions go in
-        blocks of at most _LEG_SUM_BLOCK entries per array."""
+        """sum_j w_j Q((t, x), y_j) over the rows y_j of ``pts``, raising
+        OutOfDomain where interp would at some (query, node) pair.  The
+        spline is separable: the node weights and node-time taps are folded
+        into the coefficients once per distinct node position x_j, leaving a
+        2D spline in (t, x - x_j), read as _spline_read reads it."""
+        from scipy import ndimage
         t, x = np.broadcast_arrays(np.asarray(t, dtype=float),
                                    np.asarray(x, dtype=float))
         shape, t, x = t.shape, t.ravel(), x.ravel()
         tg, dg = self.time_grid, self.space_offset_grid
         n_t, n_x, order = len(tg), len(dg), self.spline_order
-        it = _grid_coords(t, tg)
-        jt = _grid_coords(pts[:, 0], tg)
+        # clipped grid coordinates: the query times once, x - x_j per x_j
+        coords = np.stack([np.clip(_grid_coords(t, tg), 0, n_t - 1), x])
         node_x, col = np.unique(pts[:, 1], return_inverse=True)
-        nidx, nw = _spline_taps(jt, n_t, order)
-        nw = nw * w[:, None]
-        k = order + 1
-        per_block = max(1, min(node_x.size,
-                               _LEG_SUM_BLOCK // (n_t * n_x)))
-        rows = max(1, _LEG_SUM_BLOCK // (k * k * per_block))
+        nidx, nw = _spline_taps(_grid_coords(pts[:, 0], tg), n_t, order)
+        # taps[q, m]: node weight at node-time tap q and position m
+        taps = np.bincount((nidx * node_x.size + col[:, None]).ravel(),
+                           (nw * w[:, None]).ravel(),
+                           n_t * node_x.size).reshape(n_t, node_x.size)
         out = np.zeros(t.size)
-        for m0 in range(0, node_x.size, per_block):
-            mb = min(per_block, node_x.size - m0)
-            mine = (col >= m0) & (col < m0 + mb)
-            # taps[q, m]: node weight at node-time tap q and offset m
-            taps = np.bincount(
-                (nidx[mine] * mb + (col[mine] - m0)[:, None]).ravel(),
-                nw[mine].ravel(), n_t * mb).reshape(n_t, mb)
-            # summed[p, m, r] = sum_q coeffs[p, q, r] taps[q, m], in a
-            # fixed order (no BLAS, whose kernel the CPU picks)
-            summed = np.stack([np.einsum("qm,qr->mr", taps, c)
-                               for c in self._coeffs]).ravel()
-            for lo in range(0, t.size, rows):
-                sl = slice(lo, lo + rows)
-                kd = _grid_coords(x[sl, None] - node_x[m0:m0 + mb], dg)
-                ridx, rw = _spline_taps(kd, n_x, order)
-                ridx += np.arange(mb)[:, None] * n_x
-                pidx, pw = _spline_taps(it[sl], n_t, order)
-                vals = summed[(pidx * (mb * n_x))[:, :, None, None]
-                              + ridx[:, None]]
-                # the offset and time taps of each (query, x_j) first,
-                # then a pairwise sum over the x_j
-                per_x = np.einsum("irs,is->ir", np.einsum(
-                    "isru,iru->irs", vals, rw), pw)
-                out[sl] += np.sum(per_x, axis=1)
+        for m, xm in enumerate(node_x):
+            # a fixed-order sum (no BLAS, whose kernel the CPU picks)
+            c = np.einsum("pqr,q->pr", self._coeffs, taps[:, m])
+            coords[1] = np.clip(_grid_coords(x - xm, dg), 0, n_x - 1)
+            out += ndimage.map_coordinates(c, coords, order=order,
+                                           mode="mirror", prefilter=False)
         return out.reshape(shape)
 
     def diag(self, t, x):
@@ -626,7 +595,8 @@ class QTable:
     def load(path: str) -> "QTable":
         """Read a table written by save; a budget of 0 reads as unknown
         (None).  A file that is not one complete QTBL table of the current
-        version, or that holds a non-finite number, raises
+        version, that holds a non-finite number, or whose grids are not bit
+        for bit those build_q_table makes from its mu, raises
         QTableFormatError."""
         with open(path, "rb") as fh:
             data = fh.read()
@@ -649,8 +619,13 @@ class QTable:
             raise QTableFormatError(f"{path}: sign code {sign!r}")
         if budget < 0 or budget != int(budget):
             raise QTableFormatError(f"{path}: budget {budget!r}")
-        tgrid = body[:n_t].copy()
-        dgrid = body[n_t:n_t + n_x].copy()
+        with np.errstate(all="ignore"):   # a huge mu fails the test below
+            grids = (np.linspace(-mu, mu, n_t),
+                     np.linspace(-2 * mu, 2 * mu, n_x))
+        if (body[:n_t + n_x].tobytes()
+                != np.concatenate(grids).astype("<f8").tobytes()):
+            raise QTableFormatError(f"{path}: grids other than the uniform "
+                                    f"ones over [-mu, mu] and [-2 mu, 2 mu]")
         vals = body[n_t + n_x:].reshape(n_t, n_t, n_x).copy()
         try:
             params = ModelParams(
@@ -660,7 +635,7 @@ class QTable:
                 chi_width=chi_width)
         except ValueError as exc:
             raise QTableFormatError(f"{path}: {exc}") from exc
-        return QTable(tgrid, dgrid, vals, params,
+        return QTable(*grids, vals, params,
                       "linear" if interp_code == 0 else "cubic",
                       int(budget) or None)
 

@@ -111,7 +111,7 @@ class EvalContext:
 
     def node_sum(self, basis: str, t, x, pts, w):
         """sum_j w_j K(z, y_j) at z = (t, x) over the rows y_j of ``pts``:
-        Q contracts the table's spline once per node set
+        Q reads one 2D spline per distinct node position
         (QTable.leg_sum), the other kernels are summed node by node, in
         blocks of query points of at most _NODE_SUM_BLOCK (point, node)
         pairs."""

@@ -1,20 +1,28 @@
 import csv
 import dataclasses
 import hashlib
+import importlib
+import inspect
 import json
 import math
 import os
+import pkgutil
 import platform
+import re
+import struct
 import subprocess
 import sys
+import threading
+import types
 
 import pytest
 from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import stochsg
 from stochsg import kernels as ker
-from stochsg.cli import main
+from stochsg.cli import _check_bounds_inputs, main
 from stochsg.config import parse_config
 from stochsg.errors import ConfigError
 
@@ -243,9 +251,13 @@ class TestConfigRanges:
     ])
     def test_out_of_range_is_config_error(self, tmp_path, command, section,
                                           key, value):
+        # refused by parse_config, or, for the bound constants' model
+        # preconditions, by the bounds stage before it does any work
         bad = _mutated(section, key, value)
         with pytest.raises(ConfigError):
-            parse_config(bad)
+            cfg = parse_config(bad)
+            if command == "bounds":
+                _check_bounds_inputs(cfg)
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(bad))
         res = _run([command, "--config", str(path), "--out", str(tmp_path)])
@@ -661,12 +673,33 @@ class TestBoundsEdges:
         # the conditioning compares the massive Hadamard kernel with H0
         doc = _mutated("params", "m", 0.0)
         with pytest.raises(ConfigError, match="m = 0"):
-            parse_config(doc)
-        parse_config(dict(doc, bounds={"orders": []}))
+            _check_bounds_inputs(parse_config(doc))
+        _check_bounds_inputs(parse_config(dict(doc, bounds={"orders": []})))
         cfg = tmp_path / "massless.json"
         cfg.write_text(json.dumps(doc))
         res = _run(["bounds", "--config", str(cfg), "--out", str(tmp_path)])
         assert res.exit_code == 1, res.output
+
+    @pytest.mark.parametrize("key,message", [
+        ("m", "m = 0"),
+        ("hbar", "alpha = a^2 hbar / (4 pi) = 0"),
+    ], ids=["m", "hbar"])
+    def test_bounds_preconditions_bind_only_the_bounds_stage(
+            self, tmp_path, key, message):
+        # without a bounds section the default bounds.orders still ask for
+        # bounds, but only the bounds stage refuses, before any table
+        doc = _mutated("params", key, 0.0)
+        del doc["bounds"]
+        cfg = tmp_path / "no_bounds.json"
+        cfg.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        res = _run(["bounds", "--config", str(cfg), "--out", str(out)])
+        assert res.exit_code == 1
+        assert message in res.output
+        assert not (out / "qtable.bin").exists()
+        for cmd in ("corr", "mc", "compare"):
+            res = _run([cmd, "--config", str(cfg), "--out", str(out)])
+            assert res.exit_code == 0, (cmd, res.output)
 
     @pytest.mark.parametrize("mu_ref", [
         1e300,      # 4 mu_ref^2 overflows
@@ -768,6 +801,8 @@ class TestCommands:
     # skipped the entries with t* <= T and ran in blocks of inner nodes;
     # correlation.csv and compare.csv re-recorded when every node sum
     # became a fixed-order numpy reduction (two errors move by 2.8e-14
+    # relative or less, no value moves), and again when Q leg sums began to
+    # read one 2D spline per node position (two errors move by 7.3e-14
     # relative or less, no value moves)
     PINNED_OUTPUTS = {
         "qtable.bin":
@@ -775,7 +810,7 @@ class TestCommands:
         "expectation.csv":
         "3c381b767d7854126f3a4a81b82bd008cdba6feeb843fcd5c9607a1239763308",
         "correlation.csv":
-        "7af371354283f5e0d0b7eaf9a76b505d59b1e19e3d7307ab0def3bb985b5a1ee",
+        "370bec1235e18d66f8b5c5c82c1cb9cacf5a22cd30007e354a4534db5d21adf4",
         "mc.csv":
         "154349058e88cc9fa6741f685dbe6dba3dca99d6b87b922b58dab7f926755e5b",
         "bounds.csv":
@@ -783,7 +818,7 @@ class TestCommands:
         "bounds.json":
         "329065d2fe84f353bbdb48340c4a1678413617503e7dcccecf6e6d534e2e9e71",
         "compare.csv":
-        "f86ce417bb63127910488d23a9b39589d73dafde092a8b8f3d4d512c1c0e2bb0",
+        "f863277396b5007de2a2811cf55935503007a93f70c7d85a89675577a396c165",
     }
 
     def test_outputs_pinned(self, tmp_path):
@@ -802,13 +837,15 @@ class TestCommands:
     # are the first with a pair exponent at finite hbar; expectation.csv
     # and correlation.csv re-recorded when Q node sums began to contract
     # the spline once per node set (each complex value moves by 2.1e-15 of
-    # its modulus or less), and again when every node sum became a
-    # fixed-order numpy reduction (1.7e-16 of the modulus or less)
+    # its modulus or less), again when every node sum became a fixed-order
+    # numpy reduction (1.7e-16 of the modulus or less), and again when Q leg
+    # sums began to read one 2D spline per node position (8.4e-16 of the
+    # modulus or less, errors 7.3e-14 relative or less)
     ORDER2_QUANTUM_OUTPUTS = {
         "expectation.csv":
-        "a3725fa2349086e5437f65e2245e45d0c2681aa55bdc29a1dd0880c82caf564d",
+        "67483ec6f9a9db5539dfede67e146a929e0348ee7d6b5c350e001719780bf8b4",
         "correlation.csv":
-        "0bd2ce232a865724a4061c00d400efdaa04916fafead9ae37d8be1389c762a14",
+        "3761484bda8386fc8495b460068a7641b7191c80b56d3bd93bfdb42889eaeb7a",
         "bounds.csv":
         "07e34f975ae1076d7de6e98c569506818f0b83258fd9749e9df4ebfa87797b33",
     }
@@ -1103,6 +1140,28 @@ class TestCommands:
             .exit_code == 0
         assert path.read_bytes() == v2
 
+    def test_qtable_with_altered_grid_is_rebuilt(self, tmp_path):
+        # a table whose file grid is not the one build_q_table makes reads
+        # other Q values: it is rebuilt, and corr writes the clean bytes
+        with open(os.path.join(ROOT, "configs", "example.json")) as fh:
+            config = json.load(fh)
+        cfg = tmp_path / "example.json"
+        cfg.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        args = ["corr", "--config", str(cfg), "--out", str(out), "--seed", "1"]
+        assert _run(args).exit_code == 0
+        path = out / "qtable.bin"
+        clean = path.read_bytes()
+        clean_csv = (out / "correlation.csv").read_bytes()
+        # time-grid node 1 of 24 on [-mu, mu] = [-1, 1]
+        assert clean[108:116] == struct.pack("<d", -0.9130434782608696)
+        path.write_bytes(clean[:108] + struct.pack("<d", -0.8930434782608696)
+                         + clean[116:])
+        res = _run(args)
+        assert res.exit_code == 0, res.output
+        assert path.read_bytes() == clean
+        assert (out / "correlation.csv").read_bytes() == clean_csv
+
     @pytest.mark.parametrize("key,value,shape", [
         ("n_t", 10, "(10, 10, 24)"),
         ("n_x", 20, "(12, 12, 20)"),
@@ -1121,3 +1180,92 @@ class TestCommands:
         assert res.exit_code == 0, res.output
         assert f"qtable {shape}" in res.output
         assert (out / "qtable.bin").read_bytes() != before
+
+
+def _stochsg_functions():
+    """(module, name, attribute or None, function) of every function and
+    method, cached ones included, that a module of src/stochsg defines."""
+    for info in pkgutil.iter_modules(stochsg.__path__):
+        mod = importlib.import_module(f"stochsg.{info.name}")
+        for name, obj in vars(mod).items():
+            if getattr(obj, "__module__", None) != mod.__name__:
+                continue
+            members = (vars(obj).items() if inspect.isclass(obj)
+                       else [(None, obj)])
+            for attr, fn in members:
+                fn = getattr(fn, "__func__", getattr(fn, "fget", fn))
+                if callable(fn):
+                    yield info.name, name, attr, fn
+
+
+def _public_functions() -> dict:
+    """{code: "module.qualname"} of every public function and method that a
+    module of src/stochsg defines."""
+    found = {}
+    for module, name, attr, fn in _stochsg_functions():
+        fn = inspect.unwrap(fn)
+        if inspect.isfunction(fn) and not any(
+                n.startswith("_") for n in (name, attr or "")):
+            found[fn.__code__] = ".".join(filter(None, (module, name, attr)))
+    return found
+
+
+def _readme_unreached() -> set:
+    """The names of the README table "Functions that no CLI stage calls";
+    a name without a module takes the one named before it in its cell."""
+    modules = {info.name for info in pkgutil.iter_modules(stochsg.__path__)}
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    table = text.split("### Functions that no CLI stage calls")[1]
+    names = set()
+    for line in table.split("\n## ")[0].splitlines():
+        if not line.startswith("| `"):
+            continue
+        module = None
+        for name in re.findall(r"`([\w.]+)`", line.split("|")[1]):
+            head, _, rest = name.partition(".")
+            if head in modules:
+                module, name = head, rest
+            names.add(f"{module}.{name}")
+    return names
+
+
+class TestReachability:
+    def test_unreached_public_functions_are_the_readme_table(self,
+                                                             tmp_path):
+        # the seven stages, small, in this process; a function counts as
+        # reached if it runs, or if a closure it built does (a decorator
+        # runs when the CLI is defined, its wrapper at every stage)
+        with open(os.path.join(ROOT, "configs", "example.json")) as fh:
+            config = json.load(fh)
+        config["qtable"] = {"n_t": 12, "n_x": 24, "budget": 64}
+        config["quad"]["budget"] = 1024
+        config["orders"], config["quantum_hbars"] = [0, 1, 2], [0.1]
+        config["mc"].update(n_samples=100, dt=0.05)
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps(config))
+        for *_, fn in _stochsg_functions():
+            if hasattr(fn, "cache_clear"):
+                fn.cache_clear()    # earlier tests may have filled it
+        seen = set()
+
+        def profile(frame, event, arg):
+            if event == "call":
+                seen.add(frame.f_code)
+        sys.setprofile(profile)
+        threading.setprofile(profile)
+        try:
+            for stage in ("compute-q", "coeff", "corr", "mc", "bounds",
+                          "compare", "expand"):
+                res = _run([stage, "--config", str(cfg), "--out",
+                            str(tmp_path)])
+                assert res.exit_code == 0, (stage, res.output)
+        finally:
+            sys.setprofile(None)
+            threading.setprofile(None)
+        unreached = {
+            name for code, name in _public_functions().items()
+            if code not in seen and not any(
+                c in seen for c in code.co_consts
+                if isinstance(c, types.CodeType))}
+        assert unreached == _readme_unreached()

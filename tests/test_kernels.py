@@ -571,8 +571,12 @@ class TestQTable:
         lambda d: d + b"\0",
         lambda d: b"QTBX" + d[4:],
         lambda d: d[:4] + (3).to_bytes(4, "little") + d[8:],
+        # one node of each grid moved: the 24 x 48 table's t_1 and d_0
+        lambda d: d[:108] + struct.pack("<d", -0.89) + d[116:],
+        lambda d: d[:292] + struct.pack("<d", -1.99) + d[300:],
     ], ids=["cut0", "cut3", "cut19", "cut20", "cut91", "cut92", "cut500",
-            "cut-8", "cut-1", "trailing", "magic", "version"])
+            "cut-8", "cut-1", "trailing", "magic", "version", "time-grid",
+            "offset-grid"])
     def test_damaged_file_is_typed_error(self, qtable, tmp_path, damage):
         path = tmp_path / "q.bin"
         qtable.save(str(path))
@@ -652,16 +656,20 @@ class TestLegSum:
         np.testing.assert_allclose(got, want, rtol=1e-13,
                                    atol=1e-13 * scale)
 
-    def test_blocks_do_not_change_the_sum(self, table, monkeypatch):
-        # blocks of a few offsets and queries give the one-block sum
-        pts, w = TWO_BUMPS.weighted_nodes(8)
-        t, x = self._queries(table, pts)
-        whole = table.leg_sum(t, x, pts, w)
-        n_cells = len(table.time_grid) * len(table.space_offset_grid)
-        monkeypatch.setattr(ker, "_LEG_SUM_BLOCK", 3 * n_cells)
-        np.testing.assert_allclose(table.leg_sum(t, x, pts, w), whole,
-                                   rtol=1e-13,
-                                   atol=1e-13 * np.max(np.abs(whole)))
+    def test_traced_peak_is_bounded(self, table):
+        # a field table's 65^2 queries against 96 node positions: no array
+        # grows with queries x positions
+        pts, w = TWO_BUMPS.weighted_nodes(48)
+        assert np.unique(pts[:, 1]).size == 96
+        k = np.linspace(-0.5, 0.5, 65)
+        t, x = np.meshgrid(k, k, indexing="ij")
+        tracemalloc.start()
+        try:
+            table.leg_sum(t, x, pts, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2 ** 20
 
     def test_shape_and_empty_leg(self, table):
         pts, w = TWO_BUMPS.weighted_nodes(6)
