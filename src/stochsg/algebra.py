@@ -105,9 +105,6 @@ class KernelExpr:
         return KernelExpr.of(*((_SWAP.get(b, b), h, c)
                                for b, h, c in self.real_basis().terms))
 
-    def is_symmetric(self) -> bool:
-        return self.real_basis() == self.transpose()
-
     @functools.cache
     def hbar_split(self) -> tuple["KernelExpr", "KernelExpr"]:
         lo = KernelExpr.of(*(t for t in self.terms if t[1] == 0))
@@ -335,7 +332,7 @@ def gamma_deform(A, K: KernelExpr) -> list[Generator]:
     attachments).  Raises SingularCoincidence if a self-weight would involve
     a kernel that diverges at coincidence.
     """
-    K_sym = K if K.is_symmetric() else (K.real_basis() + K.transpose()).scaled(Fraction(1, 2))
+    K_sym = (K.real_basis() + K.transpose()).scaled(Fraction(1, 2))
     singular_self = any(b not in _COINCIDENCE_OK for b, _, _ in K.terms)
     out = []
     for a in _as_list(A):
@@ -372,35 +369,28 @@ def wick_expand(p: int, smearings: list[str]) -> list[Generator]:
 
 
 def leibniz_expand(A, B, fields: list[str], K: KernelExpr) -> list[Generator]:
-    """A *_K (B . Phi_1 ... Phi_m) organized by which legs contract into A."""
+    """A *_K (B . Phi_1 ... Phi_m) organized by which legs contract into A.
+
+    Each field attaches to a charged vertex of A through K, pairs with a
+    leg of A through K, or stays free past the star product with B.
+    """
+    k = len(fields)
     out = []
     for a in _as_list(A):
-        for subset_size in range(len(fields) + 1):
-            for subset in itertools.combinations(range(len(fields)), subset_size):
-                rest = [fields[i] for i in range(len(fields)) if i not in subset]
-                lifted = replace(a, free_legs=a.free_legs)
-                # attach the chosen legs into A in every way (vertices or A legs)
-                pieces = [lifted]
-                for i in subset:
-                    new_pieces = []
-                    for g in pieces:
-                        for v in range(g.n_vertices):
-                            if g.charges[v] != 0:
-                                new_pieces.append(replace(
-                                    g,
-                                    coeff=g.coeff * Coeff(CR_I * g.charges[v], a_pow=1),
-                                    attached=g.attached + ((v, K, fields[i]),)))
-                        for p_idx, aleg in enumerate(g.free_legs):
-                            kept = tuple(l for k, l in enumerate(g.free_legs)
-                                         if k != p_idx)
-                            new_pieces.append(replace(
-                                g, free_legs=kept,
-                                scalar_pairs=g.scalar_pairs + ((K, aleg, fields[i]),)))
-                    pieces = new_pieces
-                for g in pieces:
-                    for term in star_product(g, B, K):
-                        out.append(replace(term,
-                                           free_legs=term.free_legs + tuple(rest)))
+        n_a = len(a.free_legs)
+        charged = tuple(v for v in range(a.n_vertices) if a.charges[v] != 0)
+        g = replace(a, free_legs=a.free_legs + tuple(fields))
+        for h in _contracted(g, [()] * n_a + [charged] * k,
+                             [range(n_a, n_a + k)] * n_a + [()] * k,
+                             lambda v: K, K):
+            # each new scalar pair took one leg of A; the free legs are
+            # those of A left, then the fields left
+            kept = n_a - (len(h.scalar_pairs) - len(a.scalar_pairs))
+            rest = h.free_legs[kept:]
+            for term in star_product(replace(h, free_legs=h.free_legs[:kept]),
+                                     B, K):
+                out.append(replace(term,
+                                   free_legs=term.free_legs + rest))
     return out
 
 
@@ -937,12 +927,8 @@ def _partitions(items):
 def connected_product(factors, K: KernelExpr) -> list[Generator]:
     """Moebius-style connected part of a multi-factor star product."""
     factors = [_as_list(f) for f in factors]
-    n = len(factors)
-    if n == 1:
-        return list(factors[0])
-    full = time_ordered(factors, K)
-    out = list(full)
-    for part in _partitions(range(n)):
+    out = time_ordered(factors, K)
+    for part in _partitions(range(len(factors))):
         if len(part) < 2:
             continue
         blocks = [connected_product([factors[i] for i in sorted(b)], K)

@@ -177,9 +177,9 @@ def _series_csv(config_path, out_dir, seed, kind: str, name: str) -> None:
         if obs.kind != kind:
             continue
         for n, h in points:
-            rows.append(ser.quantum_coefficient(
+            rows.append(dict(ser.quantum_coefficient(
                 n, h, ctx, list(obs.legs), cfg.quad.budget, cfg.quad.seed,
-                cfg.quad.p_hat).csv_row())
+                cfg.quad.p_hat).csv_row(), observable=obs.obs_id))
     write_csv(os.path.join(out_dir, name), rows, SERIES_HEADER)
     click.echo(f"wrote {len(rows)} rows to {name}")
 
@@ -261,20 +261,21 @@ def mc_cmd(config_path, out_dir, seed):
         + [cfg.smearings[cfg.interaction]]
     grid = mc.grid_for(cfg.params, smear_list, cfg.mc.dt, cfg.mc.pad,
                        cfg.mc.boundary)
-    # estimate_correlator keys by obs_id, so ids carry the order suffix
-    specs = []
+    # estimate_correlator keys by obs_id, so ids carry the order
+    # suffix; the rows take the id and order from the config
+    keyed = []
     for obs in cfg.observables:
         kind = "expect" if obs.kind == "expectation" else "corr"
         for n in cfg.orders:
-            specs.append(mc.ObservableSpec(f"{obs.obs_id}#o{n}", kind,
-                                           obs.legs, n))
-    est = mc.estimate_correlator(specs, grid, cfg.params, cfg.smearings,
-                                 cfg.mc.n_samples, cfg.mc.seed,
-                                 cfg.interaction, cfg.mc.chunk)
+            keyed.append((obs.obs_id, mc.ObservableSpec(
+                f"{obs.obs_id}#o{n}", kind, obs.legs, n)))
+    est = mc.estimate_correlator([s for _, s in keyed], grid, cfg.params,
+                                 cfg.smearings, cfg.mc.n_samples,
+                                 cfg.mc.seed, cfg.interaction, cfg.mc.chunk)
     rows = []
-    for s in specs:
+    for obs_id, s in keyed:
         e = est[s.obs_id]
-        rows.append({"observable": s.obs_id.split("#")[0], "order": s.order,
+        rows.append({"observable": obs_id, "order": s.order,
                      "mean": e.mean, "stderr": e.stderr,
                      "n_samples": e.n_samples, "seed": e.seed,
                      "grid": grid.csv_descriptor()})
@@ -355,6 +356,9 @@ def compare(config_path, out_dir, seed, strict):
             "observable": r["observable"], "order": r["order"],
             "series_value": r["value_re"], "series_error": r["error"],
             "mc_mean": m["mean"], "mc_stderr": m["stderr"], "z_score": z})
+    if not out_rows:
+        raise ConfigError("no (observable, order) pair is in both the "
+                          "series CSVs and mc.csv")
     write_csv(os.path.join(out_dir, "compare.csv"), out_rows, COMPARE_HEADER)
     click.echo(f"compared {len(out_rows)} observables; max z = {worst!r}")
     if strict and worst > 3.0:

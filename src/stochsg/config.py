@@ -208,10 +208,13 @@ def _parse_smearing(name: str, spec, where: str) -> SmearingFunction:
 
 
 def load_config(path: str) -> RunConfig:
-    with open(path) as fh:
+    """The parsed configuration at path.  A file that is not UTF-8 JSON, or
+    whose numbers or nesting the reader refuses (integers of more than
+    4300 digits, nesting past the recursion limit), is a ConfigError."""
+    with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (ValueError, RecursionError) as exc:
             raise ConfigError(f"invalid JSON: {exc}") from exc
     return parse_config(doc)
 
@@ -274,8 +277,12 @@ def parse_config(doc: dict) -> RunConfig:
                 raise ConfigError(f"{where}: undefined smearing {leg!r}")
         default_id = (f"expect:{legs[0]}" if kind == "expectation"
                       else f"corr:{legs[0]}:{legs[1]}")
-        observables.append(ObsConfig(
-            _typed(ob.get("id", default_id), str, f"{where}.id"), kind, legs))
+        obs_id = _typed(ob.get("id", default_id), str, f"{where}.id")
+        # the CSV rows and the MC estimates are keyed by id
+        if any(o.obs_id == obs_id for o in observables):
+            raise ConfigError(f"{where}: a second observable with id "
+                              f"{obs_id!r}")
+        observables.append(ObsConfig(obs_id, kind, legs))
 
     cfg = RunConfig(params, smearings, interaction, qtable, quadc, mcc,
                     boundsc, orders, tuple(observables), expandc, hbars)

@@ -109,8 +109,6 @@ def retarded_massive(t, x, m: float, sign: float = -1.0):
     if m < 0:
         raise ValueError("mass must be nonnegative")
     inside = in_future_cone(t, x)
-    if m == 0.0:
-        return np.where(inside, 0.5 * sign, 0.0)
     s2 = np.maximum(-lorentzian_square(t, x), 0.0)
     # J0 only inside the cone: the same values as np.where over every point
     cone = 0.5 * sign * _j0(m * np.sqrt(s2[inside]))

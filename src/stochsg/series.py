@@ -41,7 +41,6 @@ class SeriesCoefficient:
     order: int
     observable: str
     value: QuadResult
-    term_count: int
     hbar: float
 
     def csv_row(self) -> dict:
@@ -441,7 +440,7 @@ def _coefficient(n: int, hbar: float, ctx: EvalContext, legs: list[str],
         res = evaluate_terms(ctx, terms, budget, seed, singular=n >= 2,
                              p_hat=p_hat, hbar=hbar)
     pref = ctx.params.lam ** n / math.factorial(n)
-    return SeriesCoefficient(n, name, res.scaled(pref), len(terms), hbar)
+    return SeriesCoefficient(n, name, res.scaled(pref), hbar)
 
 
 def expectation_coefficient(n: int, ctx: EvalContext, leg: str,
@@ -508,8 +507,6 @@ def order1_correction_oracle(ctx: EvalContext, leg1: str, leg2: str,
 def qs_term_magnitude(ctx: EvalContext, n: int, budget: int, seed: int,
                       p_hat: float = 1.5) -> QuadResult:
     """|[Gamma_Q S(lambda V_g)]_n| at phi = 0, coupling and 1/n! included."""
-    if n == 0:
-        return QuadResult(1.0, 0.0, 0, seed)
     gens = alg.qs_term(n)   # coupling powers carried by the coefficients
     res = evaluate_terms(ctx, gens, budget, seed, singular=n >= 2,
                          p_hat=p_hat)

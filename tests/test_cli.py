@@ -107,6 +107,31 @@ class TestConfig:
         res = _run(["corr", "--config", str(bad_path), "--out", str(tmp)])
         assert res.exit_code == 1
 
+    @pytest.mark.parametrize("text", [
+        '{"interaction": "\xe9"}'.encode("latin-1"),    # not UTF-8
+        b'{"orders": [' + b"1" * 4301 + b"]}",          # past 4300 digits
+        b"[" * 100_000 + b"]" * 100_000,                # past the recursion
+    ], ids=["latin-1", "long-integer", "deep-nesting"])
+    def test_unreadable_json_is_config_error(self, tmp_path, text):
+        path = tmp_path / "config.json"
+        path.write_bytes(text)
+        res = _run(["mc", "--config", str(path), "--out", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        assert "config error: invalid JSON" in res.output
+
+    def test_one_id_for_two_observables_is_config_error(self, tmp_path):
+        # mc keys its estimates by id: both observables would share one
+        doc = _mutated(None, "observables", [
+            {"id": "x", "kind": "correlation", "legs": ["f1", "f2"]},
+            {"id": "x", "kind": "expectation", "legs": ["f1"]}])
+        doc["orders"] = [0]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        res = _run(["mc", "--config", str(path), "--out", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        assert "a second observable with id 'x'" in res.output
+        assert not (tmp_path / "mc.csv").exists()
+
 
 def _mutated(section, key, value) -> dict:
     """BASE_CONFIG with one field set; section None is the top level."""
@@ -633,6 +658,54 @@ class TestCompareInputs:
         res = _compare_edited(compare_inputs, tmp_path_factory.mktemp("csv"),
                               edits, "--strict")
         assert res.exit_code in (0, 1, 2, 3), res.output
+
+
+def _observables(path) -> list[str]:
+    with open(path, newline="") as fh:
+        return [r["observable"] for r in csv.DictReader(fh)]
+
+
+class TestObservableIds:
+    def _config(self, tmp_path, obs_id):
+        doc = _mutated(None, "orders", [0])
+        doc["mc"]["n_samples"] = 100
+        doc["observables"] = [{"id": obs_id, "kind": "correlation",
+                               "legs": ["f1", "f2"]}]
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(doc))
+        return str(path)
+
+    def test_config_id_reaches_every_csv(self, tmp_path):
+        cfg = self._config(tmp_path, "pair")
+        for cmd in ("corr", "mc"):
+            res = _run([cmd, "--config", cfg, "--out", str(tmp_path)])
+            assert res.exit_code == 0, res.output
+        assert _observables(tmp_path / "correlation.csv") == ["pair"]
+        assert _observables(tmp_path / "mc.csv") == ["pair"]
+        res = _run(["compare", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert "compared 1 observables" in res.output
+        assert _observables(tmp_path / "compare.csv") == ["pair"]
+
+    def test_mc_keeps_an_id_with_a_hash(self, tmp_path):
+        cfg = self._config(tmp_path, "f1#f2#o1")
+        res = _run(["mc", "--config", cfg, "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        assert _observables(tmp_path / "mc.csv") == ["f1#f2#o1"]
+
+    def test_compare_without_a_shared_pair_is_config_error(self, tmp_path):
+        cfg = self._config(tmp_path, "pair")
+        (tmp_path / "correlation.csv").write_text(
+            "observable,order,value_re,value_im,error,samples,seed,hbar\n"
+            "pair,0,0.5,0.0,0.01,1024,7,0.0\n")
+        (tmp_path / "mc.csv").write_text(
+            "observable,order,mean,stderr,n_samples,seed,grid\n"
+            "other,0,0.5,0.01,100,11,g\n")
+        res = _run(["compare", "--config", cfg, "--out", str(tmp_path),
+                    "--strict"])
+        assert res.exit_code == 1, res.output
+        assert "no (observable, order) pair" in res.output
+        assert not (tmp_path / "compare.csv").exists()
 
 
 class TestBoundsEdges:

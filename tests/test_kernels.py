@@ -224,6 +224,23 @@ class TestMaskedKernels:
                           _retarded_massive_where(-np.asarray(t),
                                                   -np.asarray(x), 0.7, sign))
 
+    @pytest.mark.parametrize("case", sorted(_masked_cases()) + ["grid"])
+    @pytest.mark.parametrize("sign", [-1.0, 1.0])
+    def test_massless_is_half_sign_on_the_cone(self, case, sign):
+        # J0(0) is 1.0 exactly, so at m = 0 the massive formula gives the
+        # closed form sign / 2 on the closed cone bit for bit
+        if case == "grid":
+            t, x = np.meshgrid(np.linspace(-2, 2, 401),
+                               np.linspace(-2, 2, 401))
+        else:
+            t, x = _masked_cases()[case]
+        t, x = np.asarray(t), np.asarray(x)
+        for got, past in ((ker.retarded_massive(t, x, 0.0, sign), False),
+                          (ker.advanced(t, x, 0.0, sign), True)):
+            inside = (ker.in_future_cone(-t, -x) if past
+                      else ker.in_future_cone(t, x))
+            assert _same_bits(got, np.where(inside, 0.5 * sign, 0.0))
+
 
 class TestCovarianceQ:
     def test_sharp_closed_forms(self):
