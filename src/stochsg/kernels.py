@@ -269,6 +269,15 @@ class SmearingFunction:
                 return False
         return True
 
+    def null_box(self) -> tuple[float, float, float, float]:
+        """(umin, umax, vmin, vmax) bounding the support in the null
+        coordinates u = t - x, v = t + x."""
+        r2 = np.sqrt(2.0)
+        u = [(c.center.t - c.center.x, c.radius * r2) for c in self.components]
+        v = [(c.center.t + c.center.x, c.radius * r2) for c in self.components]
+        return (min(a - r for a, r in u), max(a + r for a, r in u),
+                min(a - r for a, r in v), max(a + r for a, r in v))
+
     def is_nonnegative(self) -> bool:
         return all(c.amplitude >= 0 for c in self.components)
 
@@ -442,9 +451,9 @@ MIN_Q_BUDGET = 1
 MAX_Q_BUDGET = 2 ** 15
 MIN_SMEARING_NODES = 1  # Gauss-Legendre nodes per axis of weighted_nodes
 # No node sum holds more than one block of (query, node) pairs or one table
-# slice per node position, so the node limits bound time: a direct leg field
-# reads n^2 kernel values per quadrature point (16384 at 128), a non-Q
-# scalar pair (2n)^4, 85M at 48.
+# slice per node position, so the node limits bound time: the order-1
+# oracle's DeltaA legs read n^2 kernel values per quadrature point (16384
+# at 128), and a Q scalar pair (2n)^2 nodes against 2n node positions.
 MAX_LEG_NODES = 128
 MAX_PAIR_NODES = 48
 INTERP_METHODS = ("linear", "cubic")
@@ -540,12 +549,38 @@ class QTable:
                                - np.asarray(xp, dtype=float), dg))
         return _spline_read(self._coeffs, coords, self.spline_order)
 
-    def leg_sum(self, t, x, pts, w):
+    def _leg_taps(self, pts, w):
+        """(node_x, taps): the distinct node positions x_j, and taps[q, m]
+        the weight of node-time tap q at position m, of the rows y_j of
+        ``pts`` with weights w_j; OutOfDomain where a node time lies
+        outside the grid."""
+        tg = self.time_grid
+        node_x, col = np.unique(pts[:, 1], return_inverse=True)
+        nidx, nw = _spline_taps(_grid_coords(pts[:, 0], tg), len(tg),
+                                self.spline_order)
+        return node_x, np.bincount(
+            (nidx * node_x.size + col[:, None]).ravel(),
+            (nw * w[:, None]).ravel(),
+            len(tg) * node_x.size).reshape(len(tg), node_x.size)
+
+    def _fold_taps(self, taps_m):
+        # a fixed-order sum (no BLAS, whose kernel the CPU picks)
+        return np.einsum("pqr,q->pr", self._coeffs, taps_m)
+
+    def leg_fold(self, pts, w):
+        """(node_x, one 2D coefficient array per position) for leg_sum: the
+        node taps of every position folded into the coefficients once."""
+        node_x, taps = self._leg_taps(pts, w)
+        return node_x, [self._fold_taps(c) for c in taps.T]
+
+    def leg_sum(self, t, x, pts, w, fold=None):
         """sum_j w_j Q((t, x), y_j) over the rows y_j of ``pts``, raising
         OutOfDomain where interp would at some (query, node) pair.  The
         spline is separable: the node weights and node-time taps are folded
         into the coefficients once per distinct node position x_j, leaving a
-        2D spline in (t, x - x_j), read as _spline_read reads it."""
+        2D spline in (t, x - x_j), read as _spline_read reads it.  ``fold``
+        is leg_fold(pts, w) if built already; else each position is folded
+        as it is read."""
         from scipy import ndimage
         t, x = np.broadcast_arrays(np.asarray(t, dtype=float),
                                    np.asarray(x, dtype=float))
@@ -554,16 +589,11 @@ class QTable:
         n_t, n_x, order = len(tg), len(dg), self.spline_order
         # clipped grid coordinates: the query times once, x - x_j per x_j
         coords = np.stack([np.clip(_grid_coords(t, tg), 0, n_t - 1), x])
-        node_x, col = np.unique(pts[:, 1], return_inverse=True)
-        nidx, nw = _spline_taps(_grid_coords(pts[:, 0], tg), n_t, order)
-        # taps[q, m]: node weight at node-time tap q and position m
-        taps = np.bincount((nidx * node_x.size + col[:, None]).ravel(),
-                           (nw * w[:, None]).ravel(),
-                           n_t * node_x.size).reshape(n_t, node_x.size)
+        if fold is None:
+            node_x, taps = self._leg_taps(pts, w)
+            fold = node_x, map(self._fold_taps, taps.T)
         out = np.zeros(t.size)
-        for m, xm in enumerate(node_x):
-            # a fixed-order sum (no BLAS, whose kernel the CPU picks)
-            c = np.einsum("pqr,q->pr", self._coeffs, taps[:, m])
+        for xm, c in zip(*fold):
             coords[1] = np.clip(_grid_coords(x - xm, dg), 0, n_x - 1)
             out += ndimage.map_coordinates(c, coords, order=order,
                                            mode="mirror", prefilter=False)
@@ -646,7 +676,8 @@ FIELD_REACH = 2     # grid cells around the nearest node that bound() covers
 @dataclass(frozen=True, eq=False)
 class FieldTable:
     """A function of z = (t, x) on a uniform grid, read back by a tensor
-    B-spline of the given order; queries are clipped to the grid.
+    B-spline of the given order; queries are clipped to the grid.  The grid
+    axes are (t, x), or the null coordinates (t - x, t + x) if ``null``.
 
     Its error comes from two resolutions: the spline through every node
     (fine) and the one through every other node (coarse).  ``bound(t, x)``
@@ -659,16 +690,36 @@ class FieldTable:
     coeffs: np.ndarray
     order: int
     local: np.ndarray = field(repr=False)
+    null: bool = False
 
     def _coords(self, t, x):
-        return ((np.asarray(t) - self.origin[0]) / self.step[0],
-                (np.asarray(x) - self.origin[1]) / self.step[1])
+        a, b = np.asarray(t), np.asarray(x)
+        if self.null:
+            a, b = a - b, a + b
+        return ((a - self.origin[0]) / self.step[0],
+                (b - self.origin[1]) / self.step[1])
 
     def __call__(self, t, x):
         return _spline_read(self.coeffs, self._coords(t, x), self.order)
 
     def bound(self, t, x):
         return _spline_read(self.local, self._coords(t, x), 0)
+
+
+def _field_table(fine: np.ndarray, coarse: np.ndarray, origin, step,
+                 order: int, null: bool = False,
+                 floor: float = 0.0) -> FieldTable:
+    """The FieldTable of ``fine`` on an odd number of nodes per axis, bounded
+    by its distance to the spline through ``coarse``, the values on every
+    other node, plus a uniform ``floor``."""
+    from scipy import ndimage
+    I, J = np.meshgrid(np.arange(fine.shape[0]) / 2.0,
+                       np.arange(fine.shape[1]) / 2.0, indexing="ij")
+    approx = _spline_read(_spline_coeffs(coarse, order), (I, J), order)
+    local = ndimage.maximum_filter(np.abs(fine - approx),
+                                   size=2 * FIELD_REACH + 1, mode="nearest")
+    return FieldTable(origin, step, _spline_coeffs(fine, order), order,
+                      local + floor if floor else local, null)
 
 
 def tabulate_field(fn, box: tuple[float, float, float, float],
@@ -679,7 +730,6 @@ def tabulate_field(fn, box: tuple[float, float, float, float],
     the mirror-boundary spline lie outside the box.  fn is evaluated once,
     on the node grid, at node coordinates clipped to ``domain``, the box in
     which fn is defined."""
-    from scipy import ndimage
     cells = FIELD_NODES - 1 - 2 * FIELD_PAD
     k = np.arange(-FIELD_PAD, FIELD_NODES - FIELD_PAD)
     st = (box[1] - box[0]) / cells
@@ -688,14 +738,301 @@ def tabulate_field(fn, box: tuple[float, float, float, float],
                        np.clip(box[2] + sx * k, domain[2], domain[3]),
                        indexing="ij")
     vals = fn(T, X)
-    half = np.arange(FIELD_NODES) / 2.0
-    I, J = np.meshgrid(half, half, indexing="ij")
-    coarse = _spline_read(_spline_coeffs(vals[::2, ::2], order), (I, J), order)
-    return FieldTable(
-        (box[0] - FIELD_PAD * st, box[2] - FIELD_PAD * sx), (st, sx),
-        _spline_coeffs(vals, order), order,
-        ndimage.maximum_filter(np.abs(vals - coarse),
-                               size=2 * FIELD_REACH + 1, mode="nearest"))
+    return _field_table(vals, vals[::2, ::2],
+                        (box[0] - FIELD_PAD * st, box[2] - FIELD_PAD * sx),
+                        (st, sx), order)
+
+
+# ---------------------------------------------------------------------------
+# leg fields of the difference kernels on a null grid
+# ---------------------------------------------------------------------------
+#
+# In null coordinates U = u_z - u_y, V = v_z - v_y, and with dy = du dv / 2,
+#   DeltaR(z - y) = (s/2) J0(m sqrt(UV)) theta(U) theta(V),
+#   J0(m sqrt(UV)) = sum_k (-m^2 UV / 4)^k / (k!)^2     (the Riemann function),
+#   H(z - y) = A(UV) (ln|U| + ln|V|) + B(UV),
+# with A, B the entire series of K0 and Y0 (Abramowitz & Stegun 9.6.13,
+# 9.1.13; one expression covers both signs of UV), and A = -1/(4 pi),
+# B = ln(4 mu_ref^2) / (4 pi) for H0.  Every term is separable in (U, V), so
+# a leg field is a short sum of 1D integral operators applied to the leg's
+# density f(u, v) on one uniform null lattice.  Since
+# int_{u' < u} (u - u')^k phi(u') du' = k! (I^{k+1} phi)(u), I the causal
+# cumulative integral, the term k of DeltaR f is (s/4) (-m^2/4)^k
+# I_u^{k+1} I_v^{k+1} f.
+
+NULL_LEG_CELLS = 64      # lattice cells across the leg's null box
+NULL_MAX_NODES = 513     # lattice nodes per axis; a wider span widens the step
+NULL_MIN_CELLS = 16      # fewer cells across the leg are refused
+MAX_SERIES_TERMS = 256   # more Riemann/Bessel terms than this are refused
+_SERIES_EPS = 2.0 ** -60  # relative size of the first series term dropped
+_EPS = np.finfo(float).eps
+# the trapezoid rule's half weight at its upper end, minus 1, and
+# Gregory's corrections -1/12, -1/24, -19/720, -3/160 of the backward
+# differences there: taps on the end node and the 4 below it
+_GREGORY = (-1 / 12, -1 / 24, -19 / 720, -3 / 160)
+_GREGORY_TAPS = tuple((s == 0) * -0.5
+                      + sum(g * (-1) ** s * math.comb(r, s)
+                            for r, g in enumerate(_GREGORY, 1) if r >= s)
+                      for s in range(len(_GREGORY) + 1))
+# zeta(3), zeta(5), zeta(7): the log corrections of the trapezoid rule
+_ZETA_ODD = (1.2020569031595942, 1.0369277551433699, 1.0083492773819228)
+
+
+def _taylor_stencils(p: int) -> np.ndarray:
+    """s[d, n + p]: phi^(d)(0) / d! ~ h^-d sum_n s[d, n + p] phi(n h), exact
+    for polynomials of degree 2p: the coefficients of the Lagrange basis on
+    the nodes -p..p (integers, each divided once)."""
+    nodes = np.arange(-p, p + 1)
+    rows = []
+    for n in nodes:
+        others = nodes[nodes != n]
+        poly = np.ones(1)
+        for m in others:
+            poly = np.convolve(poly, [-m, 1.0])
+        rows.append(poly / np.prod(n - others))
+    return np.array(rows).T
+
+
+_LOG_STENCILS = _taylor_stencils(len(_ZETA_ODD))
+
+
+def _cumulative(a: np.ndarray, reverse: bool) -> np.ndarray:
+    """int of a along axis 0 from the first node (the last, if reverse) to
+    each node, in units of the step: the cumulative sum with _GREGORY_TAPS
+    at the node, which read only the node and the 4 before it.  The first
+    node must lie where a and its derivatives vanish."""
+    if reverse:
+        a = a[::-1]
+    out = np.cumsum(a, axis=0)
+    for s, c in enumerate(_GREGORY_TAPS):
+        out[s:] += c * a[:len(a) - s]
+    return out[::-1] if reverse else out
+
+
+def _log_weights(k: int, h: float, offsets: np.ndarray,
+                 log_u: np.ndarray) -> np.ndarray:
+    """w[n] for the integer offsets n, log_u = ln|n h| (any value at 0):
+    sum_n w[n] phi(u - n h) ~ int (u - u')^k ln|u - u'| phi(u') du' for a
+    smooth phi of compact support.  It is the trapezoid rule without its
+    singular node plus the Navot-Sidi terms h ln(h / 2 pi) psi(0) +
+    sum_j (-1)^j zeta(2j+1) (2j)! / (2 pi)^2j h^(2j+1) [x^2j] psi(x), with
+    psi(x) = x^k phi(u - x), whose Taylor coefficients central stencils over
+    |n| <= 3 read."""
+    U = offsets * h
+    w = np.where(offsets != 0, h * U ** k * log_u, 0.0)
+    if k == 0:
+        w[offsets == 0] = h * math.log(h / (2.0 * math.pi))
+    p = len(_ZETA_ODD)
+    near = np.abs(offsets) <= p
+    corr = np.zeros(int(near.sum()))
+    for j, zeta in enumerate(_ZETA_ODD, 1):
+        if 2 * j >= k:
+            corr += ((-1) ** j * zeta * math.factorial(2 * j)
+                     / (2.0 * math.pi) ** (2 * j)
+                     * _LOG_STENCILS[2 * j - k, offsets[near] + p])
+    w[near] += h ** (k + 1) * corr
+    return w
+
+
+def _series(zeta: float) -> tuple[int, float, float]:
+    """(K, S, T) for sum_k zeta^k / (k!)^2: the last term kept, the sum of
+    the kept terms and a bound on the dropped ones, K the first index whose
+    successor is at most _SERIES_EPS.  ConfigError past MAX_SERIES_TERMS."""
+    k, term, total = 0, 1.0, 1.0
+    while term * zeta / (k + 1) ** 2 > _SERIES_EPS:
+        k += 1
+        if k > MAX_SERIES_TERMS:
+            raise ConfigError(
+                f"m^2 UV / 4 = {zeta:.4g} over the null grid of a leg "
+                f"field needs more than {MAX_SERIES_TERMS} series terms")
+        term *= zeta / (k * k)
+        total += term
+    nxt = term * zeta / (k + 1) ** 2
+    return k, total, nxt / (1.0 - zeta / (k + 2) ** 2) if zeta else 0.0
+
+
+def _riemann_field(dens: np.ndarray, h: float, m: float, reverse: bool,
+                   terms: int) -> np.ndarray:
+    """sum_k (-m^2/4)^k I_u^{k+1} I_v^{k+1} dens / 4, k <= terms, on the
+    lattice: the retarded field over s, or the advanced one with reverse."""
+    total = np.zeros(dens.shape)
+    F = 0.25 * h * h * dens
+    for k in range(terms + 1):
+        # F is the term k itself, so no factor (m^2/4)^k can overflow; the
+        # v sum runs on the transposed copy, along its rows
+        F = _cumulative(F, reverse)
+        F = np.ascontiguousarray(_cumulative(np.ascontiguousarray(F.T),
+                                             reverse).T)
+        total += F
+        F *= -0.25 * m * m * h * h
+    return total
+
+
+def _hadamard_coeffs(p: ModelParams, terms: int):
+    """(a_k, b_k), k <= terms: H = A(w)(ln|U| + ln|V|) + B(w), w = UV,
+    A = sum a_k w^k, B = sum b_k w^k."""
+    if p.m == 0.0:
+        return ([-1.0 / (4.0 * np.pi)],
+                [math.log(4.0 * p.mu_ref ** 2) / (4.0 * np.pi)])
+    a, b = [], []
+    term, harmonic = 1.0, 0.0
+    log_half = math.log(0.5 * p.m) + np.euler_gamma
+    for k in range(terms + 1):
+        if k:
+            term *= -0.25 * p.m * p.m / (k * k)
+            harmonic += 1.0 / k
+        a.append(-term / (4.0 * np.pi))
+        b.append((harmonic - log_half) * term / (2.0 * np.pi))
+    return a, b
+
+
+def _hadamard_field(dens: np.ndarray, h: float, p: ModelParams,
+                    terms: int) -> np.ndarray:
+    """(H f) on the lattice from the density window: the log factor by
+    _log_weights, the polynomial ones through moments of the density about
+    its window's centre node, (v - v')^k = sum_l C(k, l) dv^(k-l) (-dv')^l."""
+    a, b = _hadamard_coeffs(p, terms)
+    K = len(a)
+    rows = [np.flatnonzero(np.any(dens != 0.0, axis=1 - ax)) for ax in (0, 1)]
+    if rows[0].size == 0:
+        return np.zeros(dens.shape)
+    rows = [np.arange(r[0], r[-1] + 1) for r in rows]
+    win = dens[np.ix_(*rows)]
+    centre = [(r[0] + r[-1]) // 2 for r in rows]
+    k_pow = np.arange(K)
+    # powers of the offsets from the centre: inside the window and on the grid
+    p_in = [((r - c) * h) ** k_pow[:, None] for r, c in zip(rows, centre)]
+    p_out = [((np.arange(n) - c) * h)[:, None] ** k_pow
+             for n, c in zip(dens.shape, centre)]
+    # binom[k][e] = C(k, k - e) (-1)^(k - e): the weight of dv^e in (v - v')^k
+    binom = [np.array([math.comb(k, e) * (-1.0) ** (k - e)
+                       for e in range(k + 1)]) for k in range(K)]
+
+    def log_along(ax):
+        # the A terms with ln|U| on axis ax: log weights along ax, moments
+        # along the other axis
+        w = win if ax == 0 else win.T
+        mom = h * np.einsum("jc,lc->jl", w, p_in[1 - ax])
+        # the weights depend on the offset i - j alone: one row of them
+        # per k, gathered into the (grid node, window node) matrix
+        first = -rows[ax][-1]
+        offsets = np.arange(first, dens.shape[ax] - rows[ax][0])
+        log_u = np.log(np.where(offsets != 0, np.abs(offsets * h), 1.0))
+        gather = (np.arange(dens.shape[ax])[:, None] - rows[ax][None, :]
+                  - first)
+        G = np.zeros((dens.shape[ax], K))
+        for k in range(K):
+            lm = np.einsum("ij,jl->il",
+                           _log_weights(k, h, offsets, log_u)[gather],
+                           mom[:, k::-1])
+            G[:, :k + 1] += a[k] * binom[k] * lm
+        out = np.einsum("ie,je->ij", G, p_out[1 - ax])
+        return out if ax == 0 else out.T
+
+    mom2 = h * h * np.einsum("lj,je->le", p_in[0],
+                             np.einsum("jc,ec->je", win, p_in[1]))
+    coef = np.zeros((K, K))
+    for k in range(K):
+        coef[:k + 1, :k + 1] += (b[k] * np.outer(binom[k], binom[k])
+                                 * mom2[k::-1, k::-1])
+    out = log_along(0) + log_along(1)
+    out += np.einsum("ie,je->ij", np.einsum("ie,ef->if", p_out[0], coef),
+                     p_out[1])
+    return 0.5 * out
+
+
+def _null_lattice(leg: SmearingFunction, cover):
+    """(step, u nodes, v nodes, kept): the lattice anchored at the leg's
+    lowest null corner, with NULL_LEG_CELLS cells across its null box,
+    spanning that box and the boxes of ``cover``, each padded by FIELD_PAD
+    cells; ``kept`` slices the nodes over the cover's boxes and their pads.
+    Every axis and slice has an even number of cells, so every other node
+    is the coarse lattice.  The step widens until no axis has more than
+    NULL_MAX_NODES nodes; ConfigError if the leg then spans fewer than
+    NULL_MIN_CELLS cells, too few to resolve it."""
+    lb = leg.null_box()
+    boxes = [c.null_box() for c in cover]
+    width = max(lb[1] - lb[0], lb[3] - lb[2])
+    ends = [(lb[2 * ax], min(b[2 * ax] for b in boxes),
+             max(b[2 * ax + 1] for b in boxes)) for ax in (0, 1)]
+    span = max(max(hi, lb[2 * ax + 1]) - min(lo, lb[2 * ax])
+               for ax, (_, lo, hi) in enumerate(ends))
+    # an axis has at most span / h + 2 FIELD_PAD + 5 nodes
+    h = max(width / NULL_LEG_CELLS,
+            span / (NULL_MAX_NODES - 2 * FIELD_PAD - 5))
+    if not width >= NULL_MIN_CELLS * h:
+        raise ConfigError(
+            f"a leg of null width {width:.3g} spans {width / h:.3g} cells of "
+            f"the {NULL_MAX_NODES}-node null grid over {span:.3g} (at least "
+            f"{NULL_MIN_CELLS} are needed)")
+    nodes, kept = [], []
+    for ax, (anchor, lo, hi) in enumerate(ends):
+        # node indices relative to the anchor: the cover's, then the leg's
+        c0 = math.floor((lo - anchor) / h) - FIELD_PAD
+        c1 = math.ceil((hi - anchor) / h) + FIELD_PAD
+        c0, c1 = c0 - c0 % 2, c1 + c1 % 2
+        i0 = min(c0, 0)
+        i1 = max(c1, math.ceil((lb[2 * ax + 1] - anchor) / h))
+        i1 += i1 % 2
+        nodes.append(anchor + h * np.arange(i0, i1 + 1))
+        kept.append(slice(c0 - i0, c1 - i0 + 1))
+    return h, nodes[0], nodes[1], tuple(kept)
+
+
+def tabulate_leg_field(basis: str, p: ModelParams, leg: SmearingFunction,
+                       cover) -> FieldTable:
+    """(K f)(z) of a difference kernel of the real basis (H, H0, DeltaR,
+    DeltaA, with the retarded sign of the params' convention) and the leg
+    f, tabulated on a null lattice over f's support and the supports of the
+    smearings in ``cover``, read by a bicubic spline at (t - x, t + x).
+
+    The table holds the field from the lattice of _null_lattice; the coarse
+    field is the same computation on every other node.  The bound is their
+    two-resolution distance (quadrature and interpolation), plus a uniform
+    bound on the dropped series terms and on the rounding of the kept ones,
+    which grows as e^(m sqrt(UV)) where the series cancels.  Only cumulative
+    sums and einsum contractions reduce, so the bits are fixed."""
+    if basis not in ("H", "H0", "DeltaR", "DeltaA"):
+        raise KeyError(f"unknown kernel symbol {basis!r}")
+    if basis == "H0":
+        p = p.with_(m=0.0)
+    h, us, vs, kept = _null_lattice(leg, cover)
+    U, V = np.meshgrid(us, vs, indexing="ij")
+    dens = leg(0.5 * (U + V), 0.5 * (V - U))
+    u_max, v_max = us[-1] - us[0], vs[-1] - vs[0]
+    zeta = p.m * p.m * u_max * v_max / 4.0
+    terms, series_sum, tail = _series(zeta)
+    mass = h * h * float(np.sum(np.abs(dens)))  # int |f| du dv
+    # rounding: each kept term passes about (terms + 2)(n_u + n_v) sums
+    ops = (terms + 2) * (len(us) + len(vs)) * _EPS
+    if basis in ("DeltaR", "DeltaA"):
+        def fn(d, step):
+            return p.retarded_sign * _riemann_field(
+                d, step, p.m, basis == "DeltaA", terms)
+        # |I_u^{k+1} I_v^{k+1} f| <= (u_max v_max)^k / (k!)^2 int |f|
+        floor = 0.25 * mass * (tail + ops * series_sum)
+    else:
+        def fn(d, step):
+            return _hadamard_field(d, step, p, terms)
+        # |a_k w^k| <= zeta^k / (k!)^2 / (4 pi), |b_k w^k| <= that times
+        # 2 (H_k + |ln(m/2) + gamma|), |ln|U|| <= logs on the lattice, and
+        # the binomial sums of _hadamard_field reach (2 u_max)^k (2 v_max)^k
+        logs = max(abs(math.log(h)), abs(math.log(u_max)),
+                   abs(math.log(v_max)))
+        b_max = (abs(math.log(4.0 * p.mu_ref ** 2)) / (4.0 * np.pi)
+                 if p.m == 0.0 else
+                 (sum(1.0 / k for k in range(1, terms + 2))
+                  + abs(math.log(0.5 * p.m) + np.euler_gamma)) / (2.0 * np.pi))
+        binomial_sum, term = 1.0, 1.0
+        for k in range(1, terms + 1):
+            term *= 4.0 * zeta / (k * k)
+            binomial_sum += term
+        floor = (0.5 * mass * (logs / (2.0 * np.pi) + b_max)
+                 * (tail + ops * binomial_sum))
+    half = tuple(slice(k.start // 2, k.stop // 2 + 1) for k in kept)
+    return _field_table(fn(dens, h)[kept], fn(dens[::2, ::2], 2 * h)[half],
+                        (us[kept[0]][0], vs[kept[1]][0]), (h, h), 3,
+                        null=True, floor=floor)
 
 
 def worker_count() -> int:

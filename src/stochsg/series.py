@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 
 import numpy as np
 
@@ -66,7 +65,8 @@ class EvalContext:
     real-basis kernel is one two-point function (``kernel``); the composite
     kernels are labels of the algebra only.  A leg field (K f)(z) and its
     local error bound come from ``field``, the one place that decides how
-    a field is computed.
+    a field is computed: a table of Q leg sums for Q, and a null-grid
+    table (kernels.tabulate_leg_field) for the other kernels.
 
     One context serves every hbar of a run: ``evaluate_terms`` takes the
     hbar to evaluate at, and no table or memo of the context depends on it.
@@ -87,7 +87,8 @@ class EvalContext:
         self.pair_nodes = pair_nodes
         self._kernel_params = params.with_(sign_convention=ALGEBRA_CONVENTION)
         self._node_cache: dict[tuple[str, int], tuple] = {}
-        self._fields: dict[tuple[str, str], tuple] = {}
+        self._folds: dict[str, tuple] = {}
+        self._fields: dict[tuple[str, str, str], ker.FieldTable] = {}
         self._pairs: dict[tuple[str, str, str], QuadResult] = {}
 
     def kernel(self, basis: str):
@@ -105,6 +106,14 @@ class EvalContext:
             self._node_cache[key] = self.smearings[leg_name].weighted_nodes(
                 key[1])
         return self._node_cache[key]
+
+    def q_fold(self, leg_name: str):
+        """The Q table's fold of a leg's nodes (QTable.leg_fold), built
+        once per leg."""
+        if leg_name not in self._folds:
+            self._folds[leg_name] = self.table.leg_fold(
+                *self.nodes(leg_name))
+        return self._folds[leg_name]
 
     # -- pointwise building blocks -----------------------------------------
 
@@ -130,47 +139,62 @@ class EvalContext:
         return out.reshape(shape)
 
     def smeared_kernel(self, basis: str, leg_name: str, t, x):
-        """(K f)(z) = sum_j w_j K(z, y_j) for a single basis kernel."""
+        """(K f)(z) = sum_j w_j K(z, y_j) for a single basis kernel over
+        the leg's nodes; Q reads the leg's memoized fold."""
+        if basis == "Q":
+            return self.table.leg_sum(t, x, *self.nodes(leg_name),
+                                      fold=self.q_fold(leg_name))
         return self.node_sum(basis, t, x, *self.nodes(leg_name))
 
-    def field(self, basis: str, leg_name: str):
-        """(field, bound) of the leg field (K f)(z), built once.  Q is
-        tabulated over the interaction's support from one smeared_kernel
-        call (at nodes clipped to where the Q table covers every pairing
-        with the leg's nodes), with its local error bound; H, H0, DeltaR
-        and DeltaA are direct node sums (bound None)."""
-        key = (basis, leg_name)
+    def _table(self, basis: str, leg_name: str, cover: str):
+        """The FieldTable of (K f)(z) over the supports of the leg and of
+        the smearing ``cover``, built once.  Q tabulates smeared_kernel over
+        the cover's support box (at nodes clipped to where the Q table
+        covers every pairing with the leg's nodes); the other kernels come
+        from kernels.tabulate_leg_field."""
+        key = (basis, leg_name, cover)
         if key not in self._fields:
+            leg, box = self.smearings[leg_name], self.smearings[cover]
             if basis == "Q":
                 tg, dg = self.table.time_grid, self.table.space_offset_grid
-                leg_box = self.smearings[leg_name].support_box()
+                leg_box = leg.support_box()
                 domain = (tg[0], tg[-1], dg[0] + leg_box[3],
                           dg[-1] + leg_box[2])
-                tab = ker.tabulate_field(
+                self._fields[key] = ker.tabulate_field(
                     lambda t, x: self.smeared_kernel("Q", leg_name, t, x),
-                    self.smearings[self.interaction].support_box(), domain,
-                    self.table.spline_order)
-                self._fields[key] = (tab, tab.bound)
+                    box.support_box(), domain, self.table.spline_order)
             else:
-                self.nodes(leg_name)
-                self._fields[key] = (
-                    partial(self.smeared_kernel, basis, leg_name), None)
+                self._fields[key] = ker.tabulate_leg_field(
+                    basis, self._kernel_params, leg, [box])
         return self._fields[key]
 
+    def field(self, basis: str, leg_name: str):
+        """(field, bound) of the leg field (K f)(z) over the interaction's
+        support, with its local error bound."""
+        tab = self._table(basis, leg_name, self.interaction)
+        return tab, tab.bound
+
     def scalar_pair(self, basis: str, p_name: str, q_name: str) -> QuadResult:
-        """<f_p, K f_q> by tensor Gauss-Legendre with a two-resolution error,
-        computed once per (basis, p, q)."""
+        """<f_p, K f_q> by tensor Gauss-Legendre over f_p's nodes with a
+        two-resolution error, computed once per (basis, p, q).  Q sums the
+        kernel over f_q's nodes too; the other kernels read the table of
+        K f_q over f_p's support, whose bound adds to the error."""
         key = (basis, p_name, q_name)
         if key in self._pairs:
             return self._pairs[key]
+        table = None if basis == "Q" else self._table(basis, q_name, p_name)
 
         def val(order):
             ppts, pw = self.nodes(p_name, order)
-            return complex(np.sum(pw * self.node_sum(
-                basis, ppts[:, 0], ppts[:, 1], *self.nodes(q_name, order))))
-        fine = val(2 * self.pair_nodes)
-        coarse = val(self.pair_nodes)
-        err = abs(fine - coarse) + 1e-15 * abs(fine)
+            t, x = ppts[:, 0], ppts[:, 1]
+            if table is None:
+                return complex(np.sum(pw * self.node_sum(
+                    "Q", t, x, *self.nodes(q_name, order)))), 0.0
+            return (complex(np.sum(pw * table(t, x))),
+                    float(np.sum(np.abs(pw) * table.bound(t, x))))
+        (fine, bound), (coarse, _) = val(2 * self.pair_nodes), \
+            val(self.pair_nodes)
+        err = abs(fine - coarse) + 1e-15 * abs(fine) + bound
         res = self._pairs[key] = QuadResult(fine, err,
                                             (2 * self.pair_nodes) ** 2)
         return res
@@ -255,14 +279,14 @@ def _integrand(ctx: EvalContext, p: ker.ModelParams, term: alg.Generator):
     grade (alg.hbar_grade).  A pair (i, j) and a self-dressing (i, i) are
     one exponent exp(scale * sum_b w_b K_b(z_i, z_j)).
 
-    Scalar pairs and the leg fields that EvalContext.field bounds carry an
-    error estimate.  fn returns (values, derivatives, higher):
-    ``derivatives`` lists (key, delta, d values / d part) for each such
-    part, keyed by what shares its error (the pair, or the leg field at a
-    vertex), so that terms sharing a part add their derivatives before the
-    bound delta applies; ``higher`` bounds the products of two or more such
-    errors.  A term without such a part returns ((), 0.0).  Every scalar
-    pair and leg field is resolved here, so fn only reads the memos.
+    Scalar pairs and leg fields carry an error estimate.  fn returns
+    (values, derivatives, higher): ``derivatives`` lists (key, delta,
+    d values / d part) for each such part, keyed by what shares its error
+    (the pair, or the leg field at a vertex), so that terms sharing a part
+    add their derivatives before the bound delta applies; ``higher`` bounds
+    the products of two or more such errors.  A term without such a part
+    returns ((), 0.0).  Every scalar pair and leg field is resolved here,
+    so fn only reads the memos.
     """
     a = p.a
     attached = [(v, l, _slot_parts(e, p.hbar)) for v, e, l in term.attached]
@@ -280,10 +304,9 @@ def _integrand(ctx: EvalContext, p: ker.ModelParams, term: alg.Generator):
         coeff *= value
         constants.append((value, [(("pair", b, pn, qn), w, r.error)
                                   for w, b, r in pairs]))
-    # the parts of each attached factor whose leg field carries a bound
-    attached = [(v, l, parts, [(w, b) for w, b in parts
-                               if ctx.field(b, l)[1] is not None])
-                for v, l, parts in attached]
+    for v, l, parts in attached:
+        for w, b in parts:
+            ctx.field(b, l)
 
     # exponents (scale, i, j, parts); a vertex's self-dressing has i == j
     dressings = {i: (-0.5 * (c * a) ** 2, i, i,
@@ -308,9 +331,9 @@ def _integrand(ctx: EvalContext, p: ker.ModelParams, term: alg.Generator):
             factors.append((exponent(*e), ()))
         for i, j, b, h, pw in term.edges:
             factors.append((cache.pair(b, i, j) ** pw, ()))
-        for v, l, parts, bounded in attached:
+        for v, l, parts in attached:
             errs = [(("field", b, l, v), w, cache.field_bound(b, l, v))
-                    for w, b in bounded]
+                    for w, b in parts]
             factors.append((_linear(
                 parts, lambda b: cache.smeared(b, l, v)), errs))
         out = np.full(cache.t.shape[0], coeff, dtype=complex)
@@ -479,8 +502,10 @@ def order1_correction_oracle(ctx: EvalContext, leg1: str, leg2: str,
 
     with Delta^A bound as the evaluator binds it (the "paper" retarded
     sign), which makes the product convention independent.  Every leg
-    sum is the evaluator's smeared_kernel; the Q sums are direct, not its
-    field tables, so the oracle checks the tables.
+    sum is a direct sum over the leg's nodes (smeared_kernel), not one of
+    the evaluator's field tables: the DeltaA legs are node sums of the
+    kernel, independent of the null-grid tables, and the Q legs read the
+    context's fold of the Q table, so the oracle checks the tables.
     """
     p = ctx.params
     g = ctx.smearings[interaction]
@@ -499,7 +524,7 @@ def order1_correction_oracle(ctx: EvalContext, leg1: str, leg2: str,
         return out
 
     for leg in (leg1, leg2):
-        ctx.nodes(leg)   # loaded here, so the quadrature threads only read
+        ctx.q_fold(leg)   # built here, so the quadrature threads only read
     spec = qd.IntegrandSpec(1, fn, mu=p.mu)
     return qd.integrate(spec, budget, seed).scaled(p.lam)
 

@@ -399,11 +399,18 @@ def estimate_correlator(observables, grid: LatticeGrid, params: ModelParams,
       <f, Psi_k> = <G^T f, src_k> over g's box (adjoint_field), so orders
       0-1 solve Psi_0 alone and order 2 solves Psi_1 only on g's box.
     Each McEstimate carries lambda^order so it is directly comparable with
-    the series coefficients.
+    the series coefficients.  ConfigError, before anything is allocated, if
+    the noise block of one chunk would hold more than MAX_CELLS cells.
     """
     observables = list(observables)
     if n_samples < MIN_REALIZATIONS:
         raise ValueError(f"need at least {MIN_REALIZATIONS} realizations")
+    block = min(chunk, n_samples)
+    if block * grid.n_t * grid.n_x > MAX_CELLS:
+        raise ConfigError(
+            f"an mc chunk of {block} realizations on the {grid.n_t} x "
+            f"{grid.n_x} lattice holds {block * grid.n_t * grid.n_x} cells "
+            f"(at most {MAX_CELLS}); lower mc.chunk or raise mc.dt")
     max_order = max((o.order for o in observables), default=0)
     if max_order > MAX_ORDER:
         raise ConfigError(f"MC order {max_order} beyond the simulated "

@@ -876,14 +876,17 @@ class TestCommands:
     # became a fixed-order numpy reduction (two errors move by 2.8e-14
     # relative or less, no value moves), and again when Q leg sums began to
     # read one 2D spline per node position (two errors move by 7.3e-14
-    # relative or less, no value moves)
+    # relative or less, no value moves); correlation.csv and compare.csv
+    # re-recorded when the DeltaR, DeltaA and H leg fields became null-grid
+    # tables (order 1 moves by 0.19 of its old error at hbar 0, by 3.3 at
+    # hbar 0.1, whose old error left out the 12^2 H node sums' bias)
     PINNED_OUTPUTS = {
         "qtable.bin":
         "90aaf7d9dec513fbc04bfbe02a51cbc78fb8e37553ed1c770a37236d638fd37d",
         "expectation.csv":
         "3c381b767d7854126f3a4a81b82bd008cdba6feeb843fcd5c9607a1239763308",
         "correlation.csv":
-        "370bec1235e18d66f8b5c5c82c1cb9cacf5a22cd30007e354a4534db5d21adf4",
+        "d7515a7435861201f0e12c0fe2b0aded1140ed9aec3dfc8c7e0199584a9f6d2c",
         "mc.csv":
         "154349058e88cc9fa6741f685dbe6dba3dca99d6b87b922b58dab7f926755e5b",
         "bounds.csv":
@@ -891,7 +894,7 @@ class TestCommands:
         "bounds.json":
         "329065d2fe84f353bbdb48340c4a1678413617503e7dcccecf6e6d534e2e9e71",
         "compare.csv":
-        "f863277396b5007de2a2811cf55935503007a93f70c7d85a89675577a396c165",
+        "2650d983828284a8a6715f09eab565a91714865547024d27877ae1d60b224aa8",
     }
 
     def test_outputs_pinned(self, tmp_path):
@@ -913,12 +916,14 @@ class TestCommands:
     # its modulus or less), again when every node sum became a fixed-order
     # numpy reduction (1.7e-16 of the modulus or less), and again when Q leg
     # sums began to read one 2D spline per node position (8.4e-16 of the
-    # modulus or less, errors 7.3e-14 relative or less)
+    # modulus or less, errors 7.3e-14 relative or less), and again when the
+    # DeltaR, DeltaA and H leg fields became null-grid tables (each order-2
+    # value moves by 0.09 of its old error or less)
     ORDER2_QUANTUM_OUTPUTS = {
         "expectation.csv":
-        "67483ec6f9a9db5539dfede67e146a929e0348ee7d6b5c350e001719780bf8b4",
+        "627b5fd80019da7680b8d1469a1a1b3c2c23b4add8e1da166ac49da70b1d633b",
         "correlation.csv":
-        "3761484bda8386fc8495b460068a7641b7191c80b56d3bd93bfdb42889eaeb7a",
+        "e8c6118948cfe4b580078f5de38a06fa5ecf3e18940de71c4e5d9a917dc4f2a2",
         "bounds.csv":
         "07e34f975ae1076d7de6e98c569506818f0b83258fd9749e9df4ebfa87797b33",
     }
@@ -942,6 +947,20 @@ class TestCommands:
     # read the last hierarchy level through adjoint fields
     MC_ORDER2_SHA256 = \
         "04b312cb824c74f72d94a9d07d7841cca3430a798d4e66e1c35c768e386fae6b"
+
+    def test_mc_chunk_beyond_max_cells_is_config_error(self, tmp_path):
+        # a leg at t = 100: each field passes MAX_CELLS, but one chunk of
+        # 64 realizations would hold 64 x 5041 x 10154 cells (24.4 GiB);
+        # refused before anything is allocated
+        doc = _mutated("mc", "dt", 0.02)
+        doc["smearings"]["f1"][0]["center"] = [100.0, 0.0]
+        cfg = tmp_path / "far.json"
+        cfg.write_text(json.dumps(doc))
+        res = _run(["mc", "--config", str(cfg), "--out", str(tmp_path)])
+        assert res.exit_code == 1, res.output
+        assert "chunk of 64 realizations" in res.output
+        assert "5041 x 10154" in res.output
+        assert not (tmp_path / "mc.csv").exists()
 
     def test_mc_order2_pinned(self, tmp_path):
         cfg = tmp_path / "order2.json"
@@ -1002,19 +1021,20 @@ class TestCommands:
         assert tables[0] == tables[1]
 
     # (order, hbar, value_re, value_im) of each row, recorded with every Q
-    # field summed over the leg nodes at each quadrature point
+    # field summed over the leg nodes at each quadrature point and every
+    # other field read from its null-grid table
     TIP_ROWS = {
         "expectation.csv": [
             (0, 0.0, 0.0, 0.0),
             (1, 0.0, 0.0, 0.0),
-            (2, 0.0, 0.0, -5.313973270755823e-07),
-            (2, 0.1, 2.5445969800623143e-06, -9.43309200057067e-06),
+            (2, 0.0, 0.0, -5.106323554752481e-07),
+            (2, 0.1, 2.54326037820349e-06, -7.1516591129932575e-06),
         ],
         "correlation.csv": [
-            (0, 0.0, 1.892040793275308e-05, 0.0),
-            (1, 0.0, -1.8696478880070605e-07, 0.0),
-            (2, 0.0, -8.52323415244253e-09, 0.0),
-            (2, 0.1, 9.15396038791509e-08, -5.422816094454677e-08),
+            (0, 0.0, 1.8920407932753083e-05, 0.0),
+            (1, 0.0, -1.870510182954965e-07, 0.0),
+            (2, 0.0, -1.1222378288061659e-08, 0.0),
+            (2, 0.1, 8.710181428954387e-08, -4.363439023838584e-08),
         ],
     }
 

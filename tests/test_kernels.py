@@ -1,3 +1,4 @@
+import functools
 import math
 import os
 import struct
@@ -719,6 +720,161 @@ class TestLegSum:
                     read(table, t, x, pts, w)
             else:
                 read(table, t, x, pts, w)
+
+
+    def test_fold_matches_per_call_fold(self, table):
+        # a fold built once gives the per-call sums bit for bit
+        pts, w = TWO_BUMPS.weighted_nodes(12)
+        t, x = self._queries(table, pts)
+        fold = table.leg_fold(pts, w)
+        assert len(fold[1]) == np.unique(pts[:, 1]).size
+        assert np.array_equal(table.leg_sum(t, x, pts, w, fold=fold),
+                              table.leg_sum(t, x, pts, w))
+
+
+def _graded_nodes(lo, hi, graded_end, n, panels, levels):
+    """Gauss-Legendre nodes and weights over [lo, hi] per row of the arrays
+    lo, hi: ``panels`` equal panels, the one at the graded end (+1 hi, -1
+    lo, 0 none) split geometrically toward it in ``levels`` steps."""
+    gx, gw = np.polynomial.legendre.leggauss(n)
+    frac = np.linspace(0.0, 1.0, panels + 1)
+    if graded_end:
+        inner = [frac[1] * 0.15 ** k for k in range(levels + 1)] + [0.0]
+        frac = np.union1d(frac[1:], inner)
+        if graded_end == 1:
+            frac = np.sort(1.0 - frac)
+    a, b = frac[:-1], frac[1:]
+    s = ((0.5 * (a + b))[:, None] + (0.5 * (b - a))[:, None] * gx).ravel()
+    w = ((0.5 * (b - a))[:, None] * gw).ravel()
+    span = (hi - lo)[:, None]
+    return lo[:, None] + span * s, span * w
+
+
+def _reference_field(basis, p, leg, t, x):
+    """(K f)(z) at the points (t, x) by graded Gauss-Legendre over the four
+    null quadrants around z, in which the kernel is smooth: the log
+    singularities of H lie on the quadrant edges, toward which the panels
+    are graded.  Agrees with itself to 3e-14 (DeltaR, DeltaA) and 2e-10
+    (H) against twice the nodes."""
+    ulo, uhi, vlo, vhi = leg.null_box()
+    uz, vz = t - x, t + x
+    out = np.zeros(t.size)
+    log = basis in ("H", "H0")
+    quadrants = {"DeltaR": [(1, 1)], "DeltaA": [(-1, -1)]}.get(
+        basis, [(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    n, panels, levels = (10, 6, 12) if log else (16, 12, 0)
+    for su, sv in quadrants:
+        # su = 1: u' < u_z, so U = u_z - u' > 0
+        a = np.maximum(uz, ulo) if su < 0 else np.full(t.size, ulo)
+        b = np.minimum(uz, uhi) if su > 0 else np.full(t.size, uhi)
+        c = np.maximum(vz, vlo) if sv < 0 else np.full(t.size, vlo)
+        d = np.minimum(vz, vhi) if sv > 0 else np.full(t.size, vhi)
+        uu, wu = _graded_nodes(a, np.maximum(a, b), su * log, n, panels,
+                               levels)
+        vv, wv = _graded_nodes(c, np.maximum(c, d), sv * log, n, panels,
+                               levels)
+        for i in np.flatnonzero((a < b) & (c < d)):
+            U, V = np.meshgrid(uu[i], vv[i], indexing="ij")
+            f = leg(0.5 * (U + V), 0.5 * (V - U))
+            dt = 0.5 * ((uz[i] - U) + (vz[i] - V))
+            dx = 0.5 * ((vz[i] - V) - (uz[i] - U))
+            if basis == "DeltaR":
+                k = ker.retarded_massive(dt, dx, p.m, p.retarded_sign)
+            elif basis == "DeltaA":
+                k = ker.advanced(dt, dx, p.m, p.retarded_sign)
+            elif basis == "H0":
+                k = ker.hadamard_massless(dt, dx, p.mu_ref, check=False)
+            else:
+                k = ker.hadamard(dt, dx, p, check=False)
+            out[i] += 0.5 * np.einsum("i,ij,j->", wu[i], k * f, wv[i])
+    return out
+
+
+NULL_LEGS = {"f1": SmearingFunction.bump(0.35, -0.25, 0.18),
+             "f2": SmearingFunction.bump(0.40, 0.20, 0.18)}
+NULL_G = SmearingFunction.bump(0.0, 0.0, 0.5)
+
+
+def _null_points():
+    # 200 points of supp g, where g does not underflow to 0
+    rng = np.random.default_rng(41)
+    r = 0.5 * np.sqrt(rng.random(300))
+    phi = 2.0 * np.pi * rng.random(300)
+    t, x = r * np.cos(phi), r * np.sin(phi)
+    live = NULL_G(t, x) > 0
+    return t[live][:200], x[live][:200]
+
+
+@functools.lru_cache(maxsize=None)
+def _null_reference(basis, m, leg):
+    """The reference field of NULL_LEGS[leg] at _null_points, in the paper
+    sign convention."""
+    return _reference_field(basis, ModelParams(m=m), NULL_LEGS[leg],
+                            *_null_points())
+
+
+class TestNullGridFields:
+    LEGS, G = NULL_LEGS, NULL_G
+
+    @pytest.mark.parametrize("m", [0.0, 0.5, 2.0])
+    def test_tables_within_bound_of_reference(self, m):
+        # the max bound over the max error was 24-30 (DeltaR, DeltaA) and
+        # 53-83 (H, H0) when the tables were introduced, the max error
+        # 4.4e-8, or 4.2e-6 of the largest |field|
+        t, x = _null_points()
+        assert t.size == 200
+        for name, leg in self.LEGS.items():
+            for basis in ("DeltaR", "DeltaA", "H0" if m == 0.0 else "H"):
+                ref = _null_reference(basis, m, name)
+                scale = np.max(np.abs(ref))
+                # the green sign flips the propagators, not H
+                flip = -1.0 if basis in ("DeltaR", "DeltaA") else 1.0
+                for convention, sign in (("paper", 1.0), ("green", flip)):
+                    p = ModelParams(m=m, sign_convention=convention)
+                    tab = ker.tabulate_leg_field(basis, p, leg, [self.G])
+                    err = np.abs(tab(t, x) - sign * ref)
+                    bound = tab.bound(t, x)
+                    assert np.all(err <= bound), (name, basis, convention)
+                    assert np.max(bound) <= 1e-3 * scale, (name, basis)
+
+    def test_node_sums_fail_the_reference(self):
+        # the 24^2 Gauss-Legendre node sums the tables replace: off by more
+        # than 1e-3 of the largest |field| in every case
+        t, x = _null_points()
+        p = ModelParams(m=0.5)
+        for name, leg in self.LEGS.items():
+            pts, w = leg.weighted_nodes(24)
+            for basis in ("DeltaA", "H"):
+                kernel = ker.difference_kernel(basis, p)
+                direct = np.sum(w * kernel(t[:, None] - pts[:, 0],
+                                           x[:, None] - pts[:, 1]), axis=-1)
+                ref = _null_reference(basis, 0.5, name)
+                assert np.max(np.abs(direct - ref)) > 1e-3 * np.max(
+                    np.abs(ref))
+
+    def test_cancelling_series_widens_the_bound(self):
+        # at m sqrt(UV) ~ 35 the Riemann series loses every digit, and the
+        # bound says so; a series past MAX_SERIES_TERMS is refused
+        leg = self.LEGS["f1"]
+        with np.errstate(under="ignore"):
+            tab = ker.tabulate_leg_field("DeltaA", ModelParams(m=20.0), leg,
+                                         [self.G])
+        assert np.min(tab.local) > np.max(np.abs(tab.coeffs))
+        with pytest.raises(ker.ConfigError):
+            ker.tabulate_leg_field("H", ModelParams(m=200.0), leg, [self.G])
+
+    def test_fields_are_smooth_across_the_cone(self):
+        # the exact field has no light-cone kink, so the fine and coarse
+        # tables agree to far below the field everywhere in supp g
+        t, x = _null_points()
+        tab = ker.tabulate_leg_field("DeltaR", ModelParams(m=0.5),
+                                     self.LEGS["f1"], [self.G])
+        assert np.max(tab.bound(t, x)) <= 1e-4 * np.max(np.abs(tab(t, x)))
+
+    def test_unknown_basis(self):
+        with pytest.raises(KeyError):
+            ker.tabulate_leg_field("Q", ModelParams(), self.LEGS["f1"],
+                                   [self.G])
 
 
 class TestGqWeight:
