@@ -141,7 +141,9 @@ def _check_series_inputs(cfg: RunConfig, kind: str) -> None:
     the observables of one kind that the Q table cannot read: its time
     extent leaves [-mu, mu], or the x-extents of its observable's legs
     span more than the 2 mu of the table's offsets.  mc evaluates such
-    legs, so parse_config accepts them."""
+    legs, so parse_config accepts them.  So is a leg whose null-grid field
+    over the interaction or another leg of its observable needs too many
+    series terms (kernels.check_leg_field)."""
     for n in cfg.orders:
         if n > ser.MAX_ORDER:
             raise ConfigError(f"series order {n} outside "
@@ -161,6 +163,10 @@ def _check_series_inputs(cfg: RunConfig, kind: str) -> None:
             raise ConfigError(
                 f"legs {list(obs.legs)} span {span!r} in x, beyond the Q "
                 f"table's offsets 2 mu = {2 * mu!r}")
+        for leg in obs.legs:
+            for cover in sorted({cfg.interaction} | set(obs.legs) - {leg}):
+                ker.check_leg_field(cfg.params, cfg.smearings[leg],
+                                    [cfg.smearings[cover]])
 
 
 def _series_csv(config_path, out_dir, seed, kind: str, name: str) -> None:

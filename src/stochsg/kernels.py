@@ -259,19 +259,13 @@ class SmearingFunction:
         return tmin, tmax, xmin, xmax
 
     def inside_diamond(self, mu: float) -> bool:
-        # a disk of radius r reaches r*sqrt(2) in the null coordinates
-        root2 = np.sqrt(2.0)
-        for c in self.components:
-            u, v = c.center.t - c.center.x, c.center.t + c.center.x
-            if abs(u) + c.radius * root2 >= mu:
-                return False
-            if abs(v) + c.radius * root2 >= mu:
-                return False
-        return True
+        umin, umax, vmin, vmax = self.null_box()
+        return umin > -mu and umax < mu and vmin > -mu and vmax < mu
 
     def null_box(self) -> tuple[float, float, float, float]:
         """(umin, umax, vmin, vmax) bounding the support in the null
-        coordinates u = t - x, v = t + x."""
+        coordinates u = t - x, v = t + x: a disk of radius r reaches
+        r sqrt(2) in each."""
         r2 = np.sqrt(2.0)
         u = [(c.center.t - c.center.x, c.radius * r2) for c in self.components]
         v = [(c.center.t + c.center.x, c.radius * r2) for c in self.components]
@@ -450,11 +444,15 @@ MIN_Q_BUDGET = 1
 # _Q_BLOCK floats at any budget
 MAX_Q_BUDGET = 2 ** 15
 MIN_SMEARING_NODES = 1  # Gauss-Legendre nodes per axis of weighted_nodes
-# No node sum holds more than one block of (query, node) pairs or one table
-# slice per node position, so the node limits bound time: the order-1
-# oracle's DeltaA legs read n^2 kernel values per quadrature point (16384
-# at 128), and a Q scalar pair (2n)^2 nodes against 2n node positions.
+# No node sum holds more than one block of (query, node) pairs, or more
+# table slices than one per node position up to MAX_FOLD_ENTRIES floats,
+# so the node limits bound time: the order-1 oracle's DeltaA legs read n^2
+# kernel values per quadrature point (16384 at 128), and a Q scalar pair
+# (2n)^2 nodes against 2n node positions.
 MAX_LEG_NODES = 128
+# floats of the folded table slices a context keeps for one leg (32 MiB);
+# a larger fold is redone one slice at a time on each read
+MAX_FOLD_ENTRIES = 2 ** 22
 MAX_PAIR_NODES = 48
 INTERP_METHODS = ("linear", "cubic")
 # float64 entries per (entries, outer nodes, inner nodes) array of a
@@ -683,6 +681,11 @@ class FieldTable:
     (fine) and the one through every other node (coarse).  ``bound(t, x)``
     is the largest |fine - coarse| over the nodes within FIELD_REACH cells
     of the node nearest z, which covers the coarse cell around z.
+
+    An axis with a ``grade`` (t_a, t_b, gamma) is uniform between the
+    nodes t_a and t_b only: node t lies at origin + step (t + gamma
+    tau^3), tau the distance of t beyond [t_a, t_b], so the cells widen
+    smoothly away from that range.
     """
 
     origin: tuple[float, float]
@@ -691,13 +694,17 @@ class FieldTable:
     order: int
     local: np.ndarray = field(repr=False)
     null: bool = False
+    grade: tuple = (None, None)
 
     def _coords(self, t, x):
         a, b = np.asarray(t), np.asarray(x)
         if self.null:
             a, b = a - b, a + b
-        return ((a - self.origin[0]) / self.step[0],
-                (b - self.origin[1]) / self.step[1])
+        a = (a - self.origin[0]) / self.step[0]
+        b = (b - self.origin[1]) / self.step[1]
+        ga, gb = self.grade
+        return (a if ga is None else _ungrade(a, *ga),
+                b if gb is None else _ungrade(b, *gb))
 
     def __call__(self, t, x):
         return _spline_read(self.coeffs, self._coords(t, x), self.order)
@@ -706,9 +713,32 @@ class FieldTable:
         return _spline_read(self.local, self._coords(t, x), 0)
 
 
+@dataclass(frozen=True, eq=False)
+class FieldSum:
+    """A leg field read as the sum of the FieldTables of its parts."""
+
+    parts: tuple[FieldTable, ...]
+
+    def __call__(self, t, x):
+        return sum(p(t, x) for p in self.parts)
+
+    def bound(self, t, x):
+        return sum(p.bound(t, x) for p in self.parts)
+
+
+def _ungrade(c, t_a: float, t_b: float, gamma: float):
+    """The node coordinate t of the uniform coordinate c = t + gamma tau^3
+    on a graded axis (FieldTable): tau + gamma tau^3 = e, e the distance
+    of c beyond [t_a, t_b], has the one real root
+    (2 / r) sinh(asinh(3 r e / 2) / 3), r = sqrt(3 gamma)."""
+    mid = np.clip(c, t_a, t_b)
+    r = math.sqrt(3.0 * gamma)
+    return mid + (2.0 / r) * np.sinh(np.arcsinh(1.5 * r * (c - mid)) / 3.0)
+
+
 def _field_table(fine: np.ndarray, coarse: np.ndarray, origin, step,
-                 order: int, null: bool = False,
-                 floor: float = 0.0) -> FieldTable:
+                 order: int, null: bool = False, floor: float = 0.0,
+                 grade: tuple = (None, None)) -> FieldTable:
     """The FieldTable of ``fine`` on an odd number of nodes per axis, bounded
     by its distance to the spline through ``coarse``, the values on every
     other node, plus a uniform ``floor``."""
@@ -719,7 +749,7 @@ def _field_table(fine: np.ndarray, coarse: np.ndarray, origin, step,
     local = ndimage.maximum_filter(np.abs(fine - approx),
                                    size=2 * FIELD_REACH + 1, mode="nearest")
     return FieldTable(origin, step, _spline_coeffs(fine, order), order,
-                      local + floor if floor else local, null)
+                      local + floor if floor else local, null, grade)
 
 
 def tabulate_field(fn, box: tuple[float, float, float, float],
@@ -762,7 +792,9 @@ def tabulate_field(fn, box: tuple[float, float, float, float],
 
 NULL_LEG_CELLS = 64      # lattice cells across the leg's null box
 NULL_MAX_NODES = 513     # lattice nodes per axis; a wider span widens the step
-NULL_MIN_CELLS = 16      # fewer cells across the leg are refused
+NULL_MIN_CELLS = 16      # a leg spanning fewer cells gets a graded lattice
+NULL_GRADE_CELLS = 16    # graded cells over which the cell width first doubles
+NULL_GRADE_NODES = 128   # graded nodes per side that reach the cover at most
 MAX_SERIES_TERMS = 256   # more Riemann/Bessel terms than this are refused
 _SERIES_EPS = 2.0 ** -60  # relative size of the first series term dropped
 _EPS = np.finfo(float).eps
@@ -852,9 +884,14 @@ def _series(zeta: float) -> tuple[int, float, float]:
 
 
 def _riemann_field(dens: np.ndarray, h: float, m: float, reverse: bool,
-                   terms: int) -> np.ndarray:
+                   terms: int, graded=((), ())) -> np.ndarray:
     """sum_k (-m^2/4)^k I_u^{k+1} I_v^{k+1} dens / 4, k <= terms, on the
-    lattice: the retarded field over s, or the advanced one with reverse."""
+    lattice: the retarded field over s, or the advanced one with reverse.
+    ``graded`` holds per axis (below, above): the coordinates, in cells
+    from the first lattice node, of further nodes beyond the lattice's
+    ends, which the density does not reach.  On the side the kernel does
+    not reach the field there is 0; on the other, I^{k+1} of a density
+    wholly behind the node is its moment against |u - u'|^k / k!."""
     total = np.zeros(dens.shape)
     F = 0.25 * h * h * dens
     for k in range(terms + 1):
@@ -865,7 +902,44 @@ def _riemann_field(dens: np.ndarray, h: float, m: float, reverse: bool,
                                              reverse).T)
         total += F
         F *= -0.25 * m * m * h * h
-    return total
+    if not any(len(lo) + len(hi) for lo, hi in graded):
+        return total
+    n_lo = [len(lo) for lo, _ in graded]
+    out = np.zeros(tuple(len(lo) + n + len(hi)
+                         for (lo, hi), n in zip(graded, dens.shape)))
+    lat = tuple(slice(b, b + n) for b, n in zip(n_lo, dens.shape))
+    out[lat] = total
+    rows = [np.flatnonzero(np.any(dens != 0.0, axis=1 - ax)) for ax in (0, 1)]
+    if rows[0].size == 0:
+        return out
+    far = [np.asarray(lo if reverse else hi, dtype=float)
+           for lo, hi in graded]
+    far_sl = [slice(0, b) if reverse else slice(b + n, None)
+              for b, n in zip(n_lo, dens.shape)]
+    dist = [h * np.abs(f[:, None] - r[None, :]) for f, r in zip(far, rows)]
+    # the far side carries h (m/2)^k |u - u'|^k / k! (Pu, Pv), or its
+    # (-m/2)^k twin (Qv); the lattice side (-m/2)^k I^{k+1} dens along v
+    # on the density's u rows (Gv), along u on its v rows (Gu)
+    Pu, Pv, Qv = h * np.ones(dist[0].shape), h * np.ones(dist[1].shape), \
+        h * np.ones(dist[1].shape)
+    Gv, Gu = dens[rows[0], :], dens[:, rows[1]]
+    win = dens[np.ix_(*rows)]
+    fl, lf, ff = 0.0, 0.0, 0.0
+    for k in range(terms + 1):
+        if k:
+            Pu = Pu * (0.5 * m / k) * dist[0]
+            Pv = Pv * (0.5 * m / k) * dist[1]
+            Qv = Qv * (-0.5 * m / k) * dist[1]
+            Gv, Gu = -0.5 * m * Gv, -0.5 * m * Gu
+        Gv = h * _cumulative(Gv.T, reverse).T
+        Gu = h * _cumulative(Gu, reverse)
+        fl = fl + np.einsum("ij,jl->il", Pu, Gv)
+        lf = lf + np.einsum("ij,lj->il", Gu, Pv)
+        ff = ff + np.einsum("il,ml->im", np.einsum("ij,jl->il", Pu, win), Qv)
+    out[far_sl[0], lat[1]] = 0.25 * fl
+    out[lat[0], far_sl[1]] = 0.25 * lf
+    out[far_sl[0], far_sl[1]] = 0.25 * ff
+    return out
 
 
 def _hadamard_coeffs(p: ModelParams, terms: int):
@@ -887,23 +961,27 @@ def _hadamard_coeffs(p: ModelParams, terms: int):
 
 
 def _hadamard_field(dens: np.ndarray, h: float, p: ModelParams,
-                    terms: int) -> np.ndarray:
+                    terms: int, graded=((), ())) -> np.ndarray:
     """(H f) on the lattice from the density window: the log factor by
     _log_weights, the polynomial ones through moments of the density about
-    its window's centre node, (v - v')^k = sum_l C(k, l) dv^(k-l) (-dv')^l."""
+    its window's centre node, (v - v')^k = sum_l C(k, l) dv^(k-l) (-dv')^l.
+    ``graded`` adds nodes beyond the lattice as _riemann_field's does;
+    they lie more than 3 cells from the density, where the log weights
+    need no correction."""
     a, b = _hadamard_coeffs(p, terms)
     K = len(a)
+    pos = [np.concatenate([lo, np.arange(n), hi])
+           for (lo, hi), n in zip(graded, dens.shape)]
     rows = [np.flatnonzero(np.any(dens != 0.0, axis=1 - ax)) for ax in (0, 1)]
     if rows[0].size == 0:
-        return np.zeros(dens.shape)
+        return np.zeros((len(pos[0]), len(pos[1])))
     rows = [np.arange(r[0], r[-1] + 1) for r in rows]
     win = dens[np.ix_(*rows)]
     centre = [(r[0] + r[-1]) // 2 for r in rows]
     k_pow = np.arange(K)
-    # powers of the offsets from the centre: inside the window and on the grid
+    # powers of the offsets from the centre: inside the window and at nodes
     p_in = [((r - c) * h) ** k_pow[:, None] for r, c in zip(rows, centre)]
-    p_out = [((np.arange(n) - c) * h)[:, None] ** k_pow
-             for n, c in zip(dens.shape, centre)]
+    p_out = [((x - c) * h)[:, None] ** k_pow for x, c in zip(pos, centre)]
     # binom[k][e] = C(k, k - e) (-1)^(k - e): the weight of dv^e in (v - v')^k
     binom = [np.array([math.comb(k, e) * (-1.0) ** (k - e)
                        for e in range(k + 1)]) for k in range(K)]
@@ -926,6 +1004,17 @@ def _hadamard_field(dens: np.ndarray, h: float, p: ModelParams,
                            _log_weights(k, h, offsets, log_u)[gather],
                            mom[:, k::-1])
             G[:, :k + 1] += a[k] * binom[k] * lm
+        lo, hi = graded[ax]
+        if len(lo) + len(hi):
+            # graded nodes: the trapezoid weights h U^k ln|U| alone
+            U = h * (np.concatenate([lo, hi])[:, None] - rows[ax][None, :])
+            Wk, Gf = h * np.log(np.abs(U)), np.zeros((U.shape[0], K))
+            for k in range(K):
+                if k:
+                    Wk = Wk * U
+                Gf[:, :k + 1] += a[k] * binom[k] * np.einsum(
+                    "ij,jl->il", Wk, mom[:, k::-1])
+            G = np.concatenate([Gf[:len(lo)], G, Gf[len(lo):]])
         out = np.einsum("ie,je->ij", G, p_out[1 - ax])
         return out if ax == 0 else out.T
 
@@ -941,32 +1030,57 @@ def _hadamard_field(dens: np.ndarray, h: float, p: ModelParams,
     return 0.5 * out
 
 
-def _null_lattice(leg: SmearingFunction, cover):
-    """(step, u nodes, v nodes, kept): the lattice anchored at the leg's
-    lowest null corner, with NULL_LEG_CELLS cells across its null box,
-    spanning that box and the boxes of ``cover``, each padded by FIELD_PAD
-    cells; ``kept`` slices the nodes over the cover's boxes and their pads.
+class _NullAxis(NamedTuple):
+    """One null axis of a leg field's lattice: the uniform lattice's node
+    positions (on a graded lattice, their offsets in cells from the bump's
+    centre), the graded nodes beyond its ends (in cells from its first
+    node; empty on a uniform lattice), the table's slice of all the nodes,
+    its grade (FieldTable), the position of table node 0 and the distance
+    from the first node to the last."""
+
+    nodes: np.ndarray
+    below: np.ndarray
+    above: np.ndarray
+    kept: slice
+    grade: tuple | None
+    origin: float
+    span: float
+
+
+_NONE = np.empty(0)
+
+
+def _null_width(leg: SmearingFunction) -> float:
+    lb = leg.null_box()
+    return max(lb[1] - lb[0], lb[3] - lb[2])
+
+
+def _null_step(leg: SmearingFunction, cover) -> float:
+    """The step of a uniform lattice with NULL_LEG_CELLS cells across the
+    leg's null box, widened until the lattice over the leg and the cover
+    has at most NULL_MAX_NODES nodes per axis."""
+    boxes = [leg.null_box()] + [c.null_box() for c in cover]
+    span = max(max(b[2 * ax + 1] for b in boxes) - min(b[2 * ax] for b in boxes)
+               for ax in (0, 1))
+    # an axis has at most span / h + 2 FIELD_PAD + 5 nodes
+    return max(_null_width(leg) / NULL_LEG_CELLS,
+               span / (NULL_MAX_NODES - 2 * FIELD_PAD - 5))
+
+
+def _null_lattice(leg: SmearingFunction, cover, h: float):
+    """(dens, axes): the uniform lattice of step h anchored at the leg's
+    lowest null corner, spanning the leg's null box and the boxes of
+    ``cover``, each padded by FIELD_PAD cells, and the leg's density f(u, v)
+    on it; each axis keeps the nodes over the cover's boxes and their pads.
     Every axis and slice has an even number of cells, so every other node
-    is the coarse lattice.  The step widens until no axis has more than
-    NULL_MAX_NODES nodes; ConfigError if the leg then spans fewer than
-    NULL_MIN_CELLS cells, too few to resolve it."""
+    is the coarse lattice."""
     lb = leg.null_box()
     boxes = [c.null_box() for c in cover]
-    width = max(lb[1] - lb[0], lb[3] - lb[2])
-    ends = [(lb[2 * ax], min(b[2 * ax] for b in boxes),
-             max(b[2 * ax + 1] for b in boxes)) for ax in (0, 1)]
-    span = max(max(hi, lb[2 * ax + 1]) - min(lo, lb[2 * ax])
-               for ax, (_, lo, hi) in enumerate(ends))
-    # an axis has at most span / h + 2 FIELD_PAD + 5 nodes
-    h = max(width / NULL_LEG_CELLS,
-            span / (NULL_MAX_NODES - 2 * FIELD_PAD - 5))
-    if not width >= NULL_MIN_CELLS * h:
-        raise ConfigError(
-            f"a leg of null width {width:.3g} spans {width / h:.3g} cells of "
-            f"the {NULL_MAX_NODES}-node null grid over {span:.3g} (at least "
-            f"{NULL_MIN_CELLS} are needed)")
-    nodes, kept = [], []
-    for ax, (anchor, lo, hi) in enumerate(ends):
+    axes = []
+    for ax in (0, 1):
+        anchor = lb[2 * ax]
+        lo = min(b[2 * ax] for b in boxes)
+        hi = max(b[2 * ax + 1] for b in boxes)
         # node indices relative to the anchor: the cover's, then the leg's
         c0 = math.floor((lo - anchor) / h) - FIELD_PAD
         c1 = math.ceil((hi - anchor) / h) + FIELD_PAD
@@ -974,46 +1088,123 @@ def _null_lattice(leg: SmearingFunction, cover):
         i0 = min(c0, 0)
         i1 = max(c1, math.ceil((lb[2 * ax + 1] - anchor) / h))
         i1 += i1 % 2
-        nodes.append(anchor + h * np.arange(i0, i1 + 1))
-        kept.append(slice(c0 - i0, c1 - i0 + 1))
-    return h, nodes[0], nodes[1], tuple(kept)
+        nodes = anchor + h * np.arange(i0, i1 + 1)
+        axes.append(_NullAxis(nodes, _NONE, _NONE, slice(c0 - i0, c1 - i0 + 1),
+                              None, nodes[c0 - i0], nodes[-1] - nodes[0]))
+    U, V = np.meshgrid(axes[0].nodes, axes[1].nodes, indexing="ij")
+    return leg(0.5 * (U + V), 0.5 * (V - U)), axes
+
+
+def _graded_lattice(c: BumpComponent, cover, h: float):
+    """_null_lattice's (dens, axes) for one bump too narrow for a uniform
+    lattice over the cover: NULL_LEG_CELLS cells of step h across the
+    bump's null box and FIELD_PAD beyond each side, then graded nodes out
+    to the cover's box and FIELD_PAD nodes past it; the table keeps every
+    node.  The cell width first doubles NULL_GRADE_CELLS cells out, or
+    sooner where the cover lies more than NULL_GRADE_NODES graded nodes
+    away.  The density is read at offsets from the centre in cells, so a
+    bump narrower than the rounding of its centre keeps its shape."""
+    half = NULL_LEG_CELLS // 2
+    k = np.arange(-half - FIELD_PAD, half + FIELD_PAD + 1)
+    n = k.size
+    axes = []
+    for ax, centre in enumerate((c.center.t - c.center.x,
+                                 c.center.t + c.center.x)):
+        # how far the cover reaches beyond each end of the lattice, in cells
+        reach = ((centre - min(b.null_box()[2 * ax] for b in cover)) / h,
+                 (max(b.null_box()[2 * ax + 1] for b in cover) - centre) / h)
+        reach = tuple(e - k[-1] for e in reach)
+        gamma = max(1.0 / (3 * NULL_GRADE_CELLS ** 2),
+                    max(reach) / NULL_GRADE_NODES ** 3)
+        # graded nodes per side: to the cover, then FIELD_PAD more, even
+        counts = [0 if e <= -FIELD_PAD else
+                  math.ceil(_ungrade(max(e, 0.0), 0.0, 0.0, gamma))
+                  + FIELD_PAD for e in reach]
+        nb, na = (m + m % 2 for m in counts)
+        tb, ta = np.arange(-nb, 0.0), np.arange(1.0, na + 1)
+        below, above = tb + gamma * tb ** 3, n - 1 + ta + gamma * ta ** 3
+        lo = below[0] if nb else 0.0
+        hi = above[-1] if na else n - 1.0
+        axes.append(_NullAxis(k, below, above, slice(0, nb + n + na),
+                              (nb, nb + n - 1, gamma),
+                              centre + h * (k[0] - nb), h * (hi - lo)))
+    # the bump's null half-width r sqrt 2 is `half` cells
+    r2 = (k[:, None] ** 2 + k[None, :] ** 2) / float(half * half)
+    return c.amplitude * _bump_profile(r2), axes
+
+
+def _leg_parts(leg: SmearingFunction, cover) -> list:
+    """[(part, step, dens, axes)]: the leg on the lattice of _null_step,
+    or, where that lattice spans fewer than NULL_MIN_CELLS cells of one of
+    its bumps, each bump on its own: a bump that still spans too few cells
+    gets _graded_lattice.  A leg field is the sum over the parts."""
+    h = _null_step(leg, cover)
+    if len(leg.components) > 1 and min(
+            _null_width(SmearingFunction((c,))) for c in leg.components
+    ) < NULL_MIN_CELLS * h:
+        return [part for c in leg.components
+                for part in _leg_parts(SmearingFunction((c,), leg.name),
+                                       cover)]
+    if _null_width(leg) >= NULL_MIN_CELLS * h:
+        return [(leg, h, *_null_lattice(leg, cover, h))]
+    c = leg.components[0]
+    h = 2.0 * math.sqrt(2.0) * c.radius / NULL_LEG_CELLS
+    return [(leg, h, *_graded_lattice(c, cover, h))]
+
+
+def _zeta(p: ModelParams, axes) -> float:
+    """m^2 UV / 4 at the largest UV of a lattice."""
+    return p.m * p.m * axes[0].span * axes[1].span / 4.0
+
+
+def check_leg_field(p: ModelParams, leg: SmearingFunction, cover) -> None:
+    """ConfigError where tabulate_leg_field(basis, p, leg, cover) would need
+    more than MAX_SERIES_TERMS series terms."""
+    for *_, axes in _leg_parts(leg, cover):
+        _series(_zeta(p, axes))
 
 
 def tabulate_leg_field(basis: str, p: ModelParams, leg: SmearingFunction,
-                       cover) -> FieldTable:
+                       cover):
     """(K f)(z) of a difference kernel of the real basis (H, H0, DeltaR,
     DeltaA, with the retarded sign of the params' convention) and the leg
     f, tabulated on a null lattice over f's support and the supports of the
-    smearings in ``cover``, read by a bicubic spline at (t - x, t + x).
+    smearings in ``cover``, read by a bicubic spline at (t - x, t + x): a
+    FieldTable, or the FieldSum of one per bump (_leg_parts).
 
-    The table holds the field from the lattice of _null_lattice; the coarse
-    field is the same computation on every other node.  The bound is their
-    two-resolution distance (quadrature and interpolation), plus a uniform
-    bound on the dropped series terms and on the rounding of the kept ones,
-    which grows as e^(m sqrt(UV)) where the series cancels.  Only cumulative
-    sums and einsum contractions reduce, so the bits are fixed."""
+    The table holds the field from the lattice of _null_lattice or
+    _graded_lattice; the coarse field is the same computation on every
+    other node.  The bound is their two-resolution distance (quadrature and
+    interpolation), plus a uniform bound on the dropped series terms and on
+    the rounding of the kept ones, which grows as e^(m sqrt(UV)) where the
+    series cancels.  Only cumulative sums and einsum contractions reduce,
+    so the bits are fixed."""
     if basis not in ("H", "H0", "DeltaR", "DeltaA"):
         raise KeyError(f"unknown kernel symbol {basis!r}")
     if basis == "H0":
         p = p.with_(m=0.0)
-    h, us, vs, kept = _null_lattice(leg, cover)
-    U, V = np.meshgrid(us, vs, indexing="ij")
-    dens = leg(0.5 * (U + V), 0.5 * (V - U))
-    u_max, v_max = us[-1] - us[0], vs[-1] - vs[0]
-    zeta = p.m * p.m * u_max * v_max / 4.0
+    parts = [_leg_table(basis, p, *part) for part in _leg_parts(leg, cover)]
+    return parts[0] if len(parts) == 1 else FieldSum(tuple(parts))
+
+
+def _leg_table(basis: str, p: ModelParams, leg: SmearingFunction, h: float,
+               dens: np.ndarray, axes) -> FieldTable:
+    zeta = _zeta(p, axes)
+    u_max, v_max = axes[0].span, axes[1].span
     terms, series_sum, tail = _series(zeta)
     mass = h * h * float(np.sum(np.abs(dens)))  # int |f| du dv
     # rounding: each kept term passes about (terms + 2)(n_u + n_v) sums
-    ops = (terms + 2) * (len(us) + len(vs)) * _EPS
+    ops = (terms + 2) * sum(len(a.nodes) + len(a.below) + len(a.above)
+                            for a in axes) * _EPS
     if basis in ("DeltaR", "DeltaA"):
-        def fn(d, step):
+        def fn(d, step, graded):
             return p.retarded_sign * _riemann_field(
-                d, step, p.m, basis == "DeltaA", terms)
+                d, step, p.m, basis == "DeltaA", terms, graded)
         # |I_u^{k+1} I_v^{k+1} f| <= (u_max v_max)^k / (k!)^2 int |f|
         floor = 0.25 * mass * (tail + ops * series_sum)
     else:
-        def fn(d, step):
-            return _hadamard_field(d, step, p, terms)
+        def fn(d, step, graded):
+            return _hadamard_field(d, step, p, terms, graded)
         # |a_k w^k| <= zeta^k / (k!)^2 / (4 pi), |b_k w^k| <= that times
         # 2 (H_k + |ln(m/2) + gamma|), |ln|U|| <= logs on the lattice, and
         # the binomial sums of _hadamard_field reach (2 u_max)^k (2 v_max)^k
@@ -1029,10 +1220,15 @@ def tabulate_leg_field(basis: str, p: ModelParams, leg: SmearingFunction,
             binomial_sum += term
         floor = (0.5 * mass * (logs / (2.0 * np.pi) + b_max)
                  * (tail + ops * binomial_sum))
+    kept = tuple(a.kept for a in axes)
     half = tuple(slice(k.start // 2, k.stop // 2 + 1) for k in kept)
-    return _field_table(fn(dens, h)[kept], fn(dens[::2, ::2], 2 * h)[half],
-                        (us[kept[0]][0], vs[kept[1]][0]), (h, h), 3,
-                        null=True, floor=floor)
+    # the coarse lattice's graded nodes are those at even table indices
+    return _field_table(
+        fn(dens, h, [(a.below, a.above) for a in axes])[kept],
+        fn(dens[::2, ::2], 2 * h,
+           [(a.below[::2] / 2.0, a.above[1::2] / 2.0) for a in axes])[half],
+        tuple(a.origin for a in axes), (h, h), 3, null=True, floor=floor,
+        grade=tuple(a.grade for a in axes))
 
 
 def worker_count() -> int:

@@ -88,7 +88,8 @@ class EvalContext:
         self._kernel_params = params.with_(sign_convention=ALGEBRA_CONVENTION)
         self._node_cache: dict[tuple[str, int], tuple] = {}
         self._folds: dict[str, tuple] = {}
-        self._fields: dict[tuple[str, str, str], ker.FieldTable] = {}
+        self._fields: dict[tuple[str, str, str],
+                           ker.FieldTable | ker.FieldSum] = {}
         self._pairs: dict[tuple[str, str, str], QuadResult] = {}
 
     def kernel(self, basis: str):
@@ -109,10 +110,15 @@ class EvalContext:
 
     def q_fold(self, leg_name: str):
         """The Q table's fold of a leg's nodes (QTable.leg_fold), built
-        once per leg."""
+        once per leg; None where it would hold more than
+        kernels.MAX_FOLD_ENTRIES floats, and QTable.leg_sum then folds one
+        node position at a time as it reads it, to the same bits."""
         if leg_name not in self._folds:
-            self._folds[leg_name] = self.table.leg_fold(
-                *self.nodes(leg_name))
+            pts, w = self.nodes(leg_name)
+            size = np.unique(pts[:, 1]).size * self.table.values[0].size
+            self._folds[leg_name] = (self.table.leg_fold(pts, w)
+                                     if size <= ker.MAX_FOLD_ENTRIES
+                                     else None)
         return self._folds[leg_name]
 
     # -- pointwise building blocks -----------------------------------------

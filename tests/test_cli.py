@@ -414,6 +414,35 @@ class TestConfigRanges:
         assert res.exit_code == (1 if refused else 0), res.output
         assert (out / "qtable.bin").exists() != refused
 
+    @pytest.mark.parametrize("radius", [0.01, 1e-9])
+    def test_narrow_leg_of_the_example_runs(self, tmp_path, radius):
+        # a leg spanning fewer than kernels.NULL_MIN_CELLS cells of a
+        # uniform null lattice over g gets a graded lattice
+        with open(os.path.join(ROOT, "configs", "example.json")) as fh:
+            config = json.load(fh)
+        config["smearings"]["f1"][0]["radius"] = radius
+        path = tmp_path / "narrow.json"
+        path.write_text(json.dumps(config))
+        res = _run(["corr", "--config", str(path), "--out", str(tmp_path)])
+        assert res.exit_code == 0, res.output
+        with open(tmp_path / "correlation.csv", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [int(r["order"]) for r in rows] == [0, 1]
+        assert all(math.isfinite(float(r["error"])) for r in rows)
+
+    def test_too_many_series_terms_refused_before_the_table(self, tmp_path):
+        # m = 200 needs more than kernels.MAX_SERIES_TERMS terms over the
+        # lattice of a leg field: refused before the Q table is built
+        config = json.loads(json.dumps(BASE_CONFIG))
+        config["params"]["m"] = 200.0
+        path = tmp_path / "heavy.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / "out"
+        res = _run(["corr", "--config", str(path), "--out", str(out)])
+        assert res.exit_code == 1, res.output
+        assert "series terms" in res.output
+        assert not (out / "qtable.bin").exists()
+
     @pytest.mark.parametrize("section,key,value,message", [
         ("params", "t_switch", 1e308, "t_switch"),
         ("mc", "pad", 1e308, "cannot be sized"),

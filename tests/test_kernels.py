@@ -813,6 +813,26 @@ def _null_reference(basis, m, leg):
                             *_null_points())
 
 
+# legs narrow against g: a bump of radius 0.01 spans 7 cells of a uniform
+# lattice over g, and in the two-bump leg one of radius 0.004 spans less
+# than one cell of the lattice over the leg's box
+NARROW_LEGS = {
+    "narrow": SmearingFunction.bump(0.35, -0.25, 0.01),
+    "two": SmearingFunction((
+        ker.BumpComponent(SpacetimePoint(0.35, -0.25), 0.18),
+        ker.BumpComponent(SpacetimePoint(0.1, 0.3), 0.004, 2.0))),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _narrow_reference(basis, m, leg):
+    """The reference field of NARROW_LEGS[leg] at _null_points: the sum of
+    each bump's, so that no quadrature panel straddles two bumps."""
+    return sum(_reference_field(basis, ModelParams(m=m),
+                                SmearingFunction((c,)), *_null_points())
+               for c in NARROW_LEGS[leg].components)
+
+
 class TestNullGridFields:
     LEGS, G = NULL_LEGS, NULL_G
 
@@ -836,6 +856,35 @@ class TestNullGridFields:
                     bound = tab.bound(t, x)
                     assert np.all(err <= bound), (name, basis, convention)
                     assert np.max(bound) <= 1e-3 * scale, (name, basis)
+
+    @pytest.mark.parametrize("m,leg", [(0.0, "narrow"), (0.5, "narrow"),
+                                       (2.0, "narrow"), (0.5, "two")])
+    def test_narrow_legs_within_bound_of_reference(self, m, leg):
+        # each bump too narrow for the lattice gets its own, graded beyond
+        # the bump out to g; the max bound over the max error was 24-190,
+        # the max error 3.4e-6 of the largest |field|
+        t, x = _null_points()
+        for basis in ("DeltaR", "DeltaA", "H0" if m == 0.0 else "H"):
+            ref = _narrow_reference(basis, m, leg)
+            tab = ker.tabulate_leg_field(basis, ModelParams(m=m),
+                                         NARROW_LEGS[leg], [self.G])
+            parts = tab.parts if leg == "two" else (tab,)
+            assert [p.grade[0] is None for p in parts] == (
+                [True, False] if leg == "two" else [False])
+            err = np.abs(tab(t, x) - ref)
+            bound = tab.bound(t, x)
+            assert np.all(err <= bound), (leg, basis)
+            assert np.max(bound) <= 1e-3 * np.max(np.abs(ref)), (leg, basis)
+
+    def test_graded_coordinates_invert_the_nodes(self):
+        # node t of a graded axis lies at t + gamma tau^3, tau its distance
+        # beyond [t_a, t_b]
+        t = np.arange(0.0, 301.0)
+        tau = np.maximum(t - 200, 0) - np.maximum(60 - t, 0)
+        for gamma in (1 / 768, 0.05, 40.0):
+            c = t + gamma * tau ** 3
+            assert np.allclose(ker._ungrade(c, 60, 200, gamma), t,
+                               rtol=0, atol=1e-9)
 
     def test_node_sums_fail_the_reference(self):
         # the 24^2 Gauss-Legendre node sums the tables replace: off by more

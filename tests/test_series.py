@@ -436,6 +436,19 @@ class TestOracle:
         for r in runs:
             assert (r.value, r.error) == (per_call.value, per_call.error)
 
+    def test_q_fold_past_the_cap_is_not_kept(self, params, qtable,
+                                             smearings, monkeypatch):
+        # a fold of more than MAX_FOLD_ENTRIES floats is not memoized: each
+        # read folds one node position at a time, to the same bits
+        ref = ser.order1_correction_oracle(
+            ser.EvalContext(params, qtable, smearings), "f1", "f2", "g",
+            1024, 14)
+        monkeypatch.setattr(ker, "MAX_FOLD_ENTRIES", 0)
+        c = ser.EvalContext(params, qtable, smearings)
+        res = ser.order1_correction_oracle(c, "f1", "f2", "g", 1024, 14)
+        assert c._folds == {"f1": None, "f2": None}
+        assert (res.value, res.error) == (ref.value, ref.error)
+
     def test_leg_sums_in_blocks(self, params, qtable, smearings,
                                 monkeypatch):
         # the DeltaA legs are the evaluator's node sums: no kernel call
